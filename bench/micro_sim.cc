@@ -1,36 +1,49 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator substrate: event
- * queue throughput, routing, reshape enumeration and whole-iteration
+ * queue bulk load, routing, reshape enumeration and whole-iteration
  * simulation.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/api.hh"
-#include "sim/event_queue.hh"
+#include "sim/calendar_queue.hh"
 #include "zfdr/reshape.hh"
 
 namespace {
 
 using namespace lergan;
 
+/**
+ * Bulk load then drain: schedule n task events at n distinct, shuffled
+ * times, pop them all. Every window carve rescans the whole far level,
+ * so per-event cost grows with n — this case tracks that growth.
+ */
 void
-BM_EventQueue(benchmark::State &state)
+BM_CalendarQueueBulkLoad(benchmark::State &state)
 {
-    const int n = static_cast<int>(state.range(0));
+    const TaskId n = static_cast<TaskId>(state.range(0));
+    sim::CalendarQueue<TaskEvent> queue;
     for (auto _ : state) {
-        EventQueue queue;
-        int fired = 0;
-        for (int i = 0; i < n; ++i)
-            queue.scheduleAt(static_cast<PicoSeconds>(i * 7 % 1000),
-                             [&fired] { ++fired; });
-        queue.run();
+        queue.reset();
+        // 7919 is odd, so i * 7919 mod n (n a power of two) permutes
+        // [0, n).
+        for (TaskId i = 0; i < n; ++i)
+            queue.scheduleAt(static_cast<PicoSeconds>(i * 7919 % n),
+                             TaskEvent{i, false});
+        TaskEvent event;
+        TaskId fired = 0;
+        while (queue.pop(event))
+            fired += event.task;
         benchmark::DoNotOptimize(fired);
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EventQueue)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_CalendarQueueBulkLoad)
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 16);
 
 void
 BM_RouteHTree(benchmark::State &state)

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full verification: plain build + complete test suite, then a
 # ThreadSanitizer build of the execution-engine tests (ctest label
-# `tsan`) and an ASan+UBSan build of the audit/exporter tests (ctest
-# label `audit`). Run from anywhere; builds land in build/, build-tsan/
-# and build-asan/.
+# `tsan`) and an ASan+UBSan build of the audit/exporter and event-kernel
+# tests (ctest labels `audit` and `sim`). Run from anywhere; builds land
+# in build/, build-tsan/ and build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -98,23 +98,25 @@ fi
 
 # The audit tests walk every cross-layer data structure a simulation
 # produces (stats, traces, compiled mappings), which makes them the
-# densest drivers for Address- and UBSanitizer.
+# densest drivers for Address- and UBSanitizer; the sim tests drive the
+# event kernel's vector insert/partition/erase and the CSR walks.
 echo "== ASan+UBSan availability probe =="
 if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -o "$probe_dir/probe-asan" 2>/dev/null && \
         "$probe_dir/probe-asan"; then
-    echo "== ASan+UBSan build of the audit tests (ctest -L audit) =="
+    echo "== ASan+UBSan build of the audit + sim tests" \
+         "(ctest -L 'audit|sim') =="
     cmake -B "$root/build-asan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
     cmake --build "$root/build-asan" -j "$jobs" \
-        --target test_audit test_sweep_io
-    ctest --test-dir "$root/build-asan" -L audit --output-on-failure \
-        -j "$jobs"
+        --target test_audit test_sweep_io test_sim test_properties
+    ctest --test-dir "$root/build-asan" -L 'audit|sim' \
+        --output-on-failure -j "$jobs"
 else
     echo "ASan+UBSan unavailable on this toolchain; skipping the" \
-         "audit-labelled sanitizer rerun (plain suite already ran)."
+         "audit/sim-labelled sanitizer rerun (plain suite already ran)."
 fi
 
 echo "== all checks passed =="

@@ -211,7 +211,7 @@ checkTiming(const AuditInput &input, const AuditOptions &options,
 
 /**
  * (c) Zero accounting. For every reshaped op of the compiled model the
- * closed-form class counts (Eq. 11-13) must match direct window
+ * closed-form class counts (zfdr/formulas.hh) must match direct window
  * enumeration, and the classes must jointly serve every output
  * position. Asymmetrically padded ops are skipped (the paper's closed
  * forms assume symmetry; enumeration is authoritative there).
@@ -232,7 +232,8 @@ checkZeros(const AuditInput &input, const AuditOptions &,
             ClassCounts counts;
             if (op.pattern == OpPattern::SparseGridConv) {
                 counts = tconvClassCounts(op.data, op.stride, op.padLo,
-                                          op.rem, op.spatialDims);
+                                          op.rem, op.window,
+                                          op.spatialDims);
             } else {
                 counts = wconvClassCounts(op.data, op.padLo, op.window,
                                           op.stride, op.rem,

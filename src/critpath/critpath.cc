@@ -84,47 +84,32 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record)
     const std::size_t n = graph.size();
     const std::vector<std::size_t> offsets = resourceSlotOffsets(graph);
 
-    // CSR successor lists of the timing graph, counting sort as usual.
-    std::vector<std::size_t> succStart(n + 1, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)task;
-        succStart[dep + 1]++;
-    }
-    for (std::size_t slot = 0; slot < record.resPrev.size(); ++slot) {
-        if (record.resPrev[slot] != kNoTask)
-            succStart[record.resPrev[slot] + 1]++;
-    }
-    for (std::size_t id = 0; id < n; ++id)
-        succStart[id + 1] += succStart[id];
-    std::vector<TaskId> succIds(succStart[n]);
-    std::vector<std::size_t> fill(succStart.begin(), succStart.end() - 1);
-    for (const auto &[dep, task] : graph.edges())
-        succIds[fill[dep]++] = task;
-    for (TaskId id = 0; id < n; ++id) {
-        for (std::size_t slot = offsets[id]; slot < offsets[id + 1];
-             ++slot) {
-            if (record.resPrev[slot] != kNoTask)
-                succIds[fill[record.resPrev[slot]]++] = id;
-        }
-    }
-
     // Backward pass in reverse completion order (a reverse topological
     // order of the timing graph): the latest a task may end without
     // pushing any successor past its own latest end — or the makespan,
-    // for sinks.
+    // for sinks. Dependency successors are pulled from the graph's CSR;
+    // reservation edges are recorded predecessor-side (resPrev), so each
+    // task pushes its latest start to its previous holders instead.
     std::vector<PicoSeconds> lateEnd(n, record.makespan);
     std::vector<PicoSeconds> slack(n, 0);
     for (std::size_t i = record.completionOrder.size(); i-- > 0;) {
         const TaskId id = record.completionOrder[i];
-        PicoSeconds late = record.makespan;
-        for (std::size_t e = succStart[id]; e < succStart[id + 1]; ++e) {
-            const TaskId succ = succIds[e];
+        PicoSeconds late = lateEnd[id];
+        for (const TaskId succ : graph.successors(id)) {
             const PicoSeconds dur =
                 record.end[succ] - record.start[succ];
             late = std::min(late, lateEnd[succ] - dur);
         }
         lateEnd[id] = late;
         slack[id] = late - record.end[id];
+        const PicoSeconds lateStart =
+            late - (record.end[id] - record.start[id]);
+        for (std::size_t slot = offsets[id]; slot < offsets[id + 1];
+             ++slot) {
+            const TaskId prev = record.resPrev[slot];
+            if (prev != kNoTask)
+                lateEnd[prev] = std::min(lateEnd[prev], lateStart);
+        }
     }
     return slack;
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <queue>
 
 #include "common/logging.hh"
+#include "sim/calendar_queue.hh"
 #include "sim/utilization.hh"
 
 namespace lergan {
@@ -45,32 +45,6 @@ holdsCategory(const RecordedRun &run, TaskId id,
     return false;
 }
 
-/** CSR predecessor (dependency) lists by task. */
-struct PredLists {
-    std::vector<std::size_t> start;
-    std::vector<TaskId> ids;
-};
-
-PredLists
-predecessorLists(const TaskGraph &graph)
-{
-    const std::size_t n = graph.size();
-    PredLists preds;
-    preds.start.assign(n + 1, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)dep;
-        preds.start[task + 1]++;
-    }
-    for (std::size_t id = 0; id < n; ++id)
-        preds.start[id + 1] += preds.start[id];
-    preds.ids.resize(preds.start[n]);
-    std::vector<std::size_t> fill(preds.start.begin(),
-                                  preds.start.end() - 1);
-    for (const auto &[dep, task] : graph.edges())
-        preds.ids[fill[task]++] = dep;
-    return preds;
-}
-
 /**
  * The sound lower bound: the longest dependency-only chain (any
  * schedule respects dependencies) maxed with each resource's total
@@ -84,17 +58,15 @@ lowerBound(const TaskGraph &graph,
            const std::vector<TaskId> &order, std::size_t resource_count)
 {
     const std::size_t n = graph.size();
-    const PredLists preds = predecessorLists(graph);
-    std::vector<PicoSeconds> chain(n, 0);
+    // Forward relaxation along the CSR: in topological order every
+    // task's ready time is final before the task itself is visited.
+    std::vector<PicoSeconds> ready(n, 0);
     PicoSeconds longest = 0;
     for (TaskId id : order) {
-        PicoSeconds ready = 0;
-        for (std::size_t e = preds.start[id]; e < preds.start[id + 1];
-             ++e) {
-            ready = std::max(ready, chain[preds.ids[e]]);
-        }
-        chain[id] = ready + durations[id];
-        longest = std::max(longest, chain[id]);
+        const PicoSeconds end = ready[id] + durations[id];
+        longest = std::max(longest, end);
+        for (const TaskId succ : graph.successors(id))
+            ready[succ] = std::max(ready[succ], end);
     }
 
     std::vector<PicoSeconds> work(resource_count, 0);
@@ -128,44 +100,14 @@ simulateList(const TaskGraph &graph,
              std::size_t resource_count, std::vector<TaskId> *fire_order)
 {
     const std::size_t n = graph.size();
-    std::vector<std::uint32_t> unmet(n, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)dep;
-        unmet[task]++;
-    }
-    // CSR successor lists (addDep order preserved, as in the executor).
-    std::vector<std::size_t> succStart(n + 1, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)task;
-        succStart[dep + 1]++;
-    }
-    for (std::size_t id = 0; id < n; ++id)
-        succStart[id + 1] += succStart[id];
-    std::vector<TaskId> succIds(succStart[n]);
-    std::vector<std::size_t> fill(succStart.begin(),
-                                  succStart.end() - 1);
-    for (const auto &[dep, task] : graph.edges())
-        succIds[fill[dep]++] = task;
-
-    struct Event {
-        PicoSeconds time;
-        std::uint64_t seq;
-        TaskId id;
-        bool complete;
-        bool operator>(const Event &other) const
-        {
-            return time != other.time ? time > other.time
-                                      : seq > other.seq;
-        }
-    };
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        queue;
-    std::uint64_t seq = 0;
-
+    std::vector<std::uint32_t> unmet(n);
+    for (TaskId id = 0; id < n; ++id)
+        unmet[id] = graph.dependencyCount(id);
+    sim::CalendarQueue<TaskEvent> queue;
     std::vector<PicoSeconds> ready(n, 0);
     for (TaskId id = 0; id < n; ++id)
         if (unmet[id] == 0)
-            queue.push({0, seq++, id, false});
+            queue.scheduleAt(0, TaskEvent{id, false});
 
     // Per-resource unit free times, flattened CSR-style: copies[rid]
     // interchangeable FIFO units per resource, one slot each.
@@ -187,30 +129,28 @@ simulateList(const TaskGraph &graph,
 
     PicoSeconds makespan = 0;
     std::size_t completed = 0;
-    while (!queue.empty()) {
-        const Event event = queue.top();
-        queue.pop();
-        const TaskId id = event.id;
+    TaskEvent event;
+    while (queue.pop(event)) {
+        const TaskId id = event.task;
+        const PicoSeconds now = queue.now();
         if (!event.complete) {
             if (fire_order)
                 fire_order->push_back(id);
-            PicoSeconds start = event.time;
+            PicoSeconds start = now;
             for (std::size_t rid : graph.task(id).resources)
                 start = std::max(start, unitFree[earliestUnit(rid)]);
             const PicoSeconds end = start + durations[id];
             for (std::size_t rid : graph.task(id).resources)
                 unitFree[earliestUnit(rid)] = end;
-            queue.push({end, seq++, id, true});
+            queue.scheduleAt(end, TaskEvent{id, true});
         } else {
-            makespan = std::max(makespan, event.time);
+            makespan = std::max(makespan, now);
             ++completed;
-            for (std::size_t e = succStart[id]; e < succStart[id + 1];
-                 ++e) {
-                const TaskId succ = succIds[e];
-                ready[succ] = std::max(ready[succ], event.time);
+            for (const TaskId succ : graph.successors(id)) {
+                ready[succ] = std::max(ready[succ], now);
                 LERGAN_ASSERT(unmet[succ] > 0, "dependency underflow");
                 if (--unmet[succ] == 0)
-                    queue.push({ready[succ], seq++, succ, false});
+                    queue.scheduleAt(ready[succ], TaskEvent{succ, false});
             }
         }
     }
@@ -316,28 +256,26 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
 
     // Fixed-order replay: walk the recorded completion order (a
     // topological order of the timing graph) and recompute every end
-    // time against dependencies and the recorded per-resource grant
-    // order. With c copies of a resource, a reservation waits for the
-    // c-th most recent grant instead of the latest one.
-    const PredLists preds = predecessorLists(graph);
-    std::vector<PicoSeconds> end(n, 0);
+    // time against dependencies (pushed forward along the CSR) and the
+    // recorded per-resource grant order. With c copies of a resource, a
+    // reservation waits for the c-th most recent grant instead of the
+    // latest one.
+    std::vector<PicoSeconds> ready(n, 0);
     std::vector<std::vector<PicoSeconds>> grants(resource_count);
     for (TaskId id : record.completionOrder) {
-        PicoSeconds start = 0;
-        for (std::size_t e = preds.start[id]; e < preds.start[id + 1];
-             ++e) {
-            start = std::max(start, end[preds.ids[e]]);
-        }
+        PicoSeconds start = ready[id];
         for (std::size_t rid : graph.task(id).resources) {
             const std::vector<PicoSeconds> &g = grants[rid];
             const std::size_t c = copiesOf(rid);
             if (g.size() >= c)
                 start = std::max(start, g[g.size() - c]);
         }
-        end[id] = start + durations[id];
+        const PicoSeconds end = start + durations[id];
         for (std::size_t rid : graph.task(id).resources)
-            grants[rid].push_back(end[id]);
-        estimate.makespan = std::max(estimate.makespan, end[id]);
+            grants[rid].push_back(end);
+        for (const TaskId succ : graph.successors(id))
+            ready[succ] = std::max(ready[succ], end);
+        estimate.makespan = std::max(estimate.makespan, end);
     }
     // The replay above keeps the recorded grant order, which a real
     // resimulation would not (list-scheduling anomalies cut both ways),

@@ -1,13 +1,11 @@
 /**
  * @file
- * Two-level calendar (ladder) priority queue for discrete-event
- * simulation.
+ * Two-level calendar (ladder) priority queue: the simulator's one
+ * discrete-event kernel.
  *
- * The simulator's previous kernel was a binary heap: every push and pop
- * paid O(log n) comparisons plus a sift that moves whole entries. A DES
- * workload is far friendlier than the general case — events cluster
- * near the current time and the queue drains monotonically — which is
- * exactly what a calendar queue exploits:
+ * A DES workload is far friendlier than the general priority-queue case
+ * — events cluster near the current time and the queue drains
+ * monotonically — which is exactly what a calendar queue exploits:
  *
  *  - "near" holds the events inside the current time window, kept as a
  *    run sorted DESCENDING by (when, seq) so the next event pops off the
@@ -18,23 +16,19 @@
  * When near drains, the next window is carved out of far: the window
  * width adapts to the observed event density (span / count), the
  * matching entries are swept into near with one partition + sort, and
- * the rest stay unsorted. Each event is therefore touched O(1) times
- * amortized outside of one small sort per window.
+ * the rest stay unsorted.
  *
- * Determinism contract (same as the old heap): events fire in ascending
- * (when, seq) order, where seq is the schedule order — equal-time
- * events fire exactly in the order they were scheduled. The property
- * test in tests/test_properties.cc drives this queue and the reference
- * binary heap (sim/heap_event_queue.hh) with ~1M randomized operations
- * and asserts identical firing sequences.
+ * Determinism contract: events fire in ascending (when, seq) order,
+ * where seq is the schedule order — equal-time events fire exactly in
+ * the order they were scheduled. The property test in
+ * tests/test_properties.cc drives this queue and a std::multimap keyed
+ * on (when, seq) with over a million randomized operations and asserts
+ * identical firing sequences.
  *
- * The queue is a template over the payload type so the task-graph
- * executor can store POD task events (no type erasure, no indirect
- * call) while the general EventQueue stores sim::EventFn callbacks.
- *
- * Cancellation: scheduleAt returns the event's id; cancel(id) marks it
- * dead in O(1). Dead entries are skipped (and destroyed) at pop time,
- * so cancel never has to search either level.
+ * The queue is a template over the payload type; the task-graph
+ * executor and the what-if mirror store POD task events (no type
+ * erasure, no indirect call). Scheduled events always fire: there is no
+ * cancellation.
  */
 
 #ifndef LERGAN_SIM_CALENDAR_QUEUE_HH
@@ -50,9 +44,6 @@
 namespace lergan {
 namespace sim {
 
-/** Handle of one scheduled event (its global schedule sequence). */
-using EventId = std::uint64_t;
-
 /** Deterministic two-level calendar queue over arbitrary payloads. */
 template <typename Payload>
 class CalendarQueue
@@ -61,27 +52,23 @@ class CalendarQueue
     /** Current simulated time (the when of the last popped event). */
     PicoSeconds now() const { return now_; }
 
-    /** Events scheduled and neither fired nor cancelled. */
-    std::size_t pending() const { return live_; }
+    /** Events scheduled and not yet fired. */
+    std::size_t pending() const { return near_.size() + far_.size(); }
 
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return near_.empty() && far_.empty(); }
 
     /**
      * Schedule @p payload at absolute time @p when.
      *
      * @pre when >= now(); scheduling into the past is a simulator bug.
-     * @return the event's id (usable with cancel()).
      */
-    EventId
+    void
     scheduleAt(PicoSeconds when, Payload payload)
     {
         LERGAN_ASSERT(when >= now_,
                       "event scheduled into the past: ", when, " < ",
                       now_);
-        const EventId id = states_.size();
-        states_.push_back(State::Pending);
-        ++live_;
-        Entry entry{when, id, std::move(payload)};
+        Entry entry{when, nextSeq_++, std::move(payload)};
         if (when < windowEnd_) {
             // Ordered insert into the sorted (descending) near run.
             const auto at = std::upper_bound(
@@ -90,27 +77,10 @@ class CalendarQueue
         } else {
             far_.push_back(std::move(entry));
         }
-        return id;
     }
 
     /**
-     * Cancel a pending event in O(1).
-     *
-     * @return true when @p id was pending (now it never fires); false
-     * when it already fired, was already cancelled, or never existed.
-     */
-    bool
-    cancel(EventId id)
-    {
-        if (id >= states_.size() || states_[id] != State::Pending)
-            return false;
-        states_[id] = State::Cancelled;
-        --live_;
-        return true;
-    }
-
-    /**
-     * Pop the next live event: advances now() to its time and moves its
+     * Pop the next event: advances now() to its time and moves its
      * payload into @p out.
      *
      * @return false when the queue is drained (now() unchanged).
@@ -118,30 +88,22 @@ class CalendarQueue
     bool
     pop(Payload &out)
     {
-        while (true) {
-            if (near_.empty() && !advanceWindow())
-                return false;
-            Entry entry = std::move(near_.back());
-            near_.pop_back();
-            const State state = states_[entry.seq];
-            if (state == State::Cancelled)
-                continue; // destroyed with the entry
-            states_[entry.seq] = State::Fired;
-            --live_;
-            now_ = entry.when;
-            out = std::move(entry.payload);
-            return true;
-        }
+        if (near_.empty() && !advanceWindow())
+            return false;
+        Entry &entry = near_.back();
+        now_ = entry.when;
+        out = std::move(entry.payload);
+        near_.pop_back();
+        return true;
     }
 
-    /** Drop all pending events and reset time and ids to zero. */
+    /** Drop all pending events and reset time and sequence to zero. */
     void
     reset()
     {
         near_.clear();
         far_.clear();
-        states_.clear();
-        live_ = 0;
+        nextSeq_ = 0;
         now_ = 0;
         windowEnd_ = 0;
     }
@@ -149,7 +111,7 @@ class CalendarQueue
   private:
     struct Entry {
         PicoSeconds when;
-        EventId seq;
+        std::uint64_t seq; ///< schedule order: ties fire first-in first
         Payload payload;
     };
 
@@ -208,10 +170,7 @@ class CalendarQueue
 
     std::vector<Entry> near_; ///< current window, sorted descending
     std::vector<Entry> far_;  ///< beyond the window, unsorted
-    /** Lifecycle per event id; ids are dense, so a flat vector. */
-    enum class State : std::uint8_t { Pending, Fired, Cancelled };
-    std::vector<State> states_;
-    std::size_t live_ = 0;
+    std::uint64_t nextSeq_ = 0;
     PicoSeconds now_ = 0;
     PicoSeconds windowEnd_ = 0;
 };

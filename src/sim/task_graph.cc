@@ -60,6 +60,7 @@ TaskGraph::freeze() const
                                         f.succStart.end() - 1);
         for (const auto &[dep, task] : edges_)
             f.succIds[fill[dep]++] = static_cast<std::uint32_t>(task);
+        std::vector<std::pair<TaskId, TaskId>>().swap(edges_);
 
         f.done = true;
     });
@@ -75,7 +76,6 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
     const std::size_t n = tasks_.size();
 
     ExecResult result;
-    result.endTimes.assign(n, 0);
 
     ExecScratch local;
     ExecScratch &s = scratch ? *scratch : local;
@@ -140,9 +140,10 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
 
     // The POD event loop. A fire event commits FIFO reservations on
     // every resource the task needs and schedules the completion event;
-    // a completion charges energy and releases the successors. Event
-    // (time, seq) order is identical to the historic closure-based
-    // executor, so results, traces and metrics are byte-compatible.
+    // a completion charges energy and releases the successors in addDep
+    // order. Events pop in (time, schedule order), so equal-time events
+    // fire in the order they were scheduled and every run is
+    // deterministic.
     TaskEvent event;
     while (s.queue.pop(event)) {
         const TaskId id = event.task;
@@ -211,7 +212,6 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
             const PicoSeconds end = s.queue.now();
             if (f.energies[id] != 0)
                 result.stats.add(tasks_[id].energyKey, f.energies[id]);
-            result.endTimes[id] = end;
             result.makespan = std::max(result.makespan, end);
             ++completed;
             if (record) {

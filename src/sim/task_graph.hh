@@ -31,6 +31,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,8 +72,6 @@ struct ExecResult {
     PicoSeconds makespan = 0;
     /** Energy per key, plus bookkeeping counters. */
     StatSet stats;
-    /** Per-task end times (indexed by TaskId), for chained graphs. */
-    std::vector<PicoSeconds> endTimes;
 };
 
 /** POD event of the task executor: fire or complete one task. */
@@ -161,7 +160,7 @@ class TaskGraph
      * @param metrics optional registry for sim.* metrics.
      * @param scratch optional reusable buffers (see ExecScratch).
      * @param record  optional execution record for critpath analysis.
-     * @return makespan, accumulated energy statistics and task end times.
+     * @return makespan and accumulated energy statistics.
      */
     ExecResult execute(ResourcePool &pool, Tracer *tracer = nullptr,
                        MetricsRegistry *metrics = nullptr,
@@ -169,15 +168,20 @@ class TaskGraph
                        ExecRecord *record = nullptr) const;
 
     /**
-     * Dependency edges as (dep, task) pairs in addDep order — the cold
-     * mirror of the frozen CSR lists, exposed for post-run analysis
-     * (critical-path slack needs the full edge set, not just each
-     * task's binding predecessor).
+     * Tasks that depend on @p id, in addDep order — a view of the
+     * frozen CSR (post-run analysis walks the full edge set, not just
+     * each task's binding predecessor). Freezes the graph.
      */
-    const std::vector<std::pair<TaskId, TaskId>> &edges() const
+    std::span<const std::uint32_t>
+    successors(TaskId id) const
     {
-        return edges_;
+        const Frozen &f = freeze();
+        return {f.succIds.data() + f.succStart[id],
+                f.succIds.data() + f.succStart[id + 1]};
     }
+
+    /** Number of addDep calls naming @p id as the dependent task. */
+    std::uint32_t dependencyCount(TaskId id) const { return depCount_[id]; }
 
   private:
     /**
@@ -201,8 +205,9 @@ class TaskGraph
     const Frozen &freeze() const;
 
     std::vector<Task> tasks_;
-    /** Dependency edges as (dep, task), in addDep order. */
-    std::vector<std::pair<TaskId, TaskId>> edges_;
+    /** Build-time (dep, task) edges in addDep order; freeze() turns
+     *  them into the CSR successor lists and releases them. */
+    mutable std::vector<std::pair<TaskId, TaskId>> edges_;
     std::vector<std::uint32_t> depCount_;
     mutable std::unique_ptr<Frozen> frozen_ =
         std::make_unique<Frozen>();

@@ -1,5 +1,7 @@
 #include "zfdr/formulas.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace lergan {
@@ -11,6 +13,13 @@ int
 ceilDiv(int a, int b)
 {
     return a <= 0 ? 0 : (a + b - 1) / b;
+}
+
+/** Number of integers in [lo, hi] (0 when empty). */
+std::int64_t
+span(std::int64_t lo, std::int64_t hi)
+{
+    return std::max<std::int64_t>(0, hi - lo + 1);
 }
 
 /** n choose k for the tiny values used in class counting. */
@@ -78,20 +87,63 @@ edgeR2(int pad, int rem, int insert_stride)
                                           : pad + rem;
 }
 
-int
-tconvEdge1d(int input, int insert_stride, int pad, int rem)
+Masks1d
+tconvMasks1d(int input, int insert_stride, int pad, int rem, int window)
 {
-    const int grid = (input - 1) * insert_stride + 1 + rem + 2 * pad;
-    return grid - loopLength(input, insert_stride, pad, rem);
+    LERGAN_ASSERT(input > 0 && insert_stride > 0 && pad >= 0 && rem >= 0 &&
+                      window > 0,
+                  "tconvMasks1d: bad arguments");
+    const std::int64_t I = input, S = insert_stride, P = pad, R = rem,
+                       W = window;
+    // Data cells sit at 0, S', ..., D relative to the first one; window
+    // starts t run over [t0, t1]. A window holds the data cells of one
+    // residue class (-t mod S'), so its mask is that class's full
+    // (interior) mask unless the map border clips it.
+    const std::int64_t D = (I - 1) * S;
+    const std::int64_t t0 = -P;
+    const std::int64_t t1 = P + D + R + 1 - W;
+    LERGAN_ASSERT(t1 >= t0, "tconvMasks1d: window wider than the grid");
+
+    Masks1d masks;
+    // Interior windows miss no data cell at either end. For W >= S'
+    // every such window is non-empty and consecutive starts cycle
+    // through the residues; for W < S' a residue f < W occurs when a
+    // data cell kS' (k = 0, or else k = 1) lands f cells into a window.
+    if (W >= S) {
+        masks.interior = static_cast<std::uint64_t>(std::min(
+            S, span(std::max(t0, 1 - S), std::min(t1, I * S - W))));
+    } else {
+        masks.interior = static_cast<std::uint64_t>(
+            span(std::max<std::int64_t>(0, -t1), std::min(W - 1, P)) +
+            (I >= 2 ? span(std::max(P + 1, S - t1), W - 1) : 0));
+    }
+
+    // Clipped windows start before -S'+1 (cut below) or after I*S'-W
+    // (cut above). Each non-empty one has its own mask: cut-below masks
+    // differ in their first offset, cut-above ones in their size. Empty
+    // windows — wholly in a pad, or (W < S') between two data cells —
+    // all share one mask.
+    const std::int64_t above = std::max(t0, I * S - W + 1);
+    const std::int64_t clipped = span(t0, std::min(t1, -S)) +
+                                 span(above, t1) -
+                                 span(above, std::min(t1, -S));
+    const std::int64_t F = std::max(W, S);
+    const std::int64_t emptyClipped =
+        std::max<std::int64_t>(0, P + 1 - F) +
+        std::max<std::int64_t>(0, P + R + 1 - F);
+    const bool anyEmpty = P + R >= W || (I > 1 && W < S);
+    masks.edge = static_cast<std::uint64_t>(clipped - emptyClipped +
+                                            (anyEmpty ? 1 : 0));
+    return masks;
 }
 
 ClassCounts
-tconvClassCounts(int input, int insert_stride, int pad, int rem,
+tconvClassCounts(int input, int insert_stride, int pad, int rem, int window,
                  int spatial_dims)
 {
-    const int edge_1d = tconvEdge1d(input, insert_stride, pad, rem);
-    LERGAN_ASSERT(edge_1d >= 0, "tconvClassCounts: negative edge count");
-    return compose(edge_1d, insert_stride, spatial_dims);
+    const Masks1d masks =
+        tconvMasks1d(input, insert_stride, pad, rem, window);
+    return compose(masks.edge, masks.interior, spatial_dims);
 }
 
 ClassCounts

@@ -9,7 +9,13 @@
  *
  * Erratum handled: the paper states the T-CONV edge count as
  * "R1*S'*2 + R1*S'*2"; reproducing its own CONV1 total of 25 reshaped
- * matrices requires R1*S'*2 + R2*S'*2, which we implement.
+ * matrices requires R1*S'*2 + R2*S'*2.
+ *
+ * The T-CONV class counts go beyond Eq. 11-13: the paper's edge count
+ * (R1 + R2 boundary windows per dimension, each with its own mask)
+ * holds only when P >= S'-1. With a smaller pad the boundary windows
+ * see a whole residue class of the data, so their masks are interior
+ * masks; tconvMasks1d counts distinct masks exactly for any geometry.
  */
 
 #ifndef LERGAN_ZFDR_FORMULAS_HH
@@ -36,8 +42,21 @@ int edgeR1(int pad, int insert_stride);
 /** R2 (Eq. 13). */
 int edgeR2(int pad, int rem, int insert_stride);
 
-/** Number of distinct 1-D edge masks of a T-CONV: grid length - LL. */
-int tconvEdge1d(int input, int insert_stride, int pad, int rem);
+/** Distinct 1-D window masks of a T-CONV scan, by kind. */
+struct Masks1d {
+    std::uint64_t edge = 0;     ///< clipped by the map border, or empty
+    std::uint64_t interior = 0; ///< a full residue class of the window
+};
+
+/**
+ * Distinct 1-D masks of a dense @p window sliding over the zero-inserted
+ * map (the sparse-grid pattern of nn/conv_pattern.hh), in closed form.
+ * Reduces to R1 + R2 edge and S' interior masks (Eq. 12-13) in the
+ * paper's regime: P >= S'-1, S' <= W, P + R < W (no window lies wholly
+ * in padding) and W <= (I-1)S' + 1 (none is clipped at both ends).
+ */
+Masks1d tconvMasks1d(int input, int insert_stride, int pad, int rem,
+                     int window);
 
 /** Distinct reshaped matrices per class of a d-dimensional T-CONV ZFDR. */
 struct ClassCounts {
@@ -47,12 +66,12 @@ struct ClassCounts {
 };
 
 /**
- * T-CONV ZFDR class counts (paper Case 1-3 generalized to d dimensions):
- * corner = E^d, inside = S'^d, edge = everything in between, where
- * E = tconvEdge1d and the per-dimension interior class has S' masks.
+ * T-CONV ZFDR class counts (paper Case 1-3 generalized to d dimensions)
+ * from the per-dimension masks M = tconvMasks1d: inside = M.interior^d,
+ * edge = d * M.interior^(d-1) * M.edge, corner = everything else.
  */
 ClassCounts tconvClassCounts(int input, int insert_stride, int pad, int rem,
-                             int spatial_dims);
+                             int window, int spatial_dims);
 
 /**
  * W-CONV-S ZFDR class counts: per dimension there are

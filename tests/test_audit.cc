@@ -17,6 +17,7 @@
 #include "core/sweep.hh"
 #include "core/sweep_io.hh"
 #include "core/validate.hh"
+#include "nn/parser.hh"
 #include "sim/trace.hh"
 #include "workloads/zoo.hh"
 
@@ -244,6 +245,24 @@ TEST(Audit, SessionAuditReturnsAnOkVerdict)
     EXPECT_EQ(verdict.checksRun, 4u);
     EXPECT_TRUE(verdict.ok()) << verdict.summary();
     EXPECT_GT(report.iterationTime, 0u);
+}
+
+TEST(Audit, StrideThreeDesignAuditsClean)
+{
+    // Regression: this design's stride-3 T-CONV ops (I=6, S'=3, P=1,
+    // R=0 — a pad below S'-1) failed the zeros check. Their boundary
+    // windows carry interior masks, which enumeration dedups (0/0/9
+    // corner/edge/inside) but the closed form once counted as edges
+    // (4/12/9).
+    const GanModel model =
+        parseGan("stride3", "128f-(256t-128t-64t)(3k3s)-32t3k1s-t3",
+                 "(3c-64c-128c-256c)(3k3s)-f1", 48);
+    AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    config.batchSize = 4;
+    const SimulationSession session(config);
+    const AuditVerdict verdict = session.audit(model);
+    EXPECT_TRUE(verdict.ran);
+    EXPECT_TRUE(verdict.ok()) << verdict.summary();
 }
 
 TEST(Audit, AuditedSessionRunMatchesUnaudited)

@@ -239,8 +239,9 @@ resimulate(const RandomModel &model,
         task.duration = durations[id];
         graph.addTask(std::move(task));
     }
-    for (const auto &[dep, task] : model.graph->edges())
-        graph.addDep(task, dep);
+    for (TaskId dep = 0; dep < model.graph->size(); ++dep)
+        for (const TaskId task : model.graph->successors(dep))
+            graph.addDep(task, dep);
     ResourcePool pool;
     for (const std::string &name : model.resourceNames)
         pool.create(name);

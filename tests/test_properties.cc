@@ -1,14 +1,15 @@
 /**
  * @file
  * Property-based tests: randomized task graphs against scheduling
- * invariants, the calendar queue against the reference binary heap,
+ * invariants, the calendar queue against a sorted-multimap oracle,
  * and routing invariants across the whole machine.
  */
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "core/sweep_io.hh"
 #include "faults/montecarlo.hh"
 #include "sim/calendar_queue.hh"
-#include "sim/heap_event_queue.hh"
 #include "sim/task_graph.hh"
 #include "workloads/zoo.hh"
 
@@ -99,7 +99,9 @@ class RandomDagProperty : public testing::TestWithParam<int>
 TEST_P(RandomDagProperty, SchedulingInvariants)
 {
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
-    const ExecResult result = dag.graph.execute(dag.pool);
+    ExecRecord record;
+    const ExecResult result =
+        dag.graph.execute(dag.pool, nullptr, nullptr, nullptr, &record);
 
     // Bounds: critical path <= makespan <= serial sum.
     PicoSeconds serial = 0;
@@ -112,8 +114,7 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
     // every prerequisite's end.
     for (TaskId id = 0; id < dag.durations.size(); ++id)
         for (TaskId dep : dag.deps[id])
-            EXPECT_GE(result.endTimes[id],
-                      result.endTimes[dep] + dag.durations[id]);
+            EXPECT_GE(record.end[id], record.end[dep] + dag.durations[id]);
 
     // No resource is busy longer than the run.
     for (std::size_t r = 0; r < dag.pool.size(); ++r)
@@ -123,18 +124,17 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty, testing::Range(0, 24));
 
 // ---------------------------------------------------------------------
-// Calendar queue vs the reference binary heap: identical firing order
-// under ~1M randomized schedule / fire / cancel operations.
+// Calendar queue vs a sorted-multimap oracle: identical firing order
+// under over a million randomized schedule / fire operations.
 // ---------------------------------------------------------------------
 
 /**
  * Shared randomized scenario. Event ids are the schedule sequence in
  * both queues, and every follow-up action (how many new events a firing
- * schedules, at what offsets, and which id it tries to cancel) is a
- * pure function of (seed, fired id) — so two queues that fire events in
- * the same order perform exactly the same operations, and any ordering
- * divergence snowballs into a visible difference in the recorded
- * sequences.
+ * schedules, and at what offsets) is a pure function of (seed, fired
+ * id) — so two queues that fire events in the same order perform
+ * exactly the same operations, and any ordering divergence snowballs
+ * into a visible difference in the recorded sequences.
  */
 struct QueueScenario {
     std::uint64_t seed = 0;
@@ -151,13 +151,11 @@ struct QueueScenario {
     /**
      * Follow-up actions of event @p tag firing at time @p now.
      * @p schedule takes an absolute time and must assign id
-     * `scheduled` (then this helper advances the counter);
-     * @p cancel takes an event id.
+     * `scheduled` (then this helper advances the counter).
      */
-    template <typename Schedule, typename Cancel>
+    template <typename Schedule>
     void
-    onFire(std::uint64_t tag, PicoSeconds now, const Schedule &schedule,
-           const Cancel &cancel)
+    onFire(std::uint64_t tag, PicoSeconds now, const Schedule &schedule)
     {
         order.push_back(tag);
         Rng rng(seed ^ (tag * 0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL));
@@ -172,17 +170,19 @@ struct QueueScenario {
             schedule(now + offset);
             ++scheduled;
         }
-        if (rng.nextBounded(4) == 0)
-            cancel(rng.nextBounded(scheduled));
     }
 };
 
-/** Run the scenario on the production calendar queue. */
+/**
+ * Run the scenario on @p Queue, anything with the calendar queue's
+ * scheduleAt / pop / now / pending surface.
+ */
+template <typename Queue>
 std::vector<std::uint64_t>
-calendarScenario(std::uint64_t seed, std::size_t initial, std::size_t cap,
-                 PicoSeconds horizon = 1'000'000, bool boundary = false)
+runScenario(std::uint64_t seed, std::size_t initial, std::size_t cap,
+            PicoSeconds horizon, bool boundary)
 {
-    sim::CalendarQueue<std::uint64_t> queue;
+    Queue queue;
     QueueScenario s{seed, cap, boundary, 0, {}};
     Rng rng(seed);
     for (std::size_t i = 0; i < initial; ++i) {
@@ -191,91 +191,108 @@ calendarScenario(std::uint64_t seed, std::size_t initial, std::size_t cap,
     }
     std::uint64_t tag = 0;
     while (queue.pop(tag)) {
-        s.onFire(
-            tag, queue.now(),
-            [&](PicoSeconds when) { queue.scheduleAt(when, s.scheduled); },
-            [&](std::uint64_t id) { queue.cancel(id); });
+        s.onFire(tag, queue.now(), [&](PicoSeconds when) {
+            queue.scheduleAt(when, s.scheduled);
+        });
     }
     EXPECT_EQ(queue.pending(), 0u);
     return std::move(s.order);
 }
 
-/** Run the scenario on the reference binary heap. */
-std::vector<std::uint64_t>
-heapScenario(std::uint64_t seed, std::size_t initial, std::size_t cap,
-             PicoSeconds horizon = 1'000'000, bool boundary = false)
+/**
+ * The trivially correct reference: a std::multimap keyed on (when,
+ * schedule sequence), popped from the front.
+ */
+class MultimapQueue
 {
-    sim::HeapEventQueue queue;
-    QueueScenario s{seed, cap, boundary, 0, {}};
-    std::function<void(std::uint64_t)> fire = [&](std::uint64_t tag) {
-        s.onFire(
-            tag, queue.now(),
-            [&](PicoSeconds when) {
-                const std::uint64_t id = s.scheduled;
-                queue.scheduleAt(when, [&fire, id] { fire(id); });
-            },
-            [&](std::uint64_t id) { queue.cancel(id); });
-    };
-    Rng rng(seed);
-    for (std::size_t i = 0; i < initial; ++i) {
-        const std::uint64_t id = s.scheduled;
-        queue.scheduleAt(rng.nextBounded(horizon), [&fire, id] { fire(id); });
-        ++s.scheduled;
+  public:
+    PicoSeconds now() const { return now_; }
+    std::size_t pending() const { return events_.size(); }
+
+    void
+    scheduleAt(PicoSeconds when, std::uint64_t payload)
+    {
+        events_.emplace(std::make_pair(when, seq_++), payload);
     }
-    queue.run();
-    EXPECT_EQ(queue.pending(), 0u);
-    return std::move(s.order);
+
+    bool
+    pop(std::uint64_t &out)
+    {
+        if (events_.empty())
+            return false;
+        const auto first = events_.begin();
+        now_ = first->first.first;
+        out = first->second;
+        events_.erase(first);
+        return true;
+    }
+
+  private:
+    std::multimap<std::pair<PicoSeconds, std::uint64_t>, std::uint64_t>
+        events_;
+    std::uint64_t seq_ = 0;
+    PicoSeconds now_ = 0;
+};
+
+/** Assert the calendar queue fires the scenario exactly like the
+ *  oracle, reporting the first divergence (EXPECT_EQ on the vectors
+ *  would print megabytes on failure). */
+void
+expectMatchesOracle(std::uint64_t seed, std::size_t initial,
+                    std::size_t cap, PicoSeconds horizon, bool boundary)
+{
+    const auto calendar = runScenario<sim::CalendarQueue<std::uint64_t>>(
+        seed, initial, cap, horizon, boundary);
+    const auto oracle =
+        runScenario<MultimapQueue>(seed, initial, cap, horizon, boundary);
+    ASSERT_EQ(calendar.size(), cap) << "seed " << seed;
+    ASSERT_EQ(calendar.size(), oracle.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < calendar.size(); ++i)
+        ASSERT_EQ(calendar[i], oracle[i])
+            << "first divergence at firing #" << i << ", seed " << seed;
 }
 
-TEST(CalendarQueueProperty, MatchesHeapReferenceOverAMillionOps)
+TEST(CalendarQueueProperty, MatchesMultimapOracleOverAMillionOps)
 {
-    // Two seeds x (~250k schedules + ~230k fires + ~60k cancels) each:
-    // over a million queue operations in total, with heavy same-time
-    // collisions (200k initial events over a 1M-tick horizon).
-    for (const std::uint64_t seed : {UINT64_C(42), UINT64_C(20180614)}) {
-        const std::size_t initial = 200'000;
-        const std::size_t cap = 250'000;
-        const auto calendar = calendarScenario(seed, initial, cap);
-        const auto heap = heapScenario(seed, initial, cap);
-        ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
-        // EXPECT_EQ on the vectors would print megabytes on failure;
-        // find the first divergence instead.
-        for (std::size_t i = 0; i < calendar.size(); ++i)
-            ASSERT_EQ(calendar[i], heap[i])
-                << "first divergence at firing #" << i << ", seed "
-                << seed;
-    }
+    // Two seeds x (300k schedules + 300k fires) each: over a million
+    // queue operations in total, with heavy same-time collisions (200k
+    // initial events over a 1M-tick horizon).
+    for (const std::uint64_t seed : {UINT64_C(42), UINT64_C(20180614)})
+        expectMatchesOracle(seed, 200'000, 300'000, 1'000'000, false);
 }
 
 TEST(CalendarQueueProperty, AdversarialSameTimeBursts)
 {
-    // All events at one instant fire in schedule order, interleaved
-    // with cancellations — the worst case for a bucketing queue.
+    // All events at one instant fire in schedule order, including a
+    // second burst scheduled at that instant mid-drain — the worst case
+    // for a bucketing queue.
     sim::CalendarQueue<std::uint64_t> queue;
-    std::vector<std::uint64_t> expect;
-    for (std::uint64_t i = 0; i < 1000; ++i) {
+    for (std::uint64_t i = 0; i < 1000; ++i)
         queue.scheduleAt(7, i);
-        if (i % 3 != 0)
-            expect.push_back(i);
-    }
-    for (std::uint64_t i = 0; i < 1000; i += 3)
-        EXPECT_TRUE(queue.cancel(i));
     std::vector<std::uint64_t> fired;
     std::uint64_t tag = 0;
+    while (fired.size() < 300 && queue.pop(tag))
+        fired.push_back(tag);
+    for (std::uint64_t i = 1000; i < 1500; ++i)
+        queue.scheduleAt(7, i);
+    EXPECT_EQ(queue.pending(), 1200u);
     while (queue.pop(tag))
         fired.push_back(tag);
+    std::vector<std::uint64_t> expect(1500);
+    for (std::uint64_t i = 0; i < expect.size(); ++i)
+        expect[i] = i;
     EXPECT_EQ(fired, expect);
     EXPECT_EQ(queue.now(), 7u);
 }
 
-TEST(CalendarQueueBoundary, CancelOnTheNearFarWindowEdge)
+TEST(CalendarQueueBoundary, PendingCountsBothLevelsAcrossTheWindowEdge)
 {
     // 64 events at times 0..63 scheduled up front: the first pop carves
     // a window of width 32 (64 events / kTargetPerWindow), putting
     // times 0..31 into the sorted near run and leaving 32..63 in far.
-    // Cancel the last event inside the window (31) and the first one
-    // exactly on its edge (32): both must be skipped at pop time, and
-    // the firing order of everything else is unchanged.
+    // pending() must count both levels: one event added on each side of
+    // the edge (31 lands in near, 32 in far) shows up, and the count
+    // falls by exactly one per pop until the queue drains.
     sim::CalendarQueue<std::uint64_t> queue;
     for (std::uint64_t i = 0; i < 64; ++i)
         queue.scheduleAt(i, i);
@@ -283,24 +300,27 @@ TEST(CalendarQueueBoundary, CancelOnTheNearFarWindowEdge)
     std::uint64_t tag = 0;
     ASSERT_TRUE(queue.pop(tag)); // forces the window carve
     EXPECT_EQ(tag, 0u);
-
-    EXPECT_TRUE(queue.cancel(31));
-    EXPECT_TRUE(queue.cancel(32));
-    EXPECT_FALSE(queue.cancel(31)); // already cancelled
-    EXPECT_FALSE(queue.cancel(0));  // already fired
-    EXPECT_FALSE(queue.cancel(999)); // never scheduled
-    EXPECT_EQ(queue.pending(), 61u);
+    EXPECT_EQ(queue.pending(), 63u);
+    queue.scheduleAt(31, 64);
+    queue.scheduleAt(32, 65);
+    EXPECT_EQ(queue.pending(), 65u);
 
     std::vector<std::uint64_t> fired;
-    while (queue.pop(tag))
+    while (queue.pop(tag)) {
         fired.push_back(tag);
+        EXPECT_EQ(queue.pending(), 65u - fired.size());
+    }
     std::vector<std::uint64_t> expect;
-    for (std::uint64_t i = 1; i < 64; ++i)
-        if (i != 31 && i != 32)
-            expect.push_back(i);
+    for (std::uint64_t i = 1; i < 64; ++i) {
+        expect.push_back(i);
+        if (i == 31)
+            expect.push_back(64);
+        if (i == 32)
+            expect.push_back(65);
+    }
     EXPECT_EQ(fired, expect);
     EXPECT_EQ(queue.now(), 63u);
-    EXPECT_EQ(queue.pending(), 0u);
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(CalendarQueueBoundary, RescheduleIntoTheCurrentWindowDuringFire)
@@ -322,7 +342,7 @@ TEST(CalendarQueueBoundary, RescheduleIntoTheCurrentWindowDuringFire)
     while (queue.pop(tag)) {
         fired.push_back(tag);
         if (tag == 10) {
-            EXPECT_EQ(queue.scheduleAt(queue.now(), next), 64u);
+            queue.scheduleAt(queue.now(), next);
             ++next;
             queue.scheduleAt(31, next);
             ++next;
@@ -345,24 +365,14 @@ TEST(CalendarQueueBoundary, RescheduleIntoTheCurrentWindowDuringFire)
     EXPECT_EQ(queue.pending(), 0u);
 }
 
-TEST(CalendarQueueProperty, BoundaryHeavySeededScenarioMatchesHeap)
+TEST(CalendarQueueProperty, BoundaryHeavySeededScenarioMatchesOracle)
 {
-    // Same heap-equivalence harness as above, but with follow-up times
-    // drawn from {now, now + 1} plus occasional long jumps over a short
-    // horizon: windows stay narrow, so fire-time reschedules land on or
-    // just past the near/far edge all the time instead of rarely.
-    for (const std::uint64_t seed : {UINT64_C(3), UINT64_C(777)}) {
-        const std::size_t initial = 30'000;
-        const std::size_t cap = 40'000;
-        const auto calendar =
-            calendarScenario(seed, initial, cap, 600, true);
-        const auto heap = heapScenario(seed, initial, cap, 600, true);
-        ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < calendar.size(); ++i)
-            ASSERT_EQ(calendar[i], heap[i])
-                << "first divergence at firing #" << i << ", seed "
-                << seed;
-    }
+    // Same oracle harness as above, but with follow-up times drawn from
+    // {now, now + 1} plus occasional long jumps over a short horizon:
+    // windows stay narrow, so fire-time reschedules land on or just
+    // past the near/far edge all the time instead of rarely.
+    for (const std::uint64_t seed : {UINT64_C(3), UINT64_C(777)})
+        expectMatchesOracle(seed, 30'000, 40'000, 600, true);
 }
 
 /** Routing invariants over bank pairs of a full machine. */

@@ -5,148 +5,87 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/event_fn.hh"
-#include "sim/event_queue.hh"
+#include "common/random.hh"
+#include "sim/calendar_queue.hh"
 #include "sim/resource.hh"
 #include "sim/task_graph.hh"
 
 namespace lergan {
 namespace {
 
+/** Drain @p queue, returning the task ids in firing order. */
+std::vector<TaskId>
+drain(sim::CalendarQueue<TaskEvent> &queue)
+{
+    std::vector<TaskId> order;
+    TaskEvent event;
+    while (queue.pop(event))
+        order.push_back(event.task);
+    return order;
+}
+
 TEST(EventQueue, FiresInTimeOrder)
 {
-    EventQueue queue;
-    std::vector<int> order;
-    queue.scheduleAt(30, [&] { order.push_back(3); });
-    queue.scheduleAt(10, [&] { order.push_back(1); });
-    queue.scheduleAt(20, [&] { order.push_back(2); });
-    EXPECT_EQ(queue.run(), 30u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    sim::CalendarQueue<TaskEvent> queue;
+    queue.scheduleAt(30, TaskEvent{3});
+    queue.scheduleAt(10, TaskEvent{1});
+    queue.scheduleAt(20, TaskEvent{2});
+    EXPECT_EQ(drain(queue), (std::vector<TaskId>{1, 2, 3}));
+    EXPECT_EQ(queue.now(), 30u);
 }
 
 TEST(EventQueue, SameTimeFiresInScheduleOrder)
 {
-    EventQueue queue;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        queue.scheduleAt(7, [&, i] { order.push_back(i); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    sim::CalendarQueue<TaskEvent> queue;
+    for (TaskId i = 0; i < 5; ++i)
+        queue.scheduleAt(7, TaskEvent{i});
+    EXPECT_EQ(drain(queue), (std::vector<TaskId>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, CallbacksMayScheduleMore)
 {
-    EventQueue queue;
-    int fired = 0;
-    queue.scheduleAt(1, [&] {
-        ++fired;
-        queue.scheduleAfter(5, [&] { ++fired; });
-    });
-    EXPECT_EQ(queue.run(), 6u);
-    EXPECT_EQ(fired, 2);
+    // The executor's pattern: handling one event schedules the next
+    // (a fire schedules its completion) while the queue is being drained.
+    sim::CalendarQueue<TaskEvent> queue;
+    queue.scheduleAt(1, TaskEvent{0, false});
+    std::vector<TaskId> fired;
+    TaskEvent event;
+    while (queue.pop(event)) {
+        fired.push_back(event.task);
+        if (!event.complete)
+            queue.scheduleAt(queue.now() + 5, TaskEvent{1, true});
+    }
+    EXPECT_EQ(fired, (std::vector<TaskId>{0, 1}));
+    EXPECT_EQ(queue.now(), 6u);
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueue, ResetClearsState)
 {
-    EventQueue queue;
-    queue.scheduleAt(5, [] {});
+    sim::CalendarQueue<TaskEvent> queue;
+    queue.scheduleAt(5, TaskEvent{0});
+    queue.scheduleAt(500, TaskEvent{1});
+    TaskEvent event;
+    ASSERT_TRUE(queue.pop(event));
     queue.reset();
     EXPECT_EQ(queue.pending(), 0u);
     EXPECT_EQ(queue.now(), 0u);
+    // Time starts over: scheduling before the old now() is legal again.
+    queue.scheduleAt(1, TaskEvent{2});
+    EXPECT_EQ(drain(queue), (std::vector<TaskId>{2}));
 }
 
 TEST(EventQueueDeath, PastSchedulingIsABug)
 {
-    EventQueue queue;
-    queue.scheduleAt(10, [&] {
-        EXPECT_DEATH(queue.scheduleAt(5, [] {}), "past");
-    });
-    queue.run();
-}
-
-TEST(EventQueue, CancelledEventNeverFires)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    queue.scheduleAt(10, [&] { order.push_back(1); });
-    const EventId doomed = queue.scheduleAt(20, [&] { order.push_back(2); });
-    queue.scheduleAt(30, [&] { order.push_back(3); });
-    EXPECT_TRUE(queue.cancel(doomed));
-    EXPECT_EQ(queue.pending(), 2u);
-    EXPECT_EQ(queue.run(), 30u);
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, CancelReportsWhetherTheEventWasPending)
-{
-    EventQueue queue;
-    const EventId id = queue.scheduleAt(5, [] {});
-    EXPECT_TRUE(queue.cancel(id));
-    EXPECT_FALSE(queue.cancel(id)); // already cancelled
-    const EventId fired = queue.scheduleAt(6, [] {});
-    queue.run();
-    EXPECT_FALSE(queue.cancel(fired));  // already fired
-    EXPECT_FALSE(queue.cancel(99999)); // never existed
-}
-
-TEST(EventQueue, CancelFromWithinACallback)
-{
-    EventQueue queue;
-    bool fired = false;
-    const EventId victim = queue.scheduleAt(20, [&] { fired = true; });
-    queue.scheduleAt(10, [&] { EXPECT_TRUE(queue.cancel(victim)); });
-    queue.run();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventFn, SmallCallablesAreStoredInline)
-{
-    int hits = 0;
-    sim::EventFn fn([&hits] { ++hits; });
-    ASSERT_TRUE(fn);
-    EXPECT_TRUE(fn.inlineStored());
-    fn();
-    EXPECT_EQ(hits, 1);
-}
-
-TEST(EventFn, LargeCallablesFallBackToTheHeap)
-{
-    std::array<char, 128> blob{};
-    blob[0] = 42;
-    int sum = 0;
-    sim::EventFn fn([blob, &sum] { sum += blob[0]; });
-    EXPECT_FALSE(fn.inlineStored());
-    fn();
-    EXPECT_EQ(sum, 42);
-}
-
-TEST(EventFn, MoveTransfersTheCallable)
-{
-    int hits = 0;
-    sim::EventFn a([&hits] { ++hits; });
-    sim::EventFn b(std::move(a));
-    EXPECT_FALSE(a); // NOLINT(bugprone-use-after-move): contract check
-    ASSERT_TRUE(b);
-    b();
-    EXPECT_EQ(hits, 1);
-
-    sim::EventFn c;
-    c = std::move(b);
-    c();
-    EXPECT_EQ(hits, 2);
-}
-
-TEST(EventFn, MoveOnlyCallablesAreSupported)
-{
-    auto owned = std::make_unique<int>(7);
-    int seen = 0;
-    sim::EventFn fn([owned = std::move(owned), &seen] { seen = *owned; });
-    fn();
-    EXPECT_EQ(seen, 7);
+    sim::CalendarQueue<TaskEvent> queue;
+    queue.scheduleAt(10, TaskEvent{0});
+    TaskEvent event;
+    ASSERT_TRUE(queue.pop(event));
+    EXPECT_DEATH(queue.scheduleAt(5, TaskEvent{1}), "past");
 }
 
 TEST(Resource, FifoReservations)
@@ -176,10 +115,12 @@ TEST(TaskGraph, ChainRespectsDependencies)
     const TaskId a = graph.addTask({"a", {r}, 10, 0, ""});
     const TaskId b = graph.addTask({"b", {r}, 20, 0, ""});
     graph.addDep(b, a);
-    const ExecResult result = graph.execute(pool);
+    ExecRecord record;
+    const ExecResult result =
+        graph.execute(pool, nullptr, nullptr, nullptr, &record);
     EXPECT_EQ(result.makespan, 30u);
-    EXPECT_EQ(result.endTimes[a], 10u);
-    EXPECT_EQ(result.endTimes[b], 30u);
+    EXPECT_EQ(record.end[a], 10u);
+    EXPECT_EQ(record.end[b], 30u);
 }
 
 TEST(TaskGraph, IndependentTasksContendOnSharedResource)
@@ -255,8 +196,10 @@ TEST(TaskGraph, ZeroDurationBarrier)
     const TaskId b = graph.addTask({"b", {r}, 5, 0, ""});
     graph.addDep(barrier, a);
     graph.addDep(b, barrier);
-    const ExecResult result = graph.execute(pool);
-    EXPECT_EQ(result.endTimes[barrier], 15u);
+    ExecRecord record;
+    const ExecResult result =
+        graph.execute(pool, nullptr, nullptr, nullptr, &record);
+    EXPECT_EQ(record.end[barrier], 15u);
     EXPECT_EQ(result.makespan, 20u);
 }
 
@@ -283,15 +226,96 @@ TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
     graph.addDep(c, a);
     graph.addDep(c, b);
 
-    const ExecResult fresh = graph.execute(pool);
+    ExecRecord fresh;
+    const PicoSeconds makespan =
+        graph.execute(pool, nullptr, nullptr, nullptr, &fresh).makespan;
     ExecScratch scratch;
     for (int round = 0; round < 3; ++round) {
         pool.resetAll();
-        const ExecResult reused =
-            graph.execute(pool, nullptr, nullptr, &scratch);
-        EXPECT_EQ(reused.makespan, fresh.makespan);
-        EXPECT_EQ(reused.endTimes, fresh.endTimes);
+        ExecRecord reused;
+        EXPECT_EQ(graph.execute(pool, nullptr, nullptr, &scratch, &reused)
+                      .makespan,
+                  makespan);
+        EXPECT_EQ(reused.end, fresh.end);
     }
+}
+
+/**
+ * A seeded DAG whose tasks contend on a few resources; @p deps records
+ * every addDep call as (task, dep) in call order.
+ */
+TaskGraph
+makeContendedGraph(std::uint64_t seed, std::size_t resources,
+                   std::vector<std::pair<TaskId, TaskId>> &deps)
+{
+    Rng rng(seed);
+    TaskGraph graph;
+    for (TaskId id = 0; id < 60; ++id) {
+        std::vector<std::size_t> res;
+        if (rng.nextBounded(4) != 0)
+            res.push_back(rng.nextBounded(resources));
+        graph.addTask({"t", res, 1 + rng.nextBounded(20), 0, ""});
+        // Interleave deps of different tasks so each dep's successor
+        // list is assembled out of call order.
+        for (std::uint64_t d = rng.nextBounded(4); id > 0 && d > 0; --d) {
+            const TaskId dep = rng.nextBounded(id);
+            graph.addDep(id, dep);
+            deps.emplace_back(id, dep);
+        }
+    }
+    return graph;
+}
+
+TEST(TaskGraph, SuccessorsKeepAddDepOrder)
+{
+    std::vector<std::pair<TaskId, TaskId>> deps;
+    const TaskGraph graph = makeContendedGraph(7, 3, deps);
+    std::vector<std::vector<TaskId>> expect(graph.size());
+    std::vector<std::uint32_t> count(graph.size(), 0);
+    for (const auto &[task, dep] : deps) {
+        expect[dep].push_back(task);
+        ++count[task];
+    }
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        const auto succ = graph.successors(id);
+        EXPECT_EQ(std::vector<TaskId>(succ.begin(), succ.end()),
+                  expect[id])
+            << "task " << id;
+        EXPECT_EQ(graph.dependencyCount(id), count[id]) << "task " << id;
+    }
+}
+
+TEST(TaskGraph, RebuiltFromSuccessorsExecutesIdentically)
+{
+    std::vector<std::pair<TaskId, TaskId>> deps;
+    const TaskGraph graph = makeContendedGraph(11, 3, deps);
+    ResourcePool pool;
+    for (int r = 0; r < 3; ++r)
+        pool.create("r" + std::to_string(r));
+    ExecRecord original;
+    graph.execute(pool, nullptr, nullptr, nullptr, &original);
+
+    // Re-declare every edge dep-major from the CSR: a different addDep
+    // call order with the same per-dependency successor order.
+    TaskGraph rebuilt;
+    for (TaskId id = 0; id < graph.size(); ++id)
+        rebuilt.addTask(graph.task(id));
+    for (TaskId dep = 0; dep < graph.size(); ++dep)
+        for (const TaskId task : graph.successors(dep))
+            rebuilt.addDep(task, dep);
+    pool.resetAll();
+    ExecRecord copy;
+    rebuilt.execute(pool, nullptr, nullptr, nullptr, &copy);
+
+    EXPECT_EQ(copy.start, original.start);
+    EXPECT_EQ(copy.end, original.end);
+    EXPECT_EQ(copy.bindingPred, original.bindingPred);
+    EXPECT_EQ(copy.bindingKind, original.bindingKind);
+    EXPECT_EQ(copy.bindingRes, original.bindingRes);
+    EXPECT_EQ(copy.resPrev, original.resPrev);
+    EXPECT_EQ(copy.completionOrder, original.completionOrder);
+    EXPECT_EQ(copy.lastTask, original.lastTask);
+    EXPECT_EQ(copy.makespan, original.makespan);
 }
 
 TEST(TaskGraph, MovableAcrossBuildAndExecute)

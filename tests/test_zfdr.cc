@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/zero_analysis.hh"
 #include "workloads/zoo.hh"
 #include "zfdr/cost.hh"
@@ -62,12 +64,71 @@ TEST(Formulas, Conv1ClassCounts)
 {
     // The paper's worked example: 25 reshaped matrices = 9 corner +
     // 12 edge + 4 inside (with the R2 erratum corrected).
-    const ClassCounts counts = tconvClassCounts(4, 2, 2, 1, 2);
+    const ClassCounts counts = tconvClassCounts(4, 2, 2, 1, 5, 2);
     EXPECT_EQ(counts.corner, 9u);
     EXPECT_EQ(counts.edge, 12u);
     EXPECT_EQ(counts.inside, 4u);
     // R1 + R2 equals the 1-D edge-mask count used by the closed form.
-    EXPECT_EQ(edgeR1(2, 2) + edgeR2(2, 1, 2), tconvEdge1d(4, 2, 2, 1));
+    EXPECT_EQ(edgeR1(2, 2) + edgeR2(2, 1, 2),
+              tconvMasks1d(4, 2, 2, 1, 5).edge);
+}
+
+TEST(Formulas, TconvClassCountsMatchEnumerationSweep)
+{
+    // The closed form against enumeration over every sparse-grid
+    // geometry in a box: data I, insert stride S', remainder R < S',
+    // window W and pad P — including pads below S'-1 (boundary windows
+    // whose masks repeat interior ones), pads wider than the window
+    // (empty windows) and windows narrower than S'. Counts compose per
+    // dimension, so 2-D and 3-D cover a smaller box.
+    LayerOp op;
+    op.pattern = OpPattern::SparseGridConv;
+    std::size_t cases = 0;
+    std::size_t mismatches = 0;
+    std::string first;
+    for (int dims = 1; dims <= 3; ++dims) {
+        const int max_data = dims == 1 ? 9 : 4;
+        const int max_stride = dims == 1 ? 5 : 3;
+        for (int data = 1; data <= max_data; ++data)
+        for (int stride = 1; stride <= max_stride; ++stride)
+        for (int rem = 0; rem < stride; ++rem)
+        for (int window = 1; window <= 2 * stride + 4; ++window)
+        for (int pad = 0; pad <= window + 2; ++pad) {
+            if (2 * pad + (data - 1) * stride + 1 + rem < window)
+                continue; // window wider than the grid
+            op.data = data;
+            op.stride = stride;
+            op.padLo = op.padHi = pad;
+            op.rem = rem;
+            op.window = window;
+            op.spatialDims = dims;
+            const ReshapeAnalysis analysis = analyzeReshape(op);
+            const ClassCounts counts =
+                tconvClassCounts(data, stride, pad, rem, window, dims);
+            ++cases;
+            if (analysis.corner.matrices == counts.corner &&
+                analysis.edge.matrices == counts.edge &&
+                analysis.inside.matrices == counts.inside) {
+                continue;
+            }
+            if (mismatches++ == 0) {
+                first = "I=" + std::to_string(data) +
+                        " S'=" + std::to_string(stride) +
+                        " P=" + std::to_string(pad) +
+                        " R=" + std::to_string(rem) +
+                        " W=" + std::to_string(window) +
+                        " d=" + std::to_string(dims) + ": enumerated " +
+                        std::to_string(analysis.corner.matrices) + "/" +
+                        std::to_string(analysis.edge.matrices) + "/" +
+                        std::to_string(analysis.inside.matrices) +
+                        ", closed form " + std::to_string(counts.corner) +
+                        "/" + std::to_string(counts.edge) + "/" +
+                        std::to_string(counts.inside);
+            }
+        }
+    }
+    EXPECT_GT(cases, 10000u);
+    EXPECT_EQ(mismatches, 0u) << "of " << cases << "; first: " << first;
 }
 
 TEST(Reshape, Conv1MatchesPaperWorkedExample)
@@ -99,7 +160,8 @@ TEST(Reshape, FormulaAgreesWithEnumerationOnAllBenchmarks)
                 ClassCounts counts;
                 if (op.pattern == OpPattern::SparseGridConv) {
                     counts = tconvClassCounts(op.data, op.stride, op.padLo,
-                                              op.rem, op.spatialDims);
+                                              op.rem, op.window,
+                                              op.spatialDims);
                 } else {
                     counts = wconvClassCounts(op.data, op.padLo, op.window,
                                               op.stride, op.rem,
