@@ -8,18 +8,21 @@ namespace lergan {
 
 namespace {
 
-/** ceil(a / b) for non-negative a, positive b. */
-int
-ceilDiv(int a, int b)
-{
-    return a <= 0 ? 0 : (a + b - 1) / b;
-}
-
 /** Number of integers in [lo, hi] (0 when empty). */
 std::int64_t
 span(std::int64_t lo, std::int64_t hi)
 {
     return std::max<std::int64_t>(0, hi - lo + 1);
+}
+
+/** Multiples of @p step (> 0) in [lo, hi], either sign (0 if empty). */
+std::int64_t
+multiplesIn(std::int64_t lo, std::int64_t hi, std::int64_t step)
+{
+    const auto floorDiv = [step](std::int64_t a) {
+        return a / step - (a % step != 0 && a < 0 ? 1 : 0);
+    };
+    return hi < lo ? 0 : floorDiv(hi) - floorDiv(lo - 1);
 }
 
 /** n choose k for the tiny values used in class counting. */
@@ -150,10 +153,60 @@ ClassCounts
 wconvClassCounts(int input, int pad, int out, int stride, int rem,
                  int spatial_dims)
 {
-    (void)input;
-    (void)out;
-    const int edge_1d = ceilDiv(pad, stride) + ceilDiv(pad - rem, stride);
-    return compose(edge_1d, 1, spatial_dims);
+    LERGAN_ASSERT(input > 0 && pad >= 0 && out > 0 && stride > 0 &&
+                      rem >= 0 && rem < stride,
+                  "wconvClassCounts: bad arguments");
+    const std::int64_t I = input, P = pad, O = out, S = stride, R = rem;
+    // Window j holds the taps k with u <= kS <= u + I - 1, u = P - j
+    // over [u0, u1]: the tap range [lo, hi) with lo = max(0, ceil(u/S))
+    // and hi = min(O, ceil((u + I)/S)). Both ends are nondecreasing in
+    // u, so a mask never recurs once left: the distinct non-empty masks
+    // are one plus the steps of (lo, hi). All empty masks are one mask.
+    const std::int64_t u0 = (O - 1) * S + R + 1 - I - P;
+    const std::int64_t u1 = P;
+    const std::int64_t top = (O - 1) * S; // offset of the last tap
+    std::int64_t masks = 0;
+    std::int64_t interior = 0;
+    bool anyEmpty = false;
+    if (I >= S) {
+        // Every window reaching the data holds a tap, so the non-empty
+        // windows are exactly u in [1 - I, top].
+        const std::int64_t ua = std::max(u0, 1 - I);
+        const std::int64_t ub = std::min(u1, top);
+        anyEmpty = u0 < ua || u1 > ub;
+        if (ua <= ub) {
+            // lo steps at u = 1 (mod S) once u >= 1; hi steps at
+            // u = 1 - I (mod S) while u + I - 1 <= top. The two step
+            // together only when S divides I.
+            const std::int64_t hiLast = std::min(ub, top - I + 1);
+            const std::int64_t loSteps =
+                multiplesIn(std::max<std::int64_t>(ua, 0), ub - 1, S);
+            const std::int64_t hiSteps =
+                multiplesIn(ua + I, hiLast + I - 1, S);
+            const std::int64_t bothSteps =
+                I % S == 0 ? multiplesIn(std::max<std::int64_t>(ua, 0),
+                                         hiLast - 1, S)
+                           : 0;
+            masks = 1 + loSteps + hiSteps - bothSteps;
+            interior = std::max(ua, top - I + 1) <= std::min<std::int64_t>(
+                                                        ub, 0)
+                           ? 1
+                           : 0;
+        }
+    } else {
+        // Data narrower than the tap pitch: a non-empty mask is a single
+        // tap k, seen when kS lies in [u0, u1 + I - 1], and full only
+        // when O = 1. No window is empty only if all of [u0, u1] lies
+        // in one tap's reach [kS - I + 1, kS].
+        masks = multiplesIn(std::max<std::int64_t>(u0, 0),
+                            std::min(u1 + I - 1, top), S);
+        interior = O == 1 && masks > 0 ? 1 : 0;
+        anyEmpty = multiplesIn(std::max<std::int64_t>(u1, 0),
+                               std::min(u0 + I - 1, top), S) == 0;
+    }
+    const std::int64_t edge = masks - interior + (anyEmpty ? 1 : 0);
+    return compose(static_cast<std::uint64_t>(edge),
+                   static_cast<std::uint64_t>(interior), spatial_dims);
 }
 
 int
