@@ -26,8 +26,8 @@ main()
         AcceleratorConfig prime_cfg = AcceleratorConfig::prime();
         prime_cfg.batchSize = batch;
         const double lergan =
-            simulateTraining(model, lergan_cfg).timeMs();
-        const double prime = simulateTraining(model, prime_cfg).timeMs();
+            SimulationSession(lergan_cfg).run(model).timeMs();
+        const double prime = SimulationSession(prime_cfg).run(model).timeMs();
         table.addRow({std::to_string(batch), TextTable::num(lergan, 2),
                       TextTable::num(1e3 * lergan / batch, 1),
                       TextTable::num(prime, 2),

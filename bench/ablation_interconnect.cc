@@ -29,7 +29,7 @@ main()
                 AcceleratorConfig::lerGan(ReplicaDegree::High);
             config.horizontalWires = horizontal;
             config.verticalWires = vertical;
-            return simulateTraining(model, config).timeMs();
+            return SimulationSession(config).run(model).timeMs();
         };
         const double none = time_with(false, false);
         const double h_only = time_with(true, false);

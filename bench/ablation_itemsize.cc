@@ -20,12 +20,13 @@ main()
 
     TextTable table({"item", "weights", "LerGAN ms", "PRIME ms",
                      "speedup", "energy saving"});
+    const SimulationSession lergan_session(
+        AcceleratorConfig::lerGan(ReplicaDegree::High));
+    const SimulationSession prime_session(AcceleratorConfig::prime());
     for (int item : {8, 16, 32, 64, 128}) {
         const GanModel model = dcganScaled(item);
-        const TrainingReport lergan = simulateTraining(
-            model, AcceleratorConfig::lerGan(ReplicaDegree::High));
-        const TrainingReport prime =
-            simulateTraining(model, AcceleratorConfig::prime());
+        const TrainingReport lergan = lergan_session.run(model);
+        const TrainingReport prime = prime_session.run(model);
         table.addRow({std::to_string(item),
                       std::to_string(model.totalWeights()),
                       TextTable::num(lergan.timeMs(), 2),

@@ -36,30 +36,24 @@ main()
     for_both("input storage blowup w/o ZFDR", [](const GanModel &m) {
         return TextTable::num(analyzeModel(m).storageBlowup()) + "x";
     });
-    for_both("LerGAN-high ms/iter", [](const GanModel &m) {
-        return TextTable::num(
-            simulateTraining(m, AcceleratorConfig::lerGan(
-                                    ReplicaDegree::High))
-                .timeMs(),
-            2);
+    const auto prime = [](const GanModel &m) {
+        return SimulationSession(AcceleratorConfig::prime()).run(m);
+    };
+    const auto lergan = [](const GanModel &m) {
+        return SimulationSession(
+                   AcceleratorConfig::lerGan(ReplicaDegree::High))
+            .run(m);
+    };
+    for_both("LerGAN-high ms/iter", [&](const GanModel &m) {
+        return TextTable::num(lergan(m).timeMs(), 2);
     });
-    for_both("speedup over PRIME", [](const GanModel &m) {
-        const double prime =
-            simulateTraining(m, AcceleratorConfig::prime()).timeMs();
-        const double lergan =
-            simulateTraining(m, AcceleratorConfig::lerGan(
-                                    ReplicaDegree::High))
-                .timeMs();
-        return TextTable::num(prime / lergan) + "x";
+    for_both("speedup over PRIME", [&](const GanModel &m) {
+        return TextTable::num(prime(m).timeMs() / lergan(m).timeMs()) + "x";
     });
-    for_both("energy saving over PRIME", [](const GanModel &m) {
-        const double prime = simulateTraining(m, AcceleratorConfig::prime())
-                                 .totalEnergyPj();
-        const double lergan =
-            simulateTraining(m, AcceleratorConfig::lerGan(
-                                    ReplicaDegree::High))
-                .totalEnergyPj();
-        return TextTable::num(prime / lergan) + "x";
+    for_both("energy saving over PRIME", [&](const GanModel &m) {
+        return TextTable::num(prime(m).totalEnergyPj() /
+                              lergan(m).totalEnergyPj()) +
+               "x";
     });
     table.print(std::cout);
 

@@ -28,28 +28,19 @@ main(int argc, char **argv)
                              "3D nodup", "3D dup"});
             Mean m2dup, m3nodup, m3dup;
             for (const GanModel &model : allBenchmarks()) {
-                const double base =
-                    simulateTraining(model,
-                                     makeConfig(Connection::HTree,
-                                                ReshapeMode::Zfdr, false))
-                        .timeMs();
+                const auto ms = [&](const AcceleratorConfig &config) {
+                    return SimulationSession(config).run(model).timeMs();
+                };
+                const double base = ms(makeConfig(
+                    Connection::HTree, ReshapeMode::Zfdr, false));
                 const double dup_2d =
-                    simulateTraining(model,
-                                     makeConfig(Connection::HTree,
-                                                ReshapeMode::Zfdr, true,
-                                                ReplicaDegree::High))
-                        .timeMs();
-                const double nodup_3d =
-                    simulateTraining(model,
-                                     makeConfig(Connection::ThreeD,
-                                                ReshapeMode::Zfdr, false))
-                        .timeMs();
+                    ms(makeConfig(Connection::HTree, ReshapeMode::Zfdr,
+                                  true, ReplicaDegree::High));
+                const double nodup_3d = ms(makeConfig(
+                    Connection::ThreeD, ReshapeMode::Zfdr, false));
                 const double dup_3d =
-                    simulateTraining(model,
-                                     makeConfig(Connection::ThreeD,
-                                                ReshapeMode::Zfdr, true,
-                                                ReplicaDegree::High))
-                        .timeMs();
+                    ms(makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
+                                  true, ReplicaDegree::High));
                 m2dup.add(base / dup_2d);
                 m3nodup.add(base / nodup_3d);
                 m3dup.add(base / dup_3d);

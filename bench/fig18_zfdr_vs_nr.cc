@@ -28,27 +28,18 @@ main(int argc, char **argv)
                              "ZFDR+3D+dup"});
             Mean m_nr, m_zfdr, m_dup;
             for (const GanModel &model : allBenchmarks()) {
-                const double base =
-                    simulateTraining(model,
-                                     makeConfig(Connection::HTree,
-                                                ReshapeMode::Normal, false))
-                        .timeMs();
-                const double nr_3d =
-                    simulateTraining(model,
-                                     makeConfig(Connection::ThreeD,
-                                                ReshapeMode::Normal, false))
-                        .timeMs();
-                const double zfdr_3d =
-                    simulateTraining(model,
-                                     makeConfig(Connection::ThreeD,
-                                                ReshapeMode::Zfdr, false))
-                        .timeMs();
+                const auto ms = [&](const AcceleratorConfig &config) {
+                    return SimulationSession(config).run(model).timeMs();
+                };
+                const double base = ms(makeConfig(
+                    Connection::HTree, ReshapeMode::Normal, false));
+                const double nr_3d = ms(makeConfig(
+                    Connection::ThreeD, ReshapeMode::Normal, false));
+                const double zfdr_3d = ms(makeConfig(
+                    Connection::ThreeD, ReshapeMode::Zfdr, false));
                 const double zfdr_dup =
-                    simulateTraining(model,
-                                     makeConfig(Connection::ThreeD,
-                                                ReshapeMode::Zfdr, true,
-                                                ReplicaDegree::High))
-                        .timeMs();
+                    ms(makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
+                                  true, ReplicaDegree::High));
                 m_nr.add(base / nr_3d);
                 m_zfdr.add(base / zfdr_3d);
                 m_dup.add(base / zfdr_dup);

@@ -26,13 +26,13 @@ main(int argc, char **argv)
             TextTable table({"benchmark", "low", "middle", "high",
                              "low-NS"});
             Mean m_low, m_mid, m_high, m_ns;
+            const SimulationSession prime_session(AcceleratorConfig::prime());
             for (const GanModel &model : allBenchmarks()) {
                 const double prime =
-                    simulateTraining(model, AcceleratorConfig::prime())
-                        .totalEnergyPj();
+                    prime_session.run(model).totalEnergyPj();
                 auto saving = [&](const AcceleratorConfig &config) {
-                    return prime /
-                           simulateTraining(model, config).totalEnergyPj();
+                    const SimulationSession session(config);
+                    return prime / session.run(model).totalEnergyPj();
                 };
                 const double low =
                     saving(AcceleratorConfig::lerGan(ReplicaDegree::Low));

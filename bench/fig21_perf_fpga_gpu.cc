@@ -26,12 +26,11 @@ main(int argc, char **argv)
             TextTable table({"benchmark", "LerGAN ms/iter", "vs FPGA-GAN",
                              "vs GPU"});
             Mean m_fpga, m_gpu;
+            const SimulationSession session(
+                AcceleratorConfig::lerGan(ReplicaDegree::High));
             for (const GanModel &model : allBenchmarks()) {
                 const double lergan =
-                    simulateTraining(
-                        model, AcceleratorConfig::lerGan(ReplicaDegree::High),
-                        kIterations)
-                        .timeMs();
+                    session.run(model, kIterations).timeMs();
                 const double fpga = simulateFpgaGan(model).timeMs();
                 const double gpu = simulateGpu(model).timeMs();
                 m_fpga.add(fpga / lergan);

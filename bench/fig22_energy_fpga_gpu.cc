@@ -26,12 +26,10 @@ main(int argc, char **argv)
             TextTable table({"benchmark", "LerGAN mJ/iter", "vs FPGA-GAN",
                              "vs GPU"});
             Mean m_fpga, m_gpu;
+            const SimulationSession session(
+                AcceleratorConfig::lerGan(ReplicaDegree::High));
             for (const GanModel &model : allBenchmarks()) {
-                const double lergan =
-                    simulateTraining(
-                        model,
-                        AcceleratorConfig::lerGan(ReplicaDegree::High))
-                        .totalEnergyPj();
+                const double lergan = session.run(model).totalEnergyPj();
                 const double fpga = simulateFpgaGan(model).totalEnergyPj();
                 const double gpu = simulateGpu(model).totalEnergyPj();
                 m_fpga.add(fpga / lergan);

@@ -24,8 +24,10 @@ main(int argc, char **argv)
     const std::string text = runner.measure(allBenchmarks().size(), [&] {
         StatSet total;
         for (const GanModel &model : allBenchmarks()) {
-            const TrainingReport report = simulateTraining(
-                model, AcceleratorConfig::lerGan(ReplicaDegree::Low));
+            const TrainingReport report =
+                SimulationSession(
+                    AcceleratorConfig::lerGan(ReplicaDegree::Low))
+                    .run(model);
             total.merge(report.stats);
         }
 

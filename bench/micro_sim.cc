@@ -98,7 +98,7 @@ BM_TrainIteration(benchmark::State &state)
     LerGanAccelerator acc(model,
                           AcceleratorConfig::lerGan(ReplicaDegree::Low));
     for (auto _ : state) {
-        const TrainingReport report = acc.trainIteration();
+        const TrainingReport report = acc.trainIterations();
         benchmark::DoNotOptimize(report.iterationTime);
     }
 }

@@ -29,7 +29,7 @@ main()
             config.connection = conn;
             config.batchSize = 8; // routing mix is batch-independent
             const TrainingReport report =
-                simulateTraining(model, config);
+                SimulationSession(config).run(model);
             return report.stats.get("traffic.byte_hops") /
                    report.stats.get("traffic.bytes");
         };

@@ -50,9 +50,9 @@ main()
     TextTable ns({"benchmark", "equal-space speedup"});
     for (const GanModel &model : allBenchmarks()) {
         const double prime =
-            simulateTraining(model, AcceleratorConfig::prime()).timeMs();
+            SimulationSession(AcceleratorConfig::prime()).run(model).timeMs();
         const double lergan =
-            simulateTraining(model, lerGanLowNs(model)).timeMs();
+            SimulationSession(lerGanLowNs(model)).run(model).timeMs();
         m_space.add(prime / lergan);
         ns.addRow({model.name, TextTable::num(prime / lergan) + "x"});
     }

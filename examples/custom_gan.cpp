@@ -86,7 +86,7 @@ main(int argc, char **argv)
                                                      uniform},
           {"low + high weight-grad phases", hetero},
           {"uniform high", all_high}}) {
-        const TrainingReport report = simulateTraining(model, config);
+        const TrainingReport report = SimulationSession(config).run(model);
         std::cout << "  " << name << ": " << report.timeMs() << " ms, "
                   << pjToMj(report.totalEnergyPj()) << " mJ, "
                   << report.crossbarsUsed << " crossbars\n";

@@ -15,6 +15,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 
 #include "common/args.hh"
 #include "common/table.hh"
@@ -80,7 +81,13 @@ main(int argc, char **argv)
         std::cerr << "\rsimulated " << done << "/" << total << " points"
                   << (done == total ? "\n" : "") << std::flush;
     };
-    const std::vector<SweepResult> results = sweep.run(options);
+    std::vector<SweepResult> results;
+    try {
+        results = sweep.run(options);
+    } catch (const std::invalid_argument &error) {
+        std::cerr << "design_space: " << error.what() << '\n';
+        return 1;
+    }
 
     TextTable table({"configuration", "ms/iter", "mJ/iter", "crossbars",
                      "speedup", "energy saving"});

@@ -43,7 +43,7 @@ main(int argc, char **argv)
         AcceleratorConfig config =
             AcceleratorConfig::lerGan(ReplicaDegree::Low);
         config.reram = params;
-        const TrainingReport report = simulateTraining(model, config);
+        const TrainingReport report = SimulationSession(config).run(model);
         return std::tuple<std::string, double, double>(
             name, report.timeMs(), pjToMj(report.totalEnergyPj()));
     };

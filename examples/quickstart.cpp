@@ -31,7 +31,7 @@ main()
     // 2. Simulate LerGAN (3D connection + ZFDR, low duplication).
     const AcceleratorConfig lergan_cfg =
         AcceleratorConfig::lerGan(ReplicaDegree::Low);
-    const TrainingReport lergan = simulateTraining(dcgan, lergan_cfg);
+    const TrainingReport lergan = SimulationSession(lergan_cfg).run(dcgan);
     lergan.print(std::cout);
 
     // 3. Simulate the PIM baseline (PRIME: H-tree + normal reshape).

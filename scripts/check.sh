@@ -1,9 +1,10 @@
 #!/bin/sh
 # Full verification: plain build + complete test suite, then a
 # ThreadSanitizer build of the execution-engine tests (ctest label
-# `tsan`) and an ASan+UBSan build of the audit/exporter and event-kernel
-# tests (ctest labels `audit` and `sim`). Run from anywhere; builds land
-# in build/, build-tsan/ and build-asan/.
+# `tsan`) and an ASan+UBSan build of the audit/exporter, event-kernel,
+# fault, critical-path and DSL-parser tests (ctest labels `audit`,
+# `sim`, `faults`, `critpath` and `parser`). Run from anywhere; builds
+# land in build/, build-tsan/ and build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -99,24 +100,30 @@ fi
 # The audit tests walk every cross-layer data structure a simulation
 # produces (stats, traces, compiled mappings), which makes them the
 # densest drivers for Address- and UBSanitizer; the sim tests drive the
-# event kernel's vector insert/partition/erase and the CSR walks.
+# event kernel's vector insert/partition/erase and the CSR walks. The
+# parser tests push malformed DSL text through the tokenizer, the fault
+# tests compile degraded mappings and the critpath tests walk recorded
+# timing graphs.
 echo "== ASan+UBSan availability probe =="
 if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -o "$probe_dir/probe-asan" 2>/dev/null && \
         "$probe_dir/probe-asan"; then
-    echo "== ASan+UBSan build of the audit + sim tests" \
-         "(ctest -L 'audit|sim') =="
+    echo "== ASan+UBSan build of the audit + sim + faults + critpath +" \
+         "parser tests (ctest -L 'audit|sim|faults|critpath|parser') =="
     cmake -B "$root/build-asan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
     cmake --build "$root/build-asan" -j "$jobs" \
-        --target test_audit test_sweep_io test_sim test_properties
-    ctest --test-dir "$root/build-asan" -L 'audit|sim' \
+        --target test_audit test_sweep_io test_sim test_properties \
+        test_parser test_faults test_critpath
+    ctest --test-dir "$root/build-asan" \
+        -L 'audit|sim|faults|critpath|parser' \
         --output-on-failure -j "$jobs"
 else
     echo "ASan+UBSan unavailable on this toolchain; skipping the" \
-         "audit/sim-labelled sanitizer rerun (plain suite already ran)."
+         "sanitizer rerun of the audit/sim/faults/critpath/parser" \
+         "suites (plain suite already ran)."
 fi
 
 echo "== all checks passed =="

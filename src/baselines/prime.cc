@@ -8,7 +8,7 @@ simulatePrime(const GanModel &model, int batch_size)
     AcceleratorConfig config = AcceleratorConfig::prime();
     config.batchSize = batch_size;
     LerGanAccelerator accelerator(model, config);
-    TrainingReport report = accelerator.trainIteration();
+    TrainingReport report = accelerator.trainIterations();
     report.config = "PRIME";
     return report;
 }
@@ -24,7 +24,7 @@ simulatePrimeNs(const GanModel &model, std::uint64_t budget_crossbars,
     config.normalizedSpace = true;
     config.spaceBudgetCrossbars = budget_crossbars;
     LerGanAccelerator accelerator(model, config);
-    TrainingReport report = accelerator.trainIteration();
+    TrainingReport report = accelerator.trainIterations();
     report.config = "PRIME-NS";
     return report;
 }

@@ -612,19 +612,6 @@ LerGanAccelerator::LerGanAccelerator(
 {
 }
 
-TrainingReport
-LerGanAccelerator::trainIteration()
-{
-    return trainIterationImpl(nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterationTraced(Tracer &tracer)
-{
-    tracer.clear();
-    return trainIterationImpl(&tracer);
-}
-
 std::vector<std::string>
 LerGanAccelerator::resourceNames() const
 {
@@ -664,11 +651,14 @@ LerGanAccelerator::makeIterationTemplate()
 }
 
 TrainingReport
-LerGanAccelerator::trainIterationImpl(Tracer *tracer,
-                                      MetricsRegistry *metrics,
-                                      const IterationTemplate *tmpl,
-                                      ExecRecord *record)
+LerGanAccelerator::trainIterations(int n, Tracer *tracer,
+                                   MetricsRegistry *metrics,
+                                   const IterationTemplate *tmpl,
+                                   ExecRecord *record)
 {
+    LERGAN_ASSERT(n > 0, "need at least one iteration");
+    if (tracer)
+        tracer->clear();
     // The rebuild path is replay of a just-built template, so both
     // paths produce byte-identical results by construction.
     std::shared_ptr<const IterationTemplate> own;
@@ -702,11 +692,11 @@ LerGanAccelerator::trainIterationImpl(Tracer *tracer,
             metrics->counter("critpath.records").add(1);
         recordPoolMetrics(machine_.pool(), *metrics);
     }
-    return assembleReport(*tmpl, exec.makespan, exec.stats);
+    return assembleReport(*tmpl, n, exec.makespan, exec.stats);
 }
 
 TrainingReport
-LerGanAccelerator::assembleReport(const IterationTemplate &tmpl,
+LerGanAccelerator::assembleReport(const IterationTemplate &tmpl, int n,
                                   PicoSeconds iteration_time,
                                   const StatSet &exec_stats) const
 {
@@ -741,41 +731,6 @@ LerGanAccelerator::assembleReport(const IterationTemplate &tmpl,
         report.stats.set("fault.remapped_xbars",
                          static_cast<double>(impact.remappedCrossbars));
     }
-    return report;
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n)
-{
-    return trainIterations(n, nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics)
-{
-    return trainIterations(n, tracer, metrics, nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
-                                   const IterationTemplate *tmpl)
-{
-    return trainIterations(n, tracer, metrics, tmpl, nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
-                                   const IterationTemplate *tmpl,
-                                   ExecRecord *record)
-{
-    LERGAN_ASSERT(n > 0, "need at least one iteration");
-    if (tracer)
-        tracer->clear();
-    TrainingReport report =
-        trainIterationImpl(tracer, metrics, tmpl, record);
     report.stats.set("total.iterations", n);
     report.stats.set("total.time_ms", report.timeMs() * n);
     report.stats.set("total.energy_mj", pjToMj(report.totalEnergyPj()) * n);
@@ -800,11 +755,8 @@ LerGanAccelerator::estimateIterations(int n, const IterationTemplate *tmpl,
     exec_stats.set("sim.tasks",
                    static_cast<double>(tmpl->graph.size()));
     TrainingReport report =
-        assembleReport(*tmpl, per_iteration, exec_stats);
+        assembleReport(*tmpl, n, per_iteration, exec_stats);
     report.stats.set("critpath.estimated", 1.0);
-    report.stats.set("total.iterations", n);
-    report.stats.set("total.time_ms", report.timeMs() * n);
-    report.stats.set("total.energy_mj", pjToMj(report.totalEnergyPj()) * n);
     return report;
 }
 

@@ -1,10 +1,9 @@
 #include "core/api.hh"
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 
-#include "core/validate.hh"
-#include "critpath/critpath.hh"
-#include "sim/trace.hh"
 #include "telemetry/tracing.hh"
 
 namespace lergan {
@@ -17,15 +16,16 @@ SimulationSession::SimulationSession(AcceleratorConfig config)
 
 SimulationSession::SimulationSession(
     AcceleratorConfig config, std::shared_ptr<CompiledModelCache> cache)
-    : config_(std::move(config)), cache_(std::move(cache))
+    : config_(std::move(config)), cache_(std::move(cache)),
+      templates_(std::make_shared<MemoCache<IterationTemplate>>())
 {
 }
 
 SimulationSession &
 SimulationSession::auditWith(AuditOptions options)
 {
-    audit_ = std::move(options);
-    audit_.enabled = true;
+    instruments_.audit = std::move(options);
+    instruments_.audit.enabled = true;
     return *this;
 }
 
@@ -40,119 +40,66 @@ SimulationSession::withFaults(const FaultConfig &faults)
 SimulationSession &
 SimulationSession::withTelemetry(std::shared_ptr<MetricsRegistry> registry)
 {
-    telemetry_ = std::move(registry);
+    instruments_.telemetry = std::move(registry);
     return *this;
 }
 
 SimulationSession &
 SimulationSession::withTracing(std::shared_ptr<FlightRecorder> recorder)
 {
-    recorder_ = std::move(recorder);
+    instruments_.recorder = std::move(recorder);
     return *this;
 }
 
 SimulationSession &
 SimulationSession::withCriticalPath(bool enabled)
 {
-    critpath_ = enabled;
+    instruments_.critpath = enabled;
     return *this;
 }
 
-TrainingReport
-SimulationSession::runImpl(const GanModel &model, int iterations,
-                           const AuditOptions &options,
-                           AuditVerdict *verdict) const
+SweepResult
+SimulationSession::runPoint(const GanModel &model, int iterations,
+                            const Instrumentation &instruments) const
 {
-    config_.checkUsable();
+    if (iterations < 1) {
+        throw std::invalid_argument("need at least one iteration, got " +
+                                    std::to_string(iterations));
+    }
     // With a recorder attached, the whole run executes under a root
-    // "run" span on the main-thread ring; the stage spans below are
+    // "run" span on the main-thread ring; the pipeline's stage spans are
     // inert (one thread-local load each) when untraced.
     std::optional<MainLaneBinding> bind;
     std::optional<Span> root;
-    if (recorder_) {
-        bind.emplace(*recorder_);
-        root.emplace(recorder_->allocateTraceId(), "run");
+    if (instruments.recorder) {
+        bind.emplace(*instruments.recorder);
+        root.emplace(instruments.recorder->allocateTraceId(), "run");
         root->attr("benchmark", model.name);
         root->attr("iterations", static_cast<std::int64_t>(iterations));
     }
-    // compileGan carries its own "compile" profiler scope; a cache hit
-    // here costs only the lookup.
-    bool cache_hit = false;
-    std::shared_ptr<const CompiledGan> compiled;
-    {
-        Span span("compile");
-        compiled =
-            cache_->get(model, config_, compileGanValidated, &cache_hit);
-        span.attr("cache_hit", cache_hit);
-    }
-    MetricsRegistry *metrics = telemetry_.get();
-    LerGanAccelerator accelerator(model, config_, std::move(compiled));
-    if (!options.enabled && !critpath_) {
-        Span span("simulate");
-        return accelerator.trainIterations(iterations, nullptr, metrics);
-    }
-
-    Tracer tracer;
-    Tracer *trace =
-        options.enabled && options.timing ? &tracer : nullptr;
-    TrainingReport report;
-    if (critpath_) {
-        // Recording needs the template to outlive the run: the record
-        // is only meaningful against the graph it was taken from, so
-        // the RecordedRun shares ownership of it (aliasing pointer).
-        std::shared_ptr<const IterationTemplate> tmpl =
-            accelerator.makeIterationTemplate();
-        ExecRecord record;
-        {
-            Span span("simulate");
-            report = accelerator.trainIterations(
-                iterations, trace, metrics, tmpl.get(), &record);
-        }
-        report.critpath = makeRecordedRun(
-            std::shared_ptr<const TaskGraph>(tmpl, &tmpl->graph),
-            accelerator.resourceNames(), std::move(record));
-    } else {
-        Span span("simulate");
-        report = accelerator.trainIterations(iterations, trace, metrics);
-    }
-    if (options.enabled) {
-        Span span("audit");
-        const AuditContext context(options);
-        AuditVerdict result = context.run({&model, &config_,
-                                           &accelerator.compiled(),
-                                           &report, trace});
-        span.attr("clean", result.ok());
-        if (verdict)
-            *verdict = std::move(result);
-        else if (!result.ok())
-            throw AuditError(std::move(result));
-    }
-    return report;
+    PreparedPoint point = preparePoint(model, config_, *cache_, *templates_);
+    return simulatePoint(point, iterations, instruments);
 }
 
 TrainingReport
 SimulationSession::run(const GanModel &model, int iterations) const
 {
-    return runImpl(model, iterations, audit_, nullptr);
+    SweepResult result = runPoint(model, iterations, instruments_);
+    if (!result.audit.ok())
+        throw AuditError(std::move(result.audit));
+    return std::move(result.report);
 }
 
 AuditVerdict
 SimulationSession::audit(const GanModel &model, int iterations,
                          TrainingReport *report) const
 {
-    AuditVerdict verdict;
-    TrainingReport audited =
-        runImpl(model, iterations, AuditOptions::full(), &verdict);
+    Instrumentation instruments = instruments_;
+    instruments.audit = AuditOptions::full();
+    SweepResult result = runPoint(model, iterations, instruments);
     if (report)
-        *report = std::move(audited);
-    return verdict;
-}
-
-TrainingReport
-simulateTraining(const GanModel &model, const AcceleratorConfig &config,
-                 int iterations)
-{
-    return SimulationSession(config).run(model, iterations);
+        *report = std::move(result.report);
+    return std::move(result.audit);
 }
 
 } // namespace lergan

@@ -23,7 +23,9 @@
  *
  * Grids of (benchmark x configuration) points run through
  * ExperimentSweep (core/sweep.hh), which executes points in parallel
- * under RunOptions{threads, iterations, onProgress}.
+ * under RunOptions{threads, iterations, onProgress}. A session run is a
+ * one-point sweep: both go through the same preparePoint/simulatePoint
+ * pipeline and carry the same Instrumentation.
  */
 
 #ifndef LERGAN_CORE_API_HH
@@ -37,6 +39,7 @@
 #include "core/compiler.hh"
 #include "core/config.hh"
 #include "core/report.hh"
+#include "core/sweep.hh"
 #include "exec/model_cache.hh"
 #include "nn/parser.hh"
 #include "telemetry/flight_recorder.hh"
@@ -52,15 +55,16 @@ namespace lergan {
  * given model at most once and reuses the cached mapping afterwards,
  * which is what makes repeated runs — convergence studies, parameter
  * explorations, serving many queries against the same configuration —
- * pay the compile cost once instead of per call.
+ * pay the compile cost once instead of per call. Its own template cache
+ * likewise lowers each model's iteration DAG once.
  *
  * Thread safety: run() may be called concurrently from several threads;
  * the cache serializes compilation per (model, config) pair and every
  * run simulates on its own private machine state.
  *
  * User errors (an unusable configuration, see
- * AcceleratorConfig::checkUsable) surface as std::invalid_argument;
- * internal invariant violations still panic.
+ * AcceleratorConfig::checkUsable, or fewer than one iteration) surface
+ * as std::invalid_argument; internal invariant violations still panic.
  */
 class SimulationSession
 {
@@ -78,6 +82,7 @@ class SimulationSession
      * With auditing enabled (auditWith), the run is additionally traced
      * and cross-checked by an AuditContext; a violated invariant throws
      * AuditError. Audit failures are simulator bugs, not user errors.
+     * @p iterations below one throws std::invalid_argument.
      */
     TrainingReport run(const GanModel &model, int iterations = 1) const;
 
@@ -125,15 +130,16 @@ class SimulationSession
     /** The attached metrics registry (null when telemetry is off). */
     const std::shared_ptr<MetricsRegistry> &telemetry() const
     {
-        return telemetry_;
+        return instruments_.telemetry;
     }
 
     /**
      * Attach a flight recorder: every subsequent run() executes under
      * a root "run" span (trace id from allocateTraceId(), so session
      * traces never collide with sweep-point traces in a shared
-     * recorder) with compile/simulate/audit stage children recorded
-     * into the recorder's main-thread ring. Pass null to detach.
+     * recorder) with compile/template/simulate/audit stage children
+     * recorded into the recorder's main-thread ring. Pass null to
+     * detach.
      *
      * NOT thread-safe against concurrent run() calls: the main ring is
      * single-writer, and two threads running one traced session would
@@ -148,7 +154,7 @@ class SimulationSession
     /** The attached flight recorder (null when tracing is off). */
     const std::shared_ptr<FlightRecorder> &recorder() const
     {
-        return recorder_;
+        return instruments_.recorder;
     }
 
     /**
@@ -159,7 +165,7 @@ class SimulationSession
      * simulation results; it adds bounded bookkeeping per task (a
      * noticeable fraction of the lean executor's ~80ns/task — the
      * fig19 critpath guard fails check.sh if the ratio regresses more
-     * than 5 points past the committed baseline). Not thread-safe
+     * than 4 points past the committed baseline). Not thread-safe
      * against concurrent run() calls; configure before handing the
      * session out.
      */
@@ -175,34 +181,24 @@ class SimulationSession
     {
         return cache_;
     }
+
+    /** The session's iteration-template cache (exact counters). */
+    const MemoCache<IterationTemplate> &templates() const
+    {
+        return *templates_;
+    }
     ///@}
 
   private:
-    /** Simulate, and audit under @p options when enabled. */
-    TrainingReport runImpl(const GanModel &model, int iterations,
-                           const AuditOptions &options,
-                           AuditVerdict *verdict) const;
+    /** One point of the shared pipeline, under a root "run" span. */
+    SweepResult runPoint(const GanModel &model, int iterations,
+                         const Instrumentation &instruments) const;
 
     AcceleratorConfig config_;
     std::shared_ptr<CompiledModelCache> cache_;
-    AuditOptions audit_;
-    std::shared_ptr<MetricsRegistry> telemetry_;
-    std::shared_ptr<FlightRecorder> recorder_;
-    bool critpath_ = false;
+    std::shared_ptr<MemoCache<IterationTemplate>> templates_;
+    Instrumentation instruments_;
 };
-
-/**
- * Convenience one-shot: compile @p model for @p config and simulate
- * @p iterations training iterations.
- *
- * @deprecated Thin forwarding wrapper kept for existing callers; it
- * constructs a throwaway session per call, so repeated invocations
- * recompile the model every time. New code should hold a
- * SimulationSession (or an ExperimentSweep for grids) instead.
- */
-TrainingReport simulateTraining(const GanModel &model,
-                                const AcceleratorConfig &config,
-                                int iterations = 1);
 
 } // namespace lergan
 

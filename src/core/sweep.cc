@@ -1,6 +1,7 @@
 #include "core/sweep.hh"
 
 #include <chrono>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -12,6 +13,77 @@
 #include "telemetry/tracing.hh"
 
 namespace lergan {
+
+PreparedPoint
+preparePoint(const GanModel &model, const AcceleratorConfig &config,
+             CompiledModelCache &cache,
+             MemoCache<IterationTemplate> &templates, ExecScratch *scratch)
+{
+    config.checkUsable();
+    // Validated compile: every mapping entering the cache passes
+    // validateMapping, with full diagnostics on failure
+    // (core/validate.hh), so the accelerator skips re-validating it.
+    PreparedPoint point;
+    std::shared_ptr<const CompiledGan> compiled;
+    {
+        Span span("compile");
+        compiled = cache.get(model, config, compileGanValidated,
+                             &point.cacheHit);
+        span.attr("cache_hit", point.cacheHit);
+    }
+    point.accelerator = std::make_unique<LerGanAccelerator>(
+        model, config, std::move(compiled),
+        LerGanAccelerator::Prevalidated{});
+    point.accelerator->useScratch(scratch);
+    // The iteration DAG is a pure function of (model, config): lower it
+    // once per pair, replay it for every later run of the pair.
+    {
+        Span span("template");
+        point.tmpl = templates.get(pairFingerprint(model, config), [&] {
+            return point.accelerator->makeIterationTemplate();
+        });
+    }
+    return point;
+}
+
+SweepResult
+simulatePoint(PreparedPoint &point, int iterations,
+              const Instrumentation &instruments)
+{
+    LerGanAccelerator &accelerator = *point.accelerator;
+    const AuditOptions &audit = instruments.audit;
+    Tracer tracer;
+    Tracer *trace = audit.enabled && audit.timing ? &tracer : nullptr;
+    ExecRecord record;
+    SweepResult result;
+    {
+        Span span("simulate");
+        result.report = accelerator.trainIterations(
+            iterations, trace, instruments.telemetry.get(),
+            point.tmpl.get(), instruments.critpath ? &record : nullptr);
+    }
+    if (instruments.critpath) {
+        // The record is only meaningful against the graph it was taken
+        // from, so the RecordedRun shares ownership of the template.
+        result.report.critpath = makeRecordedRun(
+            std::shared_ptr<const TaskGraph>(point.tmpl, &point.tmpl->graph),
+            accelerator.resourceNames(), std::move(record));
+    }
+    result.crossbarsUsed = accelerator.compiled().crossbarsUsed;
+    result.oversubscribed = accelerator.compiled().oversubscribedCrossbars;
+    if (audit.enabled) {
+        Span span("audit");
+        const AuditContext context(audit);
+        result.audit = context.run({&accelerator.model(),
+                                    &accelerator.config(),
+                                    &accelerator.compiled(),
+                                    &result.report, trace});
+        span.attr("clean", result.audit.ok());
+        span.attr("checks",
+                  static_cast<std::int64_t>(result.audit.checksRun));
+    }
+    return result;
+}
 
 ExperimentSweep::ExperimentSweep()
     : cache_(std::make_shared<CompiledModelCache>()),
@@ -45,29 +117,29 @@ ExperimentSweep::addPoint(const GanModel &model, const std::string &label,
 ExperimentSweep &
 ExperimentSweep::auditWith(AuditOptions options)
 {
-    audit_ = std::move(options);
-    audit_.enabled = true;
+    instruments_.audit = std::move(options);
+    instruments_.audit.enabled = true;
     return *this;
 }
 
 ExperimentSweep &
 ExperimentSweep::withTelemetry(std::shared_ptr<MetricsRegistry> registry)
 {
-    telemetry_ = std::move(registry);
+    instruments_.telemetry = std::move(registry);
     return *this;
 }
 
 ExperimentSweep &
 ExperimentSweep::withTracing(std::shared_ptr<FlightRecorder> recorder)
 {
-    recorder_ = std::move(recorder);
+    instruments_.recorder = std::move(recorder);
     return *this;
 }
 
 ExperimentSweep &
 ExperimentSweep::withCriticalPath(bool enabled)
 {
-    critpath_ = enabled;
+    instruments_.critpath = enabled;
     return *this;
 }
 
@@ -110,11 +182,18 @@ ExperimentSweep::run(const RunOptions &options) const
         points.push_back({&extra.model, &extra.label, &extra.config});
     LERGAN_ASSERT(!points.empty(),
                   "sweep needs at least one benchmark and one config");
-    LERGAN_ASSERT(options.iterations > 0, "need at least one iteration");
-    LERGAN_ASSERT(options.threads >= 0,
-                  "threads must be >= 0 (0 = hardware concurrency)");
+    if (options.iterations < 1) {
+        throw std::invalid_argument(
+            "need at least one iteration, got " +
+            std::to_string(options.iterations));
+    }
+    if (options.threads < 0) {
+        throw std::invalid_argument(
+            "threads must be >= 0 (0 = hardware concurrency), got " +
+            std::to_string(options.threads));
+    }
 
-    MetricsRegistry *metrics = telemetry_.get();
+    MetricsRegistry *metrics = instruments_.telemetry.get();
     std::vector<SweepResult> results(points.size());
 
     // Per-benchmark baseline makespans the pruning decisions compare
@@ -122,23 +201,18 @@ ExperimentSweep::run(const RunOptions &options) const
     // the rest, so the point bodies only ever read it.
     std::unordered_map<std::string, PicoSeconds> baselineTime;
 
-    // One arena per worker lane, reused across every point that lane
-    // runs (and across the pruning path's two batches): the executor's
-    // calendar/counter buffers and the critpath record grow to the
-    // largest graph once, then steady-state points allocate nothing.
-    // Lanes never run two bodies concurrently (ThreadPool::forEach), so
-    // indexing by lane is race-free.
-    struct WorkerArena {
-        ExecScratch scratch;
-        ExecRecord record;
-    };
+    // One executor scratch per worker lane, reused across every point
+    // that lane runs (and across the pruning path's two batches): the
+    // calendar and counter buffers grow to the largest graph once, then
+    // steady-state points allocate none. Lanes never run two bodies
+    // concurrently (ThreadPool::forEach), so indexing by lane is
+    // race-free.
     const unsigned workerCount =
         options.threads == 0 ? defaultThreadCount()
                              : static_cast<unsigned>(options.threads);
-    std::vector<WorkerArena> arenas(workerCount);
+    std::vector<ExecScratch> scratch(workerCount);
 
     const auto body = [&](std::size_t i, std::size_t lane) {
-        WorkerArena &arena = arenas[lane];
         const Point &point = points[i];
         const auto began = options.pointTelemetry
                                ? std::chrono::steady_clock::now()
@@ -148,41 +222,17 @@ ExperimentSweep::run(const RunOptions &options) const
         // of this is inert (one TL load per scope) when untraced.
         annotate("benchmark", point.model->name);
         annotate("config", *point.label);
-        point.config->checkUsable();
-        // Validated compile: every mapping entering the cache from
-        // the execution engine passes validateMapping, with full
-        // diagnostics on failure (core/validate.hh).
+        PreparedPoint prepared = preparePoint(
+            *point.model, *point.config, *cache_, *templates_,
+            &scratch[lane]);
+        LerGanAccelerator &accelerator = *prepared.accelerator;
         SweepResult &result = results[i];
-        bool cache_hit = false;
-        std::shared_ptr<const CompiledGan> compiled;
-        {
-            Span span("compile");
-            compiled = cache_->get(*point.model, *point.config,
-                                   compileGanValidated, &cache_hit);
-            span.attr("cache_hit", cache_hit);
-        }
-        // The cache only holds validated mappings, so the point
-        // skips re-validating them per run.
-        LerGanAccelerator accelerator(*point.model, *point.config,
-                                      std::move(compiled),
-                                      LerGanAccelerator::Prevalidated{});
-        accelerator.useScratch(&arena.scratch);
-        // The iteration DAG is a pure function of (model, config):
-        // lower it once per pair, replay it for every point and
-        // every repeated run() of the sweep.
-        std::shared_ptr<const IterationTemplate> tmpl;
-        {
-            Span span("template");
-            tmpl = templates_->get(
-                pairFingerprint(*point.model, *point.config),
-                [&] { return accelerator.makeIterationTemplate(); });
-        }
 
         const auto recordHostTelemetry = [&] {
             if (!options.pointTelemetry)
                 return;
             result.telemetry.ran = true;
-            result.telemetry.cacheHit = cache_hit;
+            result.telemetry.cacheHit = prepared.cacheHit;
             result.telemetry.hostMs =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - began)
@@ -193,7 +243,8 @@ ExperimentSweep::run(const RunOptions &options) const
             const auto base = baselineTime.find(point.model->name);
             if (base != baselineTime.end()) {
                 const MakespanBounds bounds = makespanBounds(
-                    tmpl->graph, accelerator.machine().pool().size());
+                    prepared.tmpl->graph,
+                    accelerator.machine().pool().size());
                 if (bounds.provenFasterThan(base->second) ||
                     bounds.provenSlowerThan(base->second)) {
                     // The bracket already decides which side of the
@@ -205,7 +256,8 @@ ExperimentSweep::run(const RunOptions &options) const
                     Span span("estimate");
                     span.attr("pruned", true);
                     result.report = accelerator.estimateIterations(
-                        options.iterations, tmpl.get(), bounds.upper);
+                        options.iterations, prepared.tmpl.get(),
+                        bounds.upper);
                     result.crossbarsUsed =
                         accelerator.compiled().crossbarsUsed;
                     result.oversubscribed =
@@ -218,45 +270,13 @@ ExperimentSweep::run(const RunOptions &options) const
             }
         }
 
-        Tracer tracer;
-        Tracer *trace =
-            audit_.enabled && audit_.timing ? &tracer : nullptr;
-        // The arena record's buffers are reused across this lane's
-        // points; makeRecordedRun moves them into the result (the
-        // record is part of the report), so only critpath-off sweeps
-        // are fully allocation-free in steady state.
-        ExecRecord &record = arena.record;
-        {
-            Span span("simulate");
-            result.report = accelerator.trainIterations(
-                options.iterations, trace, metrics, tmpl.get(),
-                critpath_ ? &record : nullptr);
-        }
-        if (critpath_) {
-            result.report.critpath = makeRecordedRun(
-                std::shared_ptr<const TaskGraph>(tmpl, &tmpl->graph),
-                accelerator.resourceNames(), std::move(record));
-            record = ExecRecord{};
-        }
+        result = simulatePoint(prepared, options.iterations, instruments_);
         if (pruning_ && metrics)
             metrics->counter("critpath.simulated").add(1);
-        result.crossbarsUsed = accelerator.compiled().crossbarsUsed;
-        result.oversubscribed =
-            accelerator.compiled().oversubscribedCrossbars;
-        if (audit_.enabled) {
-            Span span("audit");
-            const AuditContext context(audit_);
-            result.audit = context.run(
-                {point.model, point.config, &accelerator.compiled(),
-                 &result.report, trace});
-            span.attr("clean", result.audit.ok());
-            span.attr("checks", static_cast<std::int64_t>(
-                                    result.audit.checksRun));
-        }
         recordHostTelemetry();
     };
 
-    FlightRecorder *recorder = recorder_.get();
+    FlightRecorder *recorder = instruments_.recorder.get();
     std::vector<PointStatus> statuses;
     if (!pruning_) {
         statuses = runPoints(points.size(),

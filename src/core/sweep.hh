@@ -19,7 +19,6 @@
 #define LERGAN_CORE_SWEEP_HH
 
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -80,6 +79,60 @@ struct SweepResult {
     std::string traceDump;
 };
 
+/**
+ * What a run observes besides its results. SimulationSession and
+ * ExperimentSweep each hold one and set it through the same
+ * auditWith/withTelemetry/withTracing/withCriticalPath builders.
+ */
+struct Instrumentation {
+    /** Audit every point (off unless audit.enabled). */
+    AuditOptions audit;
+    /** Sim-time telemetry sink (null = off). */
+    std::shared_ptr<MetricsRegistry> telemetry;
+    /** Span flight recorder (null = off). */
+    std::shared_ptr<FlightRecorder> recorder;
+    /** Record every point's dependence graph into report.critpath. */
+    bool critpath = false;
+};
+
+/** A point compiled and lowered to its iteration template. */
+struct PreparedPoint {
+    std::unique_ptr<LerGanAccelerator> accelerator;
+    std::shared_ptr<const IterationTemplate> tmpl;
+    /** Whether the compile was served from the cache. */
+    bool cacheHit = false;
+};
+
+/**
+ * @name The point pipeline
+ * Every simulated point — a sweep point or a session run — goes through
+ * these two steps; only the sweep's bound pruning sits between them.
+ */
+///@{
+/**
+ * Check @p config (std::invalid_argument when unusable), compile
+ * @p model through @p cache under a "compile" span (validated once on
+ * a miss, never re-validated on a hit) and fetch its iteration template
+ * from @p templates under a "template" span. The accelerator executes
+ * on @p scratch when non-null.
+ */
+PreparedPoint preparePoint(const GanModel &model,
+                           const AcceleratorConfig &config,
+                           CompiledModelCache &cache,
+                           MemoCache<IterationTemplate> &templates,
+                           ExecScratch *scratch = nullptr);
+
+/**
+ * Simulate @p point for @p iterations under a "simulate" span, traced
+ * when @p instruments audits timing, recorded into report.critpath
+ * when it asks for the critical path, then audited under an "audit"
+ * span when auditing is on. Fills report, crossbarsUsed,
+ * oversubscribed and audit of the returned result.
+ */
+SweepResult simulatePoint(PreparedPoint &point, int iterations,
+                          const Instrumentation &instruments);
+///@}
+
 /** A grid of benchmarks x configurations (plus explicit extra points). */
 class ExperimentSweep
 {
@@ -126,7 +179,7 @@ class ExperimentSweep
     /** The attached metrics registry (null when telemetry is off). */
     const std::shared_ptr<MetricsRegistry> &telemetry() const
     {
-        return telemetry_;
+        return instruments_.telemetry;
     }
 
     /**
@@ -146,7 +199,7 @@ class ExperimentSweep
     /** The attached flight recorder (null when tracing is off). */
     const std::shared_ptr<FlightRecorder> &recorder() const
     {
-        return recorder_;
+        return instruments_.recorder;
     }
 
     /**
@@ -174,25 +227,13 @@ class ExperimentSweep
      */
     ExperimentSweep &withBoundPruning(bool enabled = true);
 
-    /** @name Legacy overloaded builders (forward to the named ones) */
-    ///@{
-    ExperimentSweep &
-    add(const GanModel &model)
-    {
-        return addBenchmark(model);
-    }
-    ExperimentSweep &
-    add(const std::string &label, const AcceleratorConfig &config)
-    {
-        return addConfig(label, config);
-    }
-    ///@}
-
     /**
      * Simulate every point under @p options; results are ordered
      * benchmark-major (then explicit points in insertion order)
      * regardless of completion order. A throwing point yields a failed
      * SweepResult; the other points are unaffected.
+     * options.iterations < 1 or options.threads < 0 throws
+     * std::invalid_argument before any point runs.
      */
     std::vector<SweepResult> run(const RunOptions &options) const;
 
@@ -216,14 +257,6 @@ class ExperimentSweep
      */
     MemoCache<IterationTemplate> &templates() const { return *templates_; }
 
-    /** @name Legacy exporters (forward to core/sweep_io.hh) */
-    ///@{
-    static void writeJson(std::ostream &os,
-                          const std::vector<SweepResult> &results);
-    static void writeCsv(std::ostream &os,
-                         const std::vector<SweepResult> &results);
-    ///@}
-
   private:
     struct ExplicitPoint {
         GanModel model;
@@ -236,10 +269,7 @@ class ExperimentSweep
     std::vector<ExplicitPoint> extraPoints_;
     std::shared_ptr<CompiledModelCache> cache_;
     std::shared_ptr<MemoCache<IterationTemplate>> templates_;
-    AuditOptions audit_;
-    std::shared_ptr<MetricsRegistry> telemetry_;
-    std::shared_ptr<FlightRecorder> recorder_;
-    bool critpath_ = false;
+    Instrumentation instruments_;
     bool pruning_ = false;
 };
 

@@ -279,18 +279,4 @@ writeSweepCsv(std::ostream &os, const std::vector<SweepResult> &results,
     }
 }
 
-void
-ExperimentSweep::writeJson(std::ostream &os,
-                           const std::vector<SweepResult> &results)
-{
-    writeSweepJson(os, results);
-}
-
-void
-ExperimentSweep::writeCsv(std::ostream &os,
-                          const std::vector<SweepResult> &results)
-{
-    writeSweepCsv(os, results);
-}
-
 } // namespace lergan

@@ -30,8 +30,8 @@ TEST(Accelerator, IterationCompletesAndReports)
 {
     const GanModel model = makeBenchmark("cGAN");
     const TrainingReport report =
-        simulateTraining(model, AcceleratorConfig::lerGan(
-                                    ReplicaDegree::Low));
+        SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::Low))
+            .run(model);
     EXPECT_GT(report.iterationTime, 0u);
     EXPECT_GT(report.totalEnergyPj(), 0.0);
     EXPECT_GT(report.computeEnergyPj(), 0.0);
@@ -46,8 +46,8 @@ TEST(Accelerator, DeterministicAcrossRuns)
     const GanModel model = makeBenchmark("cGAN");
     LerGanAccelerator acc(model,
                           AcceleratorConfig::lerGan(ReplicaDegree::Low));
-    const TrainingReport a = acc.trainIteration();
-    const TrainingReport b = acc.trainIteration();
+    const TrainingReport a = acc.trainIterations();
+    const TrainingReport b = acc.trainIterations();
     EXPECT_EQ(a.iterationTime, b.iterationTime);
     EXPECT_DOUBLE_EQ(a.totalEnergyPj(), b.totalEnergyPj());
 }
@@ -57,10 +57,14 @@ TEST(Accelerator, ThreeDBeatsHTreeWithZfdr)
     // Fig. 17: with ZFDR, the 3D connection clearly beats H-tree.
     for (const char *name : {"DCGAN", "cGAN", "GPGAN"}) {
         const GanModel model = makeBenchmark(name);
-        const TrainingReport htree = simulateTraining(
-            model, configOf(Connection::HTree, ReshapeMode::Zfdr, false));
-        const TrainingReport three_d = simulateTraining(
-            model, configOf(Connection::ThreeD, ReshapeMode::Zfdr, false));
+        const TrainingReport htree =
+            SimulationSession(
+                configOf(Connection::HTree, ReshapeMode::Zfdr, false))
+                .run(model);
+        const TrainingReport three_d =
+            SimulationSession(
+                configOf(Connection::ThreeD, ReshapeMode::Zfdr, false))
+                .run(model);
         EXPECT_LT(three_d.iterationTime, htree.iterationTime) << name;
     }
 }
@@ -70,11 +74,14 @@ TEST(Accelerator, ZfdrBeatsNormalReshapeOn3D)
     // Fig. 18: with the 3D connection, ZFDR beats normal reshaping.
     for (const char *name : {"DCGAN", "cGAN", "GPGAN"}) {
         const GanModel model = makeBenchmark(name);
-        const TrainingReport zfdr = simulateTraining(
-            model, configOf(Connection::ThreeD, ReshapeMode::Zfdr, false));
-        const TrainingReport normal = simulateTraining(
-            model,
-            configOf(Connection::ThreeD, ReshapeMode::Normal, false));
+        const TrainingReport zfdr =
+            SimulationSession(
+                configOf(Connection::ThreeD, ReshapeMode::Zfdr, false))
+                .run(model);
+        const TrainingReport normal =
+            SimulationSession(
+                configOf(Connection::ThreeD, ReshapeMode::Normal, false))
+                .run(model);
         EXPECT_LT(zfdr.iterationTime, normal.iterationTime) << name;
     }
 }
@@ -86,21 +93,23 @@ TEST(Accelerator, DuplicationHelpsMoreOn3DThanHTree)
     const GanModel model = makeBenchmark("DCGAN");
     const double gain_2d =
         static_cast<double>(
-            simulateTraining(model, configOf(Connection::HTree,
-                                             ReshapeMode::Zfdr, false))
+            SimulationSession(
+                configOf(Connection::HTree, ReshapeMode::Zfdr, false))
+                .run(model)
                 .iterationTime) /
-        simulateTraining(model,
-                         configOf(Connection::HTree, ReshapeMode::Zfdr,
-                                  true, ReplicaDegree::High))
+        SimulationSession(configOf(Connection::HTree, ReshapeMode::Zfdr,
+                                   true, ReplicaDegree::High))
+            .run(model)
             .iterationTime;
     const double gain_3d =
         static_cast<double>(
-            simulateTraining(model, configOf(Connection::ThreeD,
-                                             ReshapeMode::Zfdr, false))
+            SimulationSession(
+                configOf(Connection::ThreeD, ReshapeMode::Zfdr, false))
+                .run(model)
                 .iterationTime) /
-        simulateTraining(model,
-                         configOf(Connection::ThreeD, ReshapeMode::Zfdr,
-                                  true, ReplicaDegree::High))
+        SimulationSession(configOf(Connection::ThreeD, ReshapeMode::Zfdr,
+                                   true, ReplicaDegree::High))
+            .run(model)
             .iterationTime;
     EXPECT_GT(gain_3d, gain_2d);
 }
@@ -110,10 +119,11 @@ TEST(Accelerator, LerGanBeatsPrimeOnTconvHeavyGans)
     // Fig. 19's headline: LerGAN > PRIME wherever T-CONVs dominate.
     for (const char *name : {"DCGAN", "cGAN", "3D-GAN", "GPGAN"}) {
         const GanModel model = makeBenchmark(name);
-        const TrainingReport lergan = simulateTraining(
-            model, AcceleratorConfig::lerGan(ReplicaDegree::Low));
+        const TrainingReport lergan =
+            SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::Low))
+                .run(model);
         const TrainingReport prime =
-            simulateTraining(model, AcceleratorConfig::prime());
+            SimulationSession(AcceleratorConfig::prime()).run(model);
         EXPECT_LT(lergan.iterationTime, prime.iterationTime) << name;
         EXPECT_LT(lergan.totalEnergyPj(), prime.totalEnergyPj()) << name;
     }
@@ -124,10 +134,12 @@ TEST(Accelerator, HigherDuplicationFasterButMoreEnergy)
     // Fig. 19/20: LerGAN-high gains speed over LerGAN-low at an energy
     // cost (more replicas to keep updated).
     const GanModel model = makeBenchmark("GPGAN");
-    const TrainingReport low = simulateTraining(
-        model, AcceleratorConfig::lerGan(ReplicaDegree::Low));
-    const TrainingReport high = simulateTraining(
-        model, AcceleratorConfig::lerGan(ReplicaDegree::High));
+    const TrainingReport low =
+        SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::Low))
+            .run(model);
+    const TrainingReport high =
+        SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::High))
+            .run(model);
     EXPECT_LE(high.iterationTime, low.iterationTime);
     EXPECT_GT(high.stats.get("energy.update"),
               low.stats.get("energy.update"));
@@ -136,8 +148,9 @@ TEST(Accelerator, HigherDuplicationFasterButMoreEnergy)
 TEST(Accelerator, EnergyBreakdownSumsToTotal)
 {
     const GanModel model = makeBenchmark("DCGAN");
-    const TrainingReport report = simulateTraining(
-        model, AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    const TrainingReport report =
+        SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::Low))
+            .run(model);
     const double parts = report.computeEnergyPj() + report.commEnergyPj() +
                          report.stats.get("energy.buffer") +
                          report.stats.get("energy.storage") +
@@ -151,8 +164,9 @@ TEST(Accelerator, ComputeDominatesLerGanEnergy)
 {
     // Fig. 23: computing is the dominant share (70.4% in the paper).
     const GanModel model = makeBenchmark("DCGAN");
-    const TrainingReport report = simulateTraining(
-        model, AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    const TrainingReport report =
+        SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::Low))
+            .run(model);
     const double share =
         report.computeEnergyPj() / report.totalEnergyPj();
     EXPECT_GT(share, 0.5);
@@ -165,9 +179,11 @@ TEST(Accelerator, MaganGainsLittle)
     // leave ZFDR little to remove (Sec. VI-C).
     const GanModel magan = makeBenchmark("MAGAN-MNIST");
     auto ratio = [](const GanModel &m) {
-        const auto lergan = simulateTraining(
-            m, AcceleratorConfig::lerGan(ReplicaDegree::High));
-        const auto prime = simulateTraining(m, AcceleratorConfig::prime());
+        const auto lergan =
+            SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::High))
+                .run(m);
+        const auto prime =
+            SimulationSession(AcceleratorConfig::prime()).run(m);
         return static_cast<double>(prime.iterationTime) /
                lergan.iterationTime;
     };
@@ -199,8 +215,8 @@ TEST(Accelerator, SmallerBatchRunsFaster)
     small.batchSize = 8;
     AcceleratorConfig big = small;
     big.batchSize = 64;
-    EXPECT_LT(simulateTraining(model, small).iterationTime,
-              simulateTraining(model, big).iterationTime);
+    EXPECT_LT(SimulationSession(small).run(model).iterationTime,
+              SimulationSession(big).run(model).iterationTime);
 }
 
 TEST(Accelerator, TemplateReplayMatchesRebuild)
@@ -276,7 +292,7 @@ TEST(Accelerator, AllBenchmarksRunOnAllConnections)
             config.connection = conn;
             config.batchSize = 4; // keep the sweep fast
             const TrainingReport report =
-                simulateTraining(model, config);
+                SimulationSession(config).run(model);
             EXPECT_GT(report.iterationTime, 0u)
                 << model.name << " " << report.config;
         }

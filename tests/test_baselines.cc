@@ -72,7 +72,7 @@ TEST(Prime, WrapperMatchesConfig)
 {
     const GanModel model = makeBenchmark("cGAN");
     const TrainingReport direct =
-        simulateTraining(model, AcceleratorConfig::prime());
+        SimulationSession(AcceleratorConfig::prime()).run(model);
     const TrainingReport wrapped = simulatePrime(model);
     EXPECT_EQ(wrapped.iterationTime, direct.iterationTime);
     EXPECT_EQ(wrapped.config, "PRIME");
@@ -94,8 +94,9 @@ TEST(CrossPlatform, PaperOrderingHolds)
     // between LerGAN and the GPU on T-CONV-heavy GANs.
     for (const char *name : {"DCGAN", "GPGAN", "DiscoGAN-4pairs"}) {
         const GanModel model = makeBenchmark(name);
-        const auto lergan = simulateTraining(
-            model, AcceleratorConfig::lerGan(ReplicaDegree::High));
+        const auto lergan =
+            SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::High))
+                .run(model);
         const auto prime = simulatePrime(model);
         const auto gpu = simulateGpu(model);
         const auto fpga = simulateFpgaGan(model);
@@ -110,8 +111,9 @@ TEST(CrossPlatform, EnergyNearFpgaParity)
     // Fig. 22: LerGAN's energy lands within ~2x of FPGA-GAN (the paper
     // reports 1.04x on average) while being tens of times faster.
     const GanModel model = makeBenchmark("DCGAN");
-    const auto lergan = simulateTraining(
-        model, AcceleratorConfig::lerGan(ReplicaDegree::High));
+    const auto lergan =
+        SimulationSession(AcceleratorConfig::lerGan(ReplicaDegree::High))
+            .run(model);
     const auto fpga = simulateFpgaGan(model);
     const double ratio = lergan.totalEnergyPj() / fpga.totalEnergyPj();
     EXPECT_GT(ratio, 0.5);

@@ -72,7 +72,7 @@ TEST(CuPairs, SimulationRunsAcrossPairs)
     config.cuPairs = 2;
     config.batchSize = 4;
     const TrainingReport report =
-        simulateTraining(makeBenchmark("cGAN"), config);
+        SimulationSession(config).run(makeBenchmark("cGAN"));
     EXPECT_GT(report.iterationTime, 0u);
 }
 

@@ -21,6 +21,7 @@
 #include "core/api.hh"
 #include "core/sweep.hh"
 #include "core/sweep_io.hh"
+#include "critpath/critpath.hh"
 #include "exec/engine.hh"
 #include "exec/memo_cache.hh"
 #include "exec/thread_pool.hh"
@@ -460,17 +461,64 @@ TEST(Session, CompilesExactlyOnceAcrossRepeatedRuns)
     EXPECT_DOUBLE_EQ(first.totalEnergyPj(), second.totalEnergyPj());
 }
 
-TEST(Session, MatchesTheOneShotWrapper)
+TEST(Session, MatchesAOnePointSweep)
 {
     const GanModel model = makeBenchmark("cGAN");
     const AcceleratorConfig config = smallPrime();
-    const TrainingReport wrapped = simulateTraining(model, config, 2);
-    const TrainingReport viaSession =
-        SimulationSession(config).run(model, 2);
-    EXPECT_EQ(wrapped.iterationTime, viaSession.iterationTime);
-    EXPECT_DOUBLE_EQ(wrapped.totalEnergyPj(),
-                     viaSession.totalEnergyPj());
-    EXPECT_EQ(wrapped.crossbarsUsed, viaSession.crossbarsUsed);
+    SimulationSession session(config);
+    session.auditWith(AuditOptions::full())
+        .withCriticalPath()
+        .withTelemetry()
+        .withTracing();
+    ExperimentSweep sweep;
+    sweep.addBenchmark(model)
+        .addConfig("prime", config)
+        .auditWith(AuditOptions::full())
+        .withCriticalPath()
+        .withTelemetry()
+        .withTracing();
+
+    const TrainingReport viaSession = session.run(model, 2);
+    RunOptions options;
+    options.iterations = 2;
+    const std::vector<SweepResult> results = sweep.run(options);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_FALSE(results[0].failed) << results[0].error;
+    const TrainingReport &viaSweep = results[0].report;
+
+    EXPECT_EQ(viaSession.iterationTime, viaSweep.iterationTime);
+    EXPECT_EQ(viaSession.crossbarsUsed, viaSweep.crossbarsUsed);
+    EXPECT_EQ(std::vector(viaSession.stats.begin(), viaSession.stats.end()),
+              std::vector(viaSweep.stats.begin(), viaSweep.stats.end()));
+    ASSERT_TRUE(viaSession.critpath && viaSweep.critpath);
+    const std::vector<CritEntry> &a = viaSession.critpath->path.entries;
+    const std::vector<CritEntry> &b = viaSweep.critpath->path.entries;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].task, b[i].task) << i;
+        EXPECT_EQ(a[i].start, b[i].start) << i;
+        EXPECT_EQ(a[i].duration, b[i].duration) << i;
+    }
+    EXPECT_EQ(session.audit(model, 2).checksRun,
+              results[0].audit.checksRun);
+
+    // The session's template cache lowered the pair once (the audit()
+    // above already replayed it); another run replays it again.
+    EXPECT_EQ(session.templates().misses(), 1u);
+    const std::uint64_t hits = session.templates().hits();
+    session.run(model, 2);
+    EXPECT_EQ(session.templates().misses(), 1u);
+    EXPECT_EQ(session.templates().hits(), hits + 1);
+}
+
+TEST(Session, FewerThanOneIterationThrowsInvalidArgument)
+{
+    SimulationSession session(smallLerGan());
+    const GanModel model = makeBenchmark("MAGAN-MNIST");
+    EXPECT_THROW(session.run(model, 0), std::invalid_argument);
+    EXPECT_THROW(session.audit(model, -1), std::invalid_argument);
+    // Rejected before compiling anything.
+    EXPECT_EQ(session.cacheMisses(), 0u);
 }
 
 TEST(Session, UnusableConfigThrowsInvalidArgument)
@@ -644,13 +692,17 @@ TEST(SweepExec, ProgressCallbackCountsEveryPoint)
     EXPECT_EQ(seen.back(), 4u);
 }
 
-TEST(SweepExec, LegacyOverloadsStillCompose)
+TEST(SweepExec, BadRunOptionsThrowInvalidArgumentBeforeAnyPoint)
 {
-    ExperimentSweep sweep;
-    sweep.add(makeBenchmark("MAGAN-MNIST")).add("lergan", smallLerGan());
-    const auto results = sweep.run();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].configLabel, "lergan");
+    const ExperimentSweep sweep = smallSweep();
+    RunOptions no_iterations;
+    no_iterations.iterations = 0;
+    EXPECT_THROW(sweep.run(no_iterations), std::invalid_argument);
+    RunOptions negative_threads;
+    negative_threads.threads = -1;
+    EXPECT_THROW(sweep.run(negative_threads), std::invalid_argument);
+    // No point ran: nothing was compiled.
+    EXPECT_EQ(sweep.cache().misses(), 0u);
 }
 
 } // namespace

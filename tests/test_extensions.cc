@@ -29,9 +29,9 @@ TEST(Hetero, BoostingOnePhaseLandsBetweenUniformConfigs)
     hetero.phaseDegrees[Phase::DBwdWeight] = ReplicaDegree::High;
     hetero.phaseDegrees[Phase::GBwdWeight] = ReplicaDegree::High;
 
-    const auto t_low = simulateTraining(model, low).iterationTime;
-    const auto t_high = simulateTraining(model, high).iterationTime;
-    const auto t_hetero = simulateTraining(model, hetero).iterationTime;
+    const auto t_low = SimulationSession(low).run(model).iterationTime;
+    const auto t_high = SimulationSession(high).run(model).iterationTime;
+    const auto t_hetero = SimulationSession(hetero).run(model).iterationTime;
     EXPECT_LE(t_hetero, t_low);
     EXPECT_GE(t_hetero, t_high);
 
@@ -51,8 +51,8 @@ TEST(Ablation, DisablingAllWiresMatchesNoAddedConnectivity)
     none.verticalWires = false;
     AcceleratorConfig full = AcceleratorConfig::lerGan(ReplicaDegree::Low);
 
-    const auto t_none = simulateTraining(model, none).iterationTime;
-    const auto t_full = simulateTraining(model, full).iterationTime;
+    const auto t_none = SimulationSession(none).run(model).iterationTime;
+    const auto t_full = SimulationSession(full).run(model).iterationTime;
     EXPECT_LT(t_full, t_none);
 }
 
@@ -64,7 +64,7 @@ TEST(Ablation, VerticalWiresCarryTheInterPhaseTraffic)
             AcceleratorConfig::lerGan(ReplicaDegree::Low);
         config.horizontalWires = horizontal;
         config.verticalWires = vertical;
-        return simulateTraining(model, config).iterationTime;
+        return SimulationSession(config).run(model).iterationTime;
     };
     // Vertical-only must recover (nearly) the full-3D time; horizontal-
     // only cannot (forward caches still cross banks via the bus).
@@ -113,7 +113,7 @@ TEST(FutureGan, Stride3TrainsOnLerGan)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
     const TrainingReport report =
-        simulateTraining(futureGanStride3(), config);
+        SimulationSession(config).run(futureGanStride3());
     EXPECT_GT(report.iterationTime, 0u);
 }
 
@@ -123,10 +123,10 @@ TEST(TracedRun, ProducesEventsAndSameResult)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
     LerGanAccelerator accelerator(model, config);
-    const TrainingReport plain = accelerator.trainIteration();
+    const TrainingReport plain = accelerator.trainIterations();
     Tracer tracer;
     const TrainingReport traced =
-        accelerator.trainIterationTraced(tracer);
+        accelerator.trainIterations(1, &tracer);
     EXPECT_EQ(plain.iterationTime, traced.iterationTime);
     EXPECT_EQ(tracer.events().size(),
               static_cast<std::size_t>(plain.stats.get("sim.tasks")));

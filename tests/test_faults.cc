@@ -100,8 +100,8 @@ TEST(Faults, SimulationRunsWithFailedTiles)
             degraded.failedTiles.emplace_back(bank, tile);
 
     const GanModel model = makeBenchmark("cGAN");
-    const TrainingReport ok = simulateTraining(model, healthy);
-    const TrainingReport hurt = simulateTraining(model, degraded);
+    const TrainingReport ok = SimulationSession(healthy).run(model);
+    const TrainingReport hurt = SimulationSession(degraded).run(model);
     EXPECT_GT(hurt.iterationTime, 0u);
     // Losing tiles can only slow things down (or tie).
     EXPECT_GE(hurt.iterationTime, ok.iterationTime);

@@ -47,7 +47,7 @@ TEST(PhaseReport, RealRunCoversAllSixPhases)
     config.batchSize = 4;
     LerGanAccelerator accelerator(model, config);
     Tracer tracer;
-    const TrainingReport report = accelerator.trainIterationTraced(tracer);
+    const TrainingReport report = accelerator.trainIterations(1, &tracer);
 
     const auto phases = phaseTimes(tracer);
     int named_phases = 0;
@@ -71,7 +71,7 @@ TEST(PhaseReport, PhasesOverlapUnderPipelining)
     config.batchSize = 16;
     LerGanAccelerator accelerator(model, config);
     Tracer tracer;
-    accelerator.trainIterationTraced(tracer);
+    accelerator.trainIterations(1, &tracer);
 
     const auto phases = phaseTimes(tracer);
     const PhaseTime *g_fwd = nullptr, *d_fwd = nullptr;

@@ -67,15 +67,16 @@ TEST(Report, EnergyAccessorsSliceTheStats)
     EXPECT_DOUBLE_EQ(report.totalEnergyPj(), 20.0);
 }
 
-TEST(Api, SimulateTrainingMatchesAcceleratorPath)
+TEST(Api, SessionRunMatchesAcceleratorPath)
 {
     const GanModel model = makeBenchmark("MAGAN-MNIST");
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
-    const TrainingReport via_api = simulateTraining(model, config);
+    const TrainingReport via_api = SimulationSession(config).run(model);
     LerGanAccelerator accelerator(model, config);
-    const TrainingReport direct = accelerator.trainIteration();
+    const TrainingReport direct = accelerator.trainIterations();
     EXPECT_EQ(via_api.iterationTime, direct.iterationTime);
+    EXPECT_EQ(via_api.stats.get("total.iterations"), 1.0);
 }
 
 TEST(Zoo, NamesMatchTableOrder)

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/sweep.hh"
+#include "core/sweep_io.hh"
 #include "workloads/zoo.hh"
 
 namespace lergan {
@@ -21,10 +22,10 @@ smallSweep()
     AcceleratorConfig prime = AcceleratorConfig::prime();
     prime.batchSize = 4;
     ExperimentSweep sweep;
-    sweep.add(makeBenchmark("MAGAN-MNIST"))
-        .add(makeBenchmark("cGAN"))
-        .add("lergan", lergan)
-        .add("prime", prime);
+    sweep.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+        .addBenchmark(makeBenchmark("cGAN"))
+        .addConfig("lergan", lergan)
+        .addConfig("prime", prime);
     return sweep;
 }
 
@@ -55,8 +56,8 @@ TEST(Sweep, TemplateCacheBuildsOncePerPairAndStaysDeterministic)
     EXPECT_EQ(sweep.templates().hits(), 4u);
 
     std::ostringstream a, b;
-    ExperimentSweep::writeJson(a, first);
-    ExperimentSweep::writeJson(b, second);
+    writeSweepJson(a, first);
+    writeSweepJson(b, second);
     EXPECT_EQ(a.str(), b.str());
 }
 
@@ -68,8 +69,8 @@ TEST(Sweep, TemplatedRunsAreWorkerCountInvariant)
     RunOptions parallel;
     parallel.threads = 4;
     std::ostringstream a, b;
-    ExperimentSweep::writeJson(a, sweep.run(serial));
-    ExperimentSweep::writeJson(b, sweep.run(parallel));
+    writeSweepJson(a, sweep.run(serial));
+    writeSweepJson(b, sweep.run(parallel));
     EXPECT_EQ(a.str(), b.str());
 }
 
@@ -77,7 +78,7 @@ TEST(Sweep, JsonExportContainsEveryPoint)
 {
     const auto results = smallSweep().run();
     std::ostringstream oss;
-    ExperimentSweep::writeJson(oss, results);
+    writeSweepJson(oss, results);
     const std::string out = oss.str();
     EXPECT_EQ(out.front(), '[');
     EXPECT_NE(out.find("\"benchmark\":\"MAGAN-MNIST\""),
@@ -91,7 +92,7 @@ TEST(Sweep, CsvExportHasHeaderAndRows)
 {
     const auto results = smallSweep().run();
     std::ostringstream oss;
-    ExperimentSweep::writeCsv(oss, results);
+    writeSweepCsv(oss, results);
     const std::string out = oss.str();
     // Header + 4 rows.
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5);
