@@ -11,7 +11,6 @@
 #define LERGAN_BENCH_BENCH_UTIL_HH
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -137,6 +136,10 @@ class Observability
           selfProfile_(args.getFlag("self-profile")),
           anomaliesWanted_(args.given("trace-anomalies"))
     {
+        if (metricsFormat_ != "prom" && metricsFormat_ != "json" &&
+            metricsFormat_ != "csv")
+            LERGAN_FATAL("unknown --metrics-format '", metricsFormat_,
+                         "' (expected prom, json or csv)");
         if (!metricsPath_.empty())
             registry_ = std::make_shared<MetricsRegistry>();
         if (!spansPath_.empty() || anomaliesWanted_) {
@@ -146,11 +149,12 @@ class Observability
                              : FlightRecorder::kDefaultCapacity);
         }
         if (anomaliesWanted_) {
-            anomalyOptions_.quantile =
-                std::atof(args.get("trace-anomalies").c_str());
-            LERGAN_ASSERT(anomalyOptions_.quantile > 0.0 &&
-                              anomalyOptions_.quantile <= 1.0,
-                          "--trace-anomalies quantile must be in (0,1]");
+            anomalyOptions_.quantile = args.getDouble("trace-anomalies");
+            if (!(anomalyOptions_.quantile > 0.0 &&
+                  anomalyOptions_.quantile <= 1.0))
+                LERGAN_FATAL("--trace-anomalies quantile must be in "
+                             "(0,1], got ",
+                             args.get("trace-anomalies"));
         }
         if (selfProfile_) {
             HostProfiler::global().reset();
@@ -245,11 +249,8 @@ class Observability
                 snapshot.writeJson(os);
             else if (metricsFormat_ == "csv")
                 snapshot.writeCsv(os);
-            else if (metricsFormat_ == "prom")
-                snapshot.writePrometheus(os);
             else
-                LERGAN_FATAL("unknown --metrics-format '", metricsFormat_,
-                             "' (expected prom, json or csv)");
+                snapshot.writePrometheus(os);
         };
         if (metricsPath_ == "-") {
             write(std::cout);
@@ -299,8 +300,8 @@ class Observability
  * Wall-clock stopwatch for bench-side performance measurement.
  *
  * Times host phases of a bench run (the simulator's own speed, never
- * the simulated hardware's). Used by bench::Runner for the --bench-json
- * measurements; standalone benches may use it directly.
+ * the simulated hardware's). Used by the fig19 perf guard's
+ * measurements (bench/runner.hh); standalone benches may use it directly.
  */
 class PerfTimer
 {

@@ -8,8 +8,6 @@
  * space saved for inputs (DCGAN), 3.86x on average.
  */
 
-#include <sstream>
-
 #include "runner.hh"
 
 #include "zfdr/cost.hh"
@@ -52,49 +50,42 @@ main(int argc, char **argv)
 {
     using namespace lergan;
     using namespace lergan::bench;
-    Runner runner("fig16",
-                  "Fig. 16: ZFDR speedup per GAN phase + input storage "
+    Runner runner("Fig. 16: ZFDR speedup per GAN phase + input storage "
                   "saving",
                   "speedup where T-CONVs exist; none on FC layers; SArray "
                   "input saving up to 5.2x (DCGAN), avg 3.86x");
     runner.parse(argc, argv, "Fig. 16 reproduction");
 
-    const std::string text =
-        runner.measure(allBenchmarks().size(), [&] {
-            const ReRamParams params;
-            TextTable table({"benchmark", "G.fwd", "D.fwd", "D.bwd_err",
-                             "D.bwd_w", "G.bwd_err", "G.bwd_w",
-                             "input storage saving"});
+    const ReRamParams params;
+    TextTable table({"benchmark", "G.fwd", "D.fwd", "D.bwd_err",
+                     "D.bwd_w", "G.bwd_err", "G.bwd_w",
+                     "input storage saving"});
 
-            Mean storage_mean;
-            double storage_max = 0;
-            for (const GanModel &model : allBenchmarks()) {
-                std::vector<std::string> row{model.name};
-                for (Phase phase : kAllPhases) {
-                    const double normal =
-                        phaseComputeNs(model, phase, false, params);
-                    const double zfdr =
-                        phaseComputeNs(model, phase, true, params);
-                    row.push_back(TextTable::num(normal / zfdr) + "x");
-                }
-                // SArray saving: stored input elements with vs without
-                // zeros, summed over all ops of all phases.
-                OpZeroStats stats = analyzeModel(model);
-                const double saving = stats.storageBlowup();
-                storage_mean.add(saving);
-                storage_max = std::max(storage_max, saving);
-                row.push_back(TextTable::num(saving) + "x");
-                table.addRow(row);
-            }
-            std::ostringstream out;
-            table.print(out);
-            out << "\ninput storage saving: max "
-                << TextTable::num(storage_max)
-                << "x (paper: up to 5.2x), mean "
-                << TextTable::num(storage_mean.value())
-                << "x (paper: 3.86x)\n";
-            return out.str();
-        });
-    std::cout << text;
-    return runner.finish();
+    Mean storage_mean;
+    double storage_max = 0;
+    for (const GanModel &model : allBenchmarks()) {
+        std::vector<std::string> row{model.name};
+        for (Phase phase : kAllPhases) {
+            const double normal =
+                phaseComputeNs(model, phase, false, params);
+            const double zfdr =
+                phaseComputeNs(model, phase, true, params);
+            row.push_back(TextTable::num(normal / zfdr) + "x");
+        }
+        // SArray saving: stored input elements with vs without
+        // zeros, summed over all ops of all phases.
+        OpZeroStats stats = analyzeModel(model);
+        const double saving = stats.storageBlowup();
+        storage_mean.add(saving);
+        storage_max = std::max(storage_max, saving);
+        row.push_back(TextTable::num(saving) + "x");
+        table.addRow(row);
+    }
+    table.print(std::cout);
+    std::cout << "\ninput storage saving: max "
+        << TextTable::num(storage_max)
+        << "x (paper: up to 5.2x), mean "
+        << TextTable::num(storage_mean.value())
+        << "x (paper: 3.86x)\n";
+    runner.finish();
 }

@@ -7,8 +7,6 @@
  * NR only 1.31x — both techniques are needed.
  */
 
-#include <sstream>
-
 #include "runner.hh"
 
 int
@@ -16,46 +14,39 @@ main(int argc, char **argv)
 {
     using namespace lergan;
     using namespace lergan::bench;
-    Runner runner("fig18",
-                  "Fig. 18: ZFDR vs normal reshape, on the 3D connection",
+    Runner runner("Fig. 18: ZFDR vs normal reshape, on the 3D connection",
                   "vs 2D+NR: ZFDR+dup 5.11x, ZFDR 2.77x, NR 1.31x on "
                   "average");
     runner.parse(argc, argv, "Fig. 18 reproduction");
 
-    const std::string text =
-        runner.measure(allBenchmarks().size() * 4, [&] {
-            TextTable table({"benchmark", "NR+3D", "ZFDR+3D",
-                             "ZFDR+3D+dup"});
-            Mean m_nr, m_zfdr, m_dup;
-            for (const GanModel &model : allBenchmarks()) {
-                const auto ms = [&](const AcceleratorConfig &config) {
-                    return SimulationSession(config).run(model).timeMs();
-                };
-                const double base = ms(makeConfig(
-                    Connection::HTree, ReshapeMode::Normal, false));
-                const double nr_3d = ms(makeConfig(
-                    Connection::ThreeD, ReshapeMode::Normal, false));
-                const double zfdr_3d = ms(makeConfig(
-                    Connection::ThreeD, ReshapeMode::Zfdr, false));
-                const double zfdr_dup =
-                    ms(makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
-                                  true, ReplicaDegree::High));
-                m_nr.add(base / nr_3d);
-                m_zfdr.add(base / zfdr_3d);
-                m_dup.add(base / zfdr_dup);
-                table.addRow({model.name,
-                              TextTable::num(base / nr_3d) + "x",
-                              TextTable::num(base / zfdr_3d) + "x",
-                              TextTable::num(base / zfdr_dup) + "x"});
-            }
-            table.addRow({"MEAN (paper 1.31 / 2.77 / 5.11)",
-                          TextTable::num(m_nr.value()) + "x",
-                          TextTable::num(m_zfdr.value()) + "x",
-                          TextTable::num(m_dup.value()) + "x"});
-            std::ostringstream out;
-            table.print(out);
-            return out.str();
-        });
-    std::cout << text;
-    return runner.finish();
+    TextTable table({"benchmark", "NR+3D", "ZFDR+3D",
+                     "ZFDR+3D+dup"});
+    Mean m_nr, m_zfdr, m_dup;
+    for (const GanModel &model : allBenchmarks()) {
+        const auto ms = [&](const AcceleratorConfig &config) {
+            return SimulationSession(config).run(model).timeMs();
+        };
+        const double base = ms(makeConfig(
+            Connection::HTree, ReshapeMode::Normal, false));
+        const double nr_3d = ms(makeConfig(
+            Connection::ThreeD, ReshapeMode::Normal, false));
+        const double zfdr_3d = ms(makeConfig(
+            Connection::ThreeD, ReshapeMode::Zfdr, false));
+        const double zfdr_dup =
+            ms(makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
+                          true, ReplicaDegree::High));
+        m_nr.add(base / nr_3d);
+        m_zfdr.add(base / zfdr_3d);
+        m_dup.add(base / zfdr_dup);
+        table.addRow({model.name,
+                      TextTable::num(base / nr_3d) + "x",
+                      TextTable::num(base / zfdr_3d) + "x",
+                      TextTable::num(base / zfdr_dup) + "x"});
+    }
+    table.addRow({"MEAN (paper 1.31 / 2.77 / 5.11)",
+                  TextTable::num(m_nr.value()) + "x",
+                  TextTable::num(m_zfdr.value()) + "x",
+                  TextTable::num(m_dup.value()) + "x"});
+    table.print(std::cout);
+    runner.finish();
 }

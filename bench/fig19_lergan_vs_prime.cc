@@ -11,22 +11,22 @@
  * through the parallel sweep engine; results come back benchmark-major,
  * so the table rows read straight out of the result vector.
  *
- * This is also the repo's host-performance reference workload: the
- * committed BENCH_fig19.json trajectory is regenerated from this binary
- * via scripts/bench_baseline.sh (--bench-json), and scripts/check.sh
- * guards it (--bench-check).
+ * This is also the repo's host-performance reference workload and the
+ * only bench with the perf guard (bench/runner.hh): --bench-json
+ * measures grid throughput per worker count plus the critical-path
+ * recording and span-tracing A/B overheads into BENCH_fig19.json
+ * (scripts/bench_baseline.sh), and --bench-check applies the four
+ * verdicts against its newest entry (scripts/check.sh).
  */
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 
 #include "core/validate.hh"
 #include "critpath/whatif.hh"
+#include "exec/thread_pool.hh"
 #include "runner.hh"
 #include "sim/trace_tracks.hh"
 
@@ -79,30 +79,25 @@ exportCounterTrace(const std::string &path,
 }
 
 /**
- * Warm A/B measurement of critical-path recording overhead: replay the
- * fig19 (model, config) iteration templates through trainIterations
- * with and without an ExecRecord attached and report the on-cost
- * percentage as the median of 15 back-to-back off/on pairwise ratios;
- * compiles and templates come warm out of the sweep's caches.
+ * Warm A/B on-cost of critical-path recording: replay the fig19
+ * (model, config) iteration templates through trainIterations, three
+ * passes per half, with and without an ExecRecord attached. Compiles
+ * and templates come warm out of the sweep's caches.
  */
 double
-measureRecordingOverhead(lergan::ExperimentSweep &sweep)
+recordingOverheadPct(lergan::ExperimentSweep &sweep)
 {
     using namespace lergan;
-    using clock = std::chrono::steady_clock;
     struct Probe {
         std::unique_ptr<LerGanAccelerator> acc;
         std::shared_ptr<const IterationTemplate> tmpl;
     };
     std::vector<Probe> probes;
-    const std::pair<const char *, AcceleratorConfig> grid[] = {
-        {"prime", AcceleratorConfig::prime()},
-        {"low", AcceleratorConfig::lerGan(ReplicaDegree::Low)},
-        {"high", AcceleratorConfig::lerGan(ReplicaDegree::High)},
-    };
     for (const GanModel &model : allBenchmarks()) {
-        for (const auto &[label, config] : grid) {
-            (void)label;
+        for (const AcceleratorConfig &config :
+             {AcceleratorConfig::prime(),
+              AcceleratorConfig::lerGan(ReplicaDegree::Low),
+              AcceleratorConfig::lerGan(ReplicaDegree::High)}) {
             Probe probe;
             probe.acc = std::make_unique<LerGanAccelerator>(
                 model, config,
@@ -115,92 +110,68 @@ measureRecordingOverhead(lergan::ExperimentSweep &sweep)
         }
     }
     ExecRecord record;
-    const auto runAll = [&](lergan::ExecRecord *rec) {
-        for (Probe &probe : probes) {
-            probe.acc->trainIterations(bench::kIterations, nullptr,
-                                       nullptr, probe.tmpl.get(), rec);
-        }
+    const auto passes = [&](ExecRecord *rec) {
+        for (int pass = 0; pass < 3; ++pass)
+            for (Probe &probe : probes)
+                probe.acc->trainIterations(bench::kIterations, nullptr,
+                                           nullptr, probe.tmpl.get(),
+                                           rec);
     };
-    runAll(nullptr); // warm-up both sides before timing
-    runAll(&record);
-    // Per-pair ratios: host-frequency drift hits the off and on halves
-    // of one back-to-back pair equally, so pairwise ratios are far more
-    // stable than a ratio of independent minima; the median then
-    // rejects outlier pairs in either direction.
-    std::vector<double> overheads;
-    for (int rep = 0; rep < 15; ++rep) {
-        const auto t0 = clock::now();
-        for (int pass = 0; pass < 3; ++pass)
-            runAll(nullptr);
-        const auto t1 = clock::now();
-        for (int pass = 0; pass < 3; ++pass)
-            runAll(&record);
-        const auto t2 = clock::now();
-        const double off_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        const double on_ms =
-            std::chrono::duration<double, std::milli>(t2 - t1).count();
-        if (off_ms > 0.0)
-            overheads.push_back(100.0 * (on_ms - off_ms) / off_ms);
-    }
-    if (overheads.empty())
-        return 0.0;
-    std::sort(overheads.begin(), overheads.end());
-    return overheads[overheads.size() / 2];
+    return bench::abOverheadPct([&] { passes(nullptr); },
+                                [&] { passes(&record); });
 }
 
 /**
- * Warm A/B measurement of span-tracing overhead: run the full (warm)
- * fig19 grid with the flight recorder detached and attached, and
- * report the on-cost percentage as the median of 15 back-to-back
- * off/on pairwise ratios — the same discipline as
- * measureRecordingOverhead. This is the ISSUE 10 acceptance number:
- * a traced sweep must stay within ~3% host-ms/point of an untraced
- * one.
+ * The perf guard (--bench-json / --bench-check): time the warm grid per
+ * worker count, A/B critical-path recording and span tracing, then
+ * write the entry and/or print the four verdicts against the committed
+ * file's newest entry.
+ *
+ * @return 1 when a verdict is REGRESSION, else 0.
  */
-double
-measureTracingOverhead(lergan::ExperimentSweep &sweep, int threads)
+int
+perfGuard(const lergan::ArgParser &args, lergan::ExperimentSweep &sweep,
+          const lergan::RunOptions &warm, const std::vector<int> &workers)
 {
     using namespace lergan;
-    using clock = std::chrono::steady_clock;
-    const auto savedTelemetry = sweep.telemetry();
-    const auto savedRecorder = sweep.recorder();
-    sweep.withTelemetry(nullptr);
+    using namespace lergan::bench;
+    // Measured runs are unobserved: the product-default fast path is
+    // the one the guard protects.
+    const auto telemetry = sweep.telemetry();
+    const auto recorder = sweep.recorder();
+    sweep.withTelemetry(nullptr).withTracing(nullptr);
 
-    RunOptions warm;
-    warm.threads = threads;
-    warm.iterations = bench::kIterations;
-    const auto recorder = std::make_shared<FlightRecorder>();
+    BenchEntry entry;
+    entry.label = args.get("bench-label");
+    entry.commit = args.get("bench-commit");
+    entry.gridPoints = sweep.pointCount();
+    entry.hardwareThreads = defaultThreadCount();
+    entry.measurements = measureSweep(
+        sweep, kIterations, workers,
+        std::max(1, args.getInt("bench-repeats")));
+    entry.critpathRecordingPct = recordingOverheadPct(sweep);
+    const auto flight = std::make_shared<FlightRecorder>();
+    entry.tracingPct = abOverheadPct(
+        [&] { sweep.withTracing(nullptr).run(warm); },
+        [&] { sweep.withTracing(flight).run(warm); });
+    sweep.withTelemetry(telemetry).withTracing(recorder);
+    std::cerr << "overheads (warm A/B): critpath recording "
+              << TextTable::num(entry.critpathRecordingPct)
+              << "%, tracing " << TextTable::num(entry.tracingPct)
+              << "% on-cost\n";
 
-    sweep.withTracing(nullptr);
-    sweep.run(warm); // warm-up: caches hot, rings allocated next run
-    sweep.withTracing(recorder);
-    sweep.run(warm);
-
-    // Pairwise off/on ratios reject host-frequency drift; the median
-    // rejects outlier pairs (see measureRecordingOverhead).
-    std::vector<double> overheads;
-    for (int rep = 0; rep < 15; ++rep) {
-        sweep.withTracing(nullptr);
-        const auto t0 = clock::now();
-        sweep.run(warm);
-        const auto t1 = clock::now();
-        sweep.withTracing(recorder);
-        sweep.run(warm);
-        const auto t2 = clock::now();
-        const double off_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        const double on_ms =
-            std::chrono::duration<double, std::milli>(t2 - t1).count();
-        if (off_ms > 0.0)
-            overheads.push_back(100.0 * (on_ms - off_ms) / off_ms);
+    if (args.given("bench-json"))
+        writeBenchJson(args.get("bench-json"), entry,
+                       args.getFlag("bench-append"));
+    if (!args.given("bench-check"))
+        return 0;
+    bool ok = true;
+    for (const GuardVerdict &verdict : guardVerdicts(
+             readNewestBenchEntry(args.get("bench-check")), entry)) {
+        std::cerr << verdict.line << "\n";
+        ok = ok && verdict.ok;
     }
-    sweep.withTelemetry(savedTelemetry);
-    sweep.withTracing(savedRecorder);
-    if (overheads.empty())
-        return 0.0;
-    std::sort(overheads.begin(), overheads.end());
-    return overheads[overheads.size() / 2];
+    return ok ? 0 : 1;
 }
 
 /**
@@ -253,39 +224,44 @@ main(int argc, char **argv)
     using namespace lergan;
     using namespace lergan::bench;
 
-    Runner runner("fig19",
-                  "Fig. 19: LerGAN vs PRIME (speedup, 10-iteration "
+    Runner runner("Fig. 19: LerGAN vs PRIME (speedup, 10-iteration "
                   "average)",
                   "avg 7.46x; MAGAN-MNIST near 1x; 2.1x at equal space");
-    runner.args().addOption(
-        "trace",
-        "write a Chrome trace (task spans + counter tracks + critical "
-        "chain) of one DCGAN/low iteration to this file");
-    runner.args().addOption(
-        "critpath",
-        "print DCGAN critical paths (prime vs low), what-if estimates "
-        "and a bound-pruned rerun of the grid",
-        "", /*is_flag=*/true);
-    runner.args().addOption(
-        "critpath-baseline",
-        "measure critical-path recording overhead (warm A/B replay of "
-        "the grid templates) and write it to this baseline file");
-    runner.args().addOption(
-        "critpath-check",
-        "overhead guard: fail when measured recording overhead exceeds "
-        "this committed baseline file by more than 4 points");
-    runner.args().addOption(
-        "tracing-baseline",
-        "measure span-tracing overhead (warm A/B rerun of the grid with "
-        "the flight recorder off vs on) and write it to this baseline "
-        "file");
-    runner.args().addOption(
-        "tracing-check",
-        "overhead guard: fail when measured tracing overhead exceeds "
-        "this committed baseline file by more than 2 points (or 3% "
-        "absolute, whichever is larger)");
+    ArgParser &args = runner.args();
+    args.addOption("trace",
+                   "write a Chrome trace (task spans + counter tracks + "
+                   "critical chain) of one DCGAN/low iteration to this "
+                   "file");
+    args.addOption("critpath",
+                   "print DCGAN critical paths (prime vs low), what-if "
+                   "estimates and a bound-pruned rerun of the grid",
+                   "", /*is_flag=*/true);
+    args.addOption("bench-json",
+                   "measure host performance (points/sec per worker "
+                   "count, critpath-recording and tracing A/B overheads) "
+                   "and write a BENCH_fig19.json entry to this file");
+    args.addOption("bench-append",
+                   "append the entry to an existing --bench-json file", "",
+                   /*is_flag=*/true);
+    args.addOption("bench-label", "label recorded in the bench-json entry",
+                   "current");
+    args.addOption("bench-commit",
+                   "commit id recorded in the bench-json entry", "unknown");
+    args.addOption("bench-workers",
+                   "comma-separated worker counts to measure (0 = "
+                   "hardware threads)",
+                   "1,2,4,8");
+    args.addOption("bench-repeats",
+                   "timed repetitions per measured worker count", "3");
+    args.addOption("bench-check",
+                   "perf guard: re-measure and fail on a regression "
+                   "against the newest entry of this BENCH_fig19.json "
+                   "(throughput, scaling, recording and tracing "
+                   "overheads)");
     runner.parse(argc, argv,
                  "Fig. 19: LerGAN vs PRIME speedup reproduction");
+    const std::vector<int> benchWorkers =
+        parseWorkerCounts(args.get("bench-workers"));
 
     ExperimentSweep sweep;
     for (const GanModel &model : allBenchmarks())
@@ -301,37 +277,23 @@ main(int argc, char **argv)
         sweep.addPoint(model, "low-NS", lerGanLowNs(model));
 
     const auto sweepResults = runner.runSweep(sweep, kIterations);
+    RunOptions warm;
+    warm.threads = runner.threads();
+    warm.iterations = kIterations;
 
-    if (runner.args().getFlag("self-profile")) {
-        // Telemetry-overhead guard: re-run the same grid with the
-        // compile cache warm, once without and once with a registry,
-        // and report the wall-clock ratio. The telemetry-off run is
-        // the product default, so this is the number that must stay
-        // within the <2% overhead budget.
-        using clock = std::chrono::steady_clock;
-        RunOptions warm;
-        warm.threads = runner.threads();
-        warm.iterations = kIterations;
-        sweep.withTelemetry(nullptr);
-        const auto t0 = clock::now();
-        sweep.run(warm);
-        const auto t1 = clock::now();
-        sweep.withTelemetry();
-        sweep.run(warm);
-        const auto t2 = clock::now();
-        const double off_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        const double on_ms =
-            std::chrono::duration<double, std::milli>(t2 - t1).count();
-        std::cerr << "telemetry overhead (warm cache): off " << off_ms
-                  << " ms, on " << on_ms << " ms ("
-                  << (off_ms > 0 ? 100.0 * (on_ms - off_ms) / off_ms
-                                 : 0.0)
-                  << "% on-cost)\n";
+    if (args.getFlag("self-profile")) {
+        // Telemetry on-cost on the warm grid, against the product
+        // default of telemetry off.
+        const auto registry = std::make_shared<MetricsRegistry>();
+        const double overhead = abOverheadPct(
+            [&] { sweep.withTelemetry(nullptr).run(warm); },
+            [&] { sweep.withTelemetry(registry).run(warm); });
+        std::cerr << "telemetry overhead (warm A/B): "
+                  << TextTable::num(overhead) << "% on-cost\n";
         sweep.withTelemetry(runner.obs().registry());
     }
 
-    if (runner.args().getFlag("critpath")) {
+    if (args.getFlag("critpath")) {
         critpathReport();
         // Bound-pruned rerun of the warm grid: the counters show how
         // many comparison points the analytic bracket decided without
@@ -339,9 +301,6 @@ main(int argc, char **argv)
         auto registry = std::make_shared<MetricsRegistry>();
         const auto saved = sweep.telemetry();
         sweep.withTelemetry(registry).withBoundPruning();
-        RunOptions warm;
-        warm.threads = runner.threads();
-        warm.iterations = kIterations;
         sweep.run(warm);
         sweep.withBoundPruning(false).withTelemetry(saved);
         std::cerr << "prune: "
@@ -352,107 +311,12 @@ main(int argc, char **argv)
                   << " points\n";
     }
 
-    bool critpathGuardFailed = false;
-    if (runner.args().given("critpath-baseline") ||
-        runner.args().given("critpath-check")) {
-        const double overhead = measureRecordingOverhead(sweep);
-        std::cerr << "critpath recording overhead (warm A/B): "
-                  << TextTable::num(overhead) << "% on-cost\n";
-        if (runner.args().given("critpath-baseline")) {
-            const std::string path =
-                runner.args().get("critpath-baseline");
-            std::ofstream out(path);
-            if (!out)
-                LERGAN_FATAL("cannot write critpath baseline '", path,
-                             "'");
-            out << "{\n  \"schema\": \"lergan-critpath-overhead/1\",\n"
-                << "  \"recording_overhead_pct\": "
-                << TextTable::num(overhead) << "\n}\n";
-            std::cerr << "critpath baseline -> " << path << "\n";
-        }
-        if (runner.args().given("critpath-check")) {
-            // The committed number is a same-machine-family reference;
-            // the 4-point allowance absorbs run-to-run and host noise
-            // while still catching a recording-path regression (which
-            // shows up as tens of points).
-            const std::string path = runner.args().get("critpath-check");
-            std::ifstream in(path);
-            if (!in)
-                LERGAN_FATAL("--critpath-check: cannot read baseline '",
-                             path, "'");
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            const std::string key = "\"recording_overhead_pct\": ";
-            const std::size_t at = buffer.str().find(key);
-            if (at == std::string::npos)
-                LERGAN_FATAL("--critpath-check: no recording_overhead_"
-                             "pct in '",
-                             path, "'");
-            const double committed = std::strtod(
-                buffer.str().c_str() + at + key.size(), nullptr);
-            critpathGuardFailed = overhead > committed + 4.0;
-            std::cerr << "critpath guard: measured "
-                      << TextTable::num(overhead)
-                      << "% vs committed baseline "
-                      << TextTable::num(committed) << "% (allowance +4): "
-                      << (critpathGuardFailed ? "REGRESSION" : "ok")
-                      << "\n";
-        }
-    }
+    const int rc = args.given("bench-json") || args.given("bench-check")
+                       ? perfGuard(args, sweep, warm, benchWorkers)
+                       : 0;
 
-    bool tracingGuardFailed = false;
-    if (runner.args().given("tracing-baseline") ||
-        runner.args().given("tracing-check")) {
-        const double overhead =
-            measureTracingOverhead(sweep, runner.threads());
-        std::cerr << "tracing overhead (warm A/B): "
-                  << TextTable::num(overhead) << "% on-cost\n";
-        if (runner.args().given("tracing-baseline")) {
-            const std::string path =
-                runner.args().get("tracing-baseline");
-            std::ofstream out(path);
-            if (!out)
-                LERGAN_FATAL("cannot write tracing baseline '", path,
-                             "'");
-            out << "{\n  \"schema\": \"lergan-tracing-overhead/1\",\n"
-                << "  \"tracing_overhead_pct\": "
-                << TextTable::num(overhead) << "\n}\n";
-            std::cerr << "tracing baseline -> " << path << "\n";
-        }
-        if (runner.args().given("tracing-check")) {
-            // The acceptance budget is 3% median host-ms/point; the
-            // committed number is typically ~0, so the guard allows
-            // max(3% absolute, committed + 2 points) to absorb host
-            // noise while catching a hot-path regression.
-            const std::string path = runner.args().get("tracing-check");
-            std::ifstream in(path);
-            if (!in)
-                LERGAN_FATAL("--tracing-check: cannot read baseline '",
-                             path, "'");
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            const std::string key = "\"tracing_overhead_pct\": ";
-            const std::size_t at = buffer.str().find(key);
-            if (at == std::string::npos)
-                LERGAN_FATAL("--tracing-check: no tracing_overhead_pct "
-                             "in '",
-                             path, "'");
-            const double committed = std::strtod(
-                buffer.str().c_str() + at + key.size(), nullptr);
-            const double ceiling = std::max(3.0, committed + 2.0);
-            tracingGuardFailed = overhead > ceiling;
-            std::cerr << "tracing guard: measured "
-                      << TextTable::num(overhead)
-                      << "% vs committed baseline "
-                      << TextTable::num(committed) << "% (ceiling "
-                      << TextTable::num(ceiling) << "%): "
-                      << (tracingGuardFailed ? "REGRESSION" : "ok")
-                      << "\n";
-        }
-    }
-
-    if (runner.args().given("trace"))
-        exportCounterTrace(runner.args().get("trace"),
+    if (args.given("trace"))
+        exportCounterTrace(args.get("trace"),
                            runner.obs().recorder().get());
 
     std::map<std::pair<std::string, std::string>, double> msPerIter;
@@ -485,6 +349,6 @@ main(int argc, char **argv)
                   TextTable::num(m_ns.value()) + "x"});
     table.print(std::cout);
     std::cout << "\npaper: high-degree average 7.46x; equal-space 2.1x\n";
-    const int rc = runner.finish();
-    return critpathGuardFailed || tracingGuardFailed ? 1 : rc;
+    runner.finish();
+    return rc;
 }

@@ -8,8 +8,6 @@
  * least.
  */
 
-#include <sstream>
-
 #include "runner.hh"
 
 int
@@ -17,35 +15,29 @@ main(int argc, char **argv)
 {
     using namespace lergan;
     using namespace lergan::bench;
-    Runner runner("fig21", "Fig. 21: LerGAN vs FPGA-GAN and GPU (speedup)",
+    Runner runner("Fig. 21: LerGAN vs FPGA-GAN and GPU (speedup)",
                   "avg 47.2x over FPGA-GAN, 21.42x over GPU");
     runner.parse(argc, argv, "Fig. 21 reproduction");
 
-    const std::string text =
-        runner.measure(allBenchmarks().size() * 3, [&] {
-            TextTable table({"benchmark", "LerGAN ms/iter", "vs FPGA-GAN",
-                             "vs GPU"});
-            Mean m_fpga, m_gpu;
-            const SimulationSession session(
-                AcceleratorConfig::lerGan(ReplicaDegree::High));
-            for (const GanModel &model : allBenchmarks()) {
-                const double lergan =
-                    session.run(model, kIterations).timeMs();
-                const double fpga = simulateFpgaGan(model).timeMs();
-                const double gpu = simulateGpu(model).timeMs();
-                m_fpga.add(fpga / lergan);
-                m_gpu.add(gpu / lergan);
-                table.addRow({model.name, TextTable::num(lergan, 3),
-                              TextTable::num(fpga / lergan) + "x",
-                              TextTable::num(gpu / lergan) + "x"});
-            }
-            table.addRow({"MEAN (paper 47.2 / 21.42)", "",
-                          TextTable::num(m_fpga.value()) + "x",
-                          TextTable::num(m_gpu.value()) + "x"});
-            std::ostringstream out;
-            table.print(out);
-            return out.str();
-        });
-    std::cout << text;
-    return runner.finish();
+    TextTable table({"benchmark", "LerGAN ms/iter", "vs FPGA-GAN",
+                     "vs GPU"});
+    Mean m_fpga, m_gpu;
+    const SimulationSession session(
+        AcceleratorConfig::lerGan(ReplicaDegree::High));
+    for (const GanModel &model : allBenchmarks()) {
+        const double lergan =
+            session.run(model, kIterations).timeMs();
+        const double fpga = simulateFpgaGan(model).timeMs();
+        const double gpu = simulateGpu(model).timeMs();
+        m_fpga.add(fpga / lergan);
+        m_gpu.add(gpu / lergan);
+        table.addRow({model.name, TextTable::num(lergan, 3),
+                      TextTable::num(fpga / lergan) + "x",
+                      TextTable::num(gpu / lergan) + "x"});
+    }
+    table.addRow({"MEAN (paper 47.2 / 21.42)", "",
+                  TextTable::num(m_fpga.value()) + "x",
+                  TextTable::num(m_gpu.value()) + "x"});
+    table.print(std::cout);
+    runner.finish();
 }

@@ -1,9 +1,13 @@
 #include "runner.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/json.hh"
@@ -15,6 +19,8 @@ namespace lergan {
 namespace bench {
 
 namespace {
+
+const std::string kSchemaLine = "\"schema\": \"lergan-bench/3\"";
 
 /** Nearest-rank percentile of an unsorted sample set (q in [0,1]). */
 double
@@ -54,21 +60,34 @@ num(double value)
 }
 
 std::string
-formatEntry(const std::string &label, const std::string &commit,
-            std::size_t grid_points, int iterations,
-            unsigned hardware_threads,
-            const std::vector<BenchMeasurement> &measurements)
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        LERGAN_FATAL("bench-json: cannot read '", path, "'");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+std::string
+formatEntry(const BenchEntry &entry)
 {
     std::ostringstream os;
     os << "    {\n";
-    os << "      \"label\": \"" << JsonWriter::escape(label) << "\",\n";
-    os << "      \"commit\": \"" << JsonWriter::escape(commit) << "\",\n";
-    os << "      \"grid_points\": " << grid_points << ",\n";
-    os << "      \"iterations\": " << iterations << ",\n";
-    os << "      \"hardware_threads\": " << hardware_threads << ",\n";
+    os << "      \"label\": \"" << JsonWriter::escape(entry.label)
+       << "\",\n";
+    os << "      \"commit\": \"" << JsonWriter::escape(entry.commit)
+       << "\",\n";
+    os << "      \"grid_points\": " << entry.gridPoints << ",\n";
+    os << "      \"iterations\": " << entry.iterations << ",\n";
+    os << "      \"hardware_threads\": " << entry.hardwareThreads << ",\n";
+    os << "      \"overheads_pct\": { \"critpath_recording\": "
+       << num(entry.critpathRecordingPct)
+       << ", \"tracing\": " << num(entry.tracingPct) << " },\n";
     os << "      \"measurements\": [\n";
-    for (std::size_t i = 0; i < measurements.size(); ++i) {
-        const BenchMeasurement &m = measurements[i];
+    for (std::size_t i = 0; i < entry.measurements.size(); ++i) {
+        const BenchMeasurement &m = entry.measurements[i];
         os << "        {\n";
         os << "          \"workers\": " << m.workers << ",\n";
         os << "          \"repetitions\": " << m.repetitions << ",\n";
@@ -91,7 +110,7 @@ formatEntry(const std::string &label, const std::string &commit,
             first = false;
         }
         os << (first ? "}" : " }") << "\n";
-        os << "        }" << (i + 1 < measurements.size() ? "," : "")
+        os << "        }" << (i + 1 < entry.measurements.size() ? "," : "")
            << "\n";
     }
     os << "      ]\n";
@@ -99,105 +118,41 @@ formatEntry(const std::string &label, const std::string &commit,
     return os.str();
 }
 
+/**
+ * The number after `"key": ` in text[from, to), or nothing when the key
+ * is absent there. Keys cannot match inside string values: the writer
+ * escapes every quote in them.
+ */
+std::optional<double>
+findNumber(const std::string &text, const std::string &key,
+           std::size_t from, std::size_t to)
+{
+    const std::string quoted = "\"" + key + "\": ";
+    const std::size_t at = text.find(quoted, from);
+    if (at == std::string::npos || at >= to)
+        return std::nullopt;
+    const char *begin = text.c_str() + at + quoted.size();
+    char *end = nullptr;
+    const double value = std::strtod(begin, &end);
+    if (end == begin)
+        LERGAN_FATAL("bench-json: \"", key, "\" is not a number");
+    return value;
+}
+
+double
+requireNumber(const std::string &text, const std::string &key,
+              std::size_t from, std::size_t to)
+{
+    const std::optional<double> value = findNumber(text, key, from, to);
+    if (!value)
+        LERGAN_FATAL("bench-json: newest entry has no \"", key, "\"");
+    return *value;
+}
+
 } // namespace
 
-void
-writeBenchJson(const std::string &path, const std::string &bench,
-               const std::string &label, const std::string &commit,
-               std::size_t grid_points, int iterations,
-               unsigned hardware_threads,
-               const std::vector<BenchMeasurement> &measurements,
-               bool append)
-{
-    const std::string entry = formatEntry(
-        label, commit, grid_points, iterations, hardware_threads,
-        measurements);
-
-    std::string content;
-    if (append) {
-        std::ifstream in(path);
-        if (!in)
-            LERGAN_FATAL("--bench-append: cannot read '", path, "'");
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-        // Appending to a schema/1 file upgrades the header in place:
-        // /2 only adds fields, so the old entries stay valid (they
-        // simply lack hardware_threads / scaling_efficiency).
-        const std::string oldSchema = "\"schema\": \"lergan-bench/1\"";
-        const std::size_t schemaAt = content.find(oldSchema);
-        if (schemaAt != std::string::npos)
-            content.replace(schemaAt, oldSchema.size(),
-                            "\"schema\": \"lergan-bench/2\"");
-        // The writer's own tail is the splice anchor; anything else
-        // means the file was not produced (or was edited) by us.
-        const std::string tail = "\n  ]\n}";
-        const std::size_t pos = content.rfind(tail);
-        if (pos == std::string::npos)
-            LERGAN_FATAL("--bench-append: '", path,
-                         "' does not end with a bench-json entries "
-                         "array");
-        content.insert(pos, ",\n" + entry);
-    } else {
-        std::ostringstream os;
-        os << "{\n";
-        os << "  \"schema\": \"lergan-bench/2\",\n";
-        os << "  \"bench\": \"" << JsonWriter::escape(bench) << "\",\n";
-        os << "  \"entries\": [\n";
-        os << entry << "\n";
-        os << "  ]\n}\n";
-        content = os.str();
-    }
-
-    std::string error;
-    if (!isValidJson(content, &error))
-        LERGAN_FATAL("bench-json writer produced invalid JSON for '",
-                     path, "': ", error);
-
-    std::ofstream out(path);
-    if (!out)
-        LERGAN_FATAL("cannot write bench-json file '", path, "'");
-    out << content;
-}
-
-double
-lastOneWorkerPointsPerSec(const std::string &bench_json_text)
-{
-    const std::string anchor = "\"workers\": 1,";
-    const std::size_t at = bench_json_text.rfind(anchor);
-    if (at == std::string::npos)
-        return -1.0;
-    const std::string key = "\"points_per_sec\": ";
-    const std::size_t keyAt = bench_json_text.find(key, at);
-    if (keyAt == std::string::npos)
-        return -1.0;
-    return std::strtod(bench_json_text.c_str() + keyAt + key.size(),
-                       nullptr);
-}
-
-double
-lastScalingEfficiency(const std::string &bench_json_text, int workers)
-{
-    const std::string anchor =
-        "\"workers\": " + std::to_string(workers) + ",";
-    const std::size_t at = bench_json_text.rfind(anchor);
-    if (at == std::string::npos)
-        return -1.0;
-    const std::string key = "\"scaling_efficiency\": ";
-    const std::size_t keyAt = bench_json_text.find(key, at);
-    // The field is optional (schema/1 entries lack it), so the search
-    // must not run past this measurement object into the next one.
-    const std::size_t objEnd = bench_json_text.find('}', at);
-    if (keyAt == std::string::npos || keyAt > objEnd)
-        return -1.0;
-    return std::strtod(bench_json_text.c_str() + keyAt + key.size(),
-                       nullptr);
-}
-
-Runner::Runner(std::string bench_name, std::string title,
-               std::string paper_claim)
-    : benchName_(std::move(bench_name)), title_(std::move(title)),
-      paperClaim_(std::move(paper_claim))
+Runner::Runner(std::string title, std::string paper_claim)
+    : title_(std::move(title)), paperClaim_(std::move(paper_claim))
 {
 }
 
@@ -206,29 +161,6 @@ Runner::parse(int argc, char **argv, const std::string &program_doc)
 {
     args_.addOption("threads", "worker threads (0 = hardware threads)",
                     "0");
-    args_.addOption("bench-json",
-                    "measure host performance (points/sec, p50/p95 host "
-                    "ms/point) and write a BENCH_*.json entry to this "
-                    "file");
-    args_.addOption("bench-append",
-                    "append the entry to an existing --bench-json file",
-                    "", /*is_flag=*/true);
-    args_.addOption("bench-label",
-                    "label recorded in the bench-json entry", "current");
-    args_.addOption("bench-commit",
-                    "commit id recorded in the bench-json entry",
-                    "unknown");
-    args_.addOption("bench-workers",
-                    "comma-separated worker counts to measure (0 = "
-                    "hardware threads)",
-                    "1,2,4,8");
-    args_.addOption("bench-repeats",
-                    "timed repetitions per measured worker count", "3");
-    args_.addOption("bench-check",
-                    "perf-regression guard: fail when measured 1-worker "
-                    "points/sec (or any measured multi-worker scaling "
-                    "efficiency) drops >20% below this committed "
-                    "BENCH_*.json baseline");
     Observability::addOptions(args_);
     args_.parse(argc, argv, program_doc);
     obs_ = std::make_unique<Observability>(args_);
@@ -248,31 +180,6 @@ Runner::threads() const
     return args_.getInt("threads");
 }
 
-bool
-Runner::measurementWanted() const
-{
-    return args_.given("bench-json") || args_.given("bench-check");
-}
-
-std::vector<int>
-Runner::measuredWorkerCounts() const
-{
-    std::vector<int> counts;
-    for (const std::string &item : split(args_.get("bench-workers"), ',')) {
-        if (item.empty())
-            continue;
-        int workers = std::atoi(item.c_str());
-        if (workers <= 0)
-            workers = static_cast<int>(defaultThreadCount());
-        if (std::find(counts.begin(), counts.end(), workers) ==
-            counts.end())
-            counts.push_back(workers);
-    }
-    if (counts.empty())
-        counts.push_back(1);
-    return counts;
-}
-
 std::vector<SweepResult>
 Runner::runSweep(ExperimentSweep &sweep, int iterations)
 {
@@ -290,32 +197,76 @@ Runner::runSweep(ExperimentSweep &sweep, int iterations)
     options.pointTelemetry = obs().anomaliesWanted();
     auto results = sweep.run(options);
     obs().reportSweep(results);
-
-    if (measurementWanted())
-        measureSweep(sweep, iterations);
     return results;
 }
 
 void
-Runner::measureSweep(ExperimentSweep &sweep, int iterations)
+Runner::finish()
 {
-    measuredIterations_ = iterations;
-    // Measurement runs are silent and unobserved: no telemetry, no
-    // tracing, no progress — the product-default fast path is the
-    // measured one.
-    const auto registry = sweep.telemetry();
-    const auto recorder = sweep.recorder();
-    sweep.withTelemetry(nullptr);
-    sweep.withTracing(nullptr);
+    obs().finish();
+}
 
+double
+abOverheadPct(const std::function<void()> &off,
+              const std::function<void()> &on)
+{
+    off(); // warm-up both sides before timing
+    on();
+    // Per-pair ratios: host-frequency drift hits the off and on halves
+    // of one back-to-back pair equally, so pairwise ratios are far more
+    // stable than a ratio of independent minima; the median then
+    // rejects outlier pairs in either direction.
+    std::vector<double> overheads;
+    for (int pair = 0; pair < 15; ++pair) {
+        PerfTimer timer;
+        off();
+        const double offMs = timer.elapsedMs();
+        timer.restart();
+        on();
+        const double onMs = timer.elapsedMs();
+        if (offMs > 0.0)
+            overheads.push_back(100.0 * (onMs - offMs) / offMs);
+    }
+    return percentile(overheads, 0.5);
+}
+
+std::vector<int>
+parseWorkerCounts(const std::string &list)
+{
+    std::vector<int> counts;
+    for (const std::string &item : split(list, ',')) {
+        // Six digits bound the value well inside int.
+        const bool digits =
+            !item.empty() && item.size() <= 6 &&
+            std::all_of(item.begin(), item.end(), [](unsigned char c) {
+                return std::isdigit(c) != 0;
+            });
+        if (!digits)
+            LERGAN_FATAL("--bench-workers expects comma-separated worker "
+                         "counts (0 = hardware threads), got '",
+                         list, "'");
+        int workers = std::stoi(item);
+        if (workers == 0)
+            workers = static_cast<int>(defaultThreadCount());
+        if (std::find(counts.begin(), counts.end(), workers) ==
+            counts.end())
+            counts.push_back(workers);
+    }
+    return counts;
+}
+
+std::vector<BenchMeasurement>
+measureSweep(ExperimentSweep &sweep, int iterations,
+             const std::vector<int> &workers, int repeats)
+{
     HostProfiler &profiler = HostProfiler::global();
     const bool wasEnabled = profiler.enabled();
     profiler.enable();
 
-    const int repeats = std::max(1, args_.getInt("bench-repeats"));
-    for (int workers : measuredWorkerCounts()) {
+    std::vector<BenchMeasurement> measurements;
+    for (int count : workers) {
         RunOptions options;
-        options.threads = workers;
+        options.threads = count;
         options.iterations = iterations;
         options.pointTelemetry = true;
 
@@ -330,12 +281,10 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
                 pointMs.push_back(result.telemetry.hostMs);
         }
         const double wallMs = timer.elapsedMs();
-        const auto phasesAfter = profiler.stats();
 
         BenchMeasurement m;
-        m.workers = workers;
+        m.workers = count;
         m.repetitions = repeats;
-        m.points = sweep.pointCount();
         m.wallMs = wallMs;
         m.pointsPerSec =
             wallMs > 0.0 ? static_cast<double>(pointMs.size()) /
@@ -343,177 +292,182 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
                          : 0.0;
         m.p50HostMsPerPoint = percentile(pointMs, 0.5);
         m.p95HostMsPerPoint = percentile(pointMs, 0.95);
-        m.hostPhasesMs = phaseDeltaMs(phasesBefore, phasesAfter);
-        measurements_.push_back(m);
+        m.hostPhasesMs = phaseDeltaMs(phasesBefore, profiler.stats());
+        measurements.push_back(m);
 
-        std::cerr << "bench: " << benchName_ << " workers=" << workers
-                  << " " << num(m.pointsPerSec) << " points/sec (p50 "
+        std::cerr << "bench: workers=" << count << " "
+                  << num(m.pointsPerSec) << " points/sec (p50 "
                   << num(m.p50HostMsPerPoint) << " ms/point, p95 "
                   << num(m.p95HostMsPerPoint) << " ms/point)\n";
     }
-
     profiler.enable(wasEnabled);
-    sweep.withTelemetry(registry);
-    sweep.withTracing(recorder);
-}
 
-void
-Runner::measureBody(std::size_t points, const std::function<void()> &body)
-{
-    HostProfiler &profiler = HostProfiler::global();
-    const bool wasEnabled = profiler.enabled();
-    profiler.enable();
-
-    const int repeats = std::max(1, args_.getInt("bench-repeats"));
-    body(); // warm-up
-
-    const auto phasesBefore = profiler.stats();
-    std::vector<double> repMsPerPoint;
-    PerfTimer timer;
-    for (int rep = 0; rep < repeats; ++rep) {
-        PerfTimer repTimer;
-        body();
-        if (points > 0)
-            repMsPerPoint.push_back(repTimer.elapsedMs() /
-                                    static_cast<double>(points));
-    }
-    const double wallMs = timer.elapsedMs();
-    const auto phasesAfter = profiler.stats();
-
-    BenchMeasurement m;
-    m.workers = 1;
-    m.repetitions = repeats;
-    m.points = points;
-    m.wallMs = wallMs;
-    m.pointsPerSec =
-        wallMs > 0.0
-            ? static_cast<double>(points) * repeats / (wallMs / 1e3)
-            : 0.0;
-    // No per-point host times outside the sweep engine: the percentiles
-    // describe per-repetition ms/point instead (documented in the
-    // header).
-    m.p50HostMsPerPoint = percentile(repMsPerPoint, 0.5);
-    m.p95HostMsPerPoint = percentile(repMsPerPoint, 0.95);
-    m.hostPhasesMs = phaseDeltaMs(phasesBefore, phasesAfter);
-    measurements_.push_back(m);
-
-    std::cerr << "bench: " << benchName_ << " " << num(m.pointsPerSec)
-              << " points/sec\n";
-
-    profiler.enable(wasEnabled);
-}
-
-void
-Runner::computeScalingEfficiencies()
-{
-    const BenchMeasurement *one = nullptr;
-    for (const BenchMeasurement &m : measurements_)
-        if (m.workers == 1) {
-            one = &m;
-            break;
-        }
-    if (!one || one->pointsPerSec <= 0.0)
-        return; // no 1-worker reference in this run
+    const auto one = std::find_if(
+        measurements.begin(), measurements.end(),
+        [](const BenchMeasurement &m) { return m.workers == 1; });
+    if (one == measurements.end() || one->pointsPerSec <= 0.0)
+        return measurements; // no 1-worker reference in this run
     // Normalize by the cores actually available: W workers on an
     // H-core machine can at best run min(W, H) points concurrently, so
     // ideal is 1.0 on every machine and oversubscribed counts are not
     // penalized for the cores they do not have.
+    const double oneRate = one->pointsPerSec;
     const double hw = static_cast<double>(defaultThreadCount());
-    for (BenchMeasurement &m : measurements_) {
-        const double ideal =
-            one->pointsPerSec *
-            std::min(static_cast<double>(m.workers), hw);
-        m.scalingEfficiency = m.pointsPerSec / ideal;
-    }
+    for (BenchMeasurement &m : measurements)
+        m.scalingEfficiency =
+            m.pointsPerSec /
+            (oneRate * std::min(static_cast<double>(m.workers), hw));
+    return measurements;
 }
 
 void
-Runner::applyScalingGuard(const std::string &baseline_text)
+writeBenchJson(const std::string &path, const BenchEntry &entry,
+               bool append)
 {
-    for (const BenchMeasurement &m : measurements_) {
-        if (m.workers == 1 || m.scalingEfficiency < 0.0)
+    std::string content;
+    if (append) {
+        content = readFile(path);
+        if (content.find(kSchemaLine) == std::string::npos)
+            LERGAN_FATAL("--bench-append: '", path,
+                         "' is not a lergan-bench/3 file");
+        // The writer's own tail is the splice anchor; anything else
+        // means the file was not produced (or was edited) by us.
+        const std::string tail = "\n  ]\n}";
+        const std::size_t pos = content.rfind(tail);
+        if (pos == std::string::npos)
+            LERGAN_FATAL("--bench-append: '", path,
+                         "' does not end with a bench-json entries "
+                         "array");
+        content.insert(pos, ",\n" + formatEntry(entry));
+    } else {
+        content = "{\n  " + kSchemaLine +
+                  ",\n  \"bench\": \"fig19\",\n  \"entries\": [\n" +
+                  formatEntry(entry) + "\n  ]\n}\n";
+    }
+
+    std::string error;
+    if (!isValidJson(content, &error))
+        LERGAN_FATAL("bench-json writer produced invalid JSON for '",
+                     path, "': ", error);
+
+    std::ofstream out(path);
+    if (!out)
+        LERGAN_FATAL("cannot write bench-json file '", path, "'");
+    out << content;
+}
+
+BenchEntry
+readNewestBenchEntry(const std::string &path)
+{
+    const std::string text = readFile(path);
+    if (text.find(kSchemaLine) == std::string::npos)
+        LERGAN_FATAL("bench-json: '", path,
+                     "' is not a lergan-bench/3 file");
+    // Entries are appended, so the newest one runs from the last label
+    // to the end of the file.
+    const std::size_t begin = text.rfind("\"label\": ");
+    const std::size_t list =
+        begin == std::string::npos ? std::string::npos
+                                   : text.find("\"measurements\": ", begin);
+    if (list == std::string::npos)
+        LERGAN_FATAL("bench-json: '", path, "' has no complete entry");
+
+    BenchEntry entry;
+    entry.critpathRecordingPct =
+        requireNumber(text, "critpath_recording", begin, list);
+    entry.tracingPct = requireNumber(text, "tracing", begin, list);
+    const std::string workersKey = "\"workers\": ";
+    for (std::size_t at = text.find(workersKey, list);
+         at != std::string::npos;) {
+        const std::size_t next = text.find(workersKey, at + 1);
+        const std::size_t stop = next == std::string::npos ? text.size()
+                                                           : next;
+        const double workers = requireNumber(text, "workers", at, stop);
+        if (!(workers >= 1.0 && workers <= INT_MAX) ||
+            workers != std::floor(workers))
+            LERGAN_FATAL("bench-json: bad worker count in '", path, "'");
+        BenchMeasurement m;
+        m.workers = static_cast<int>(workers);
+        m.pointsPerSec = requireNumber(text, "points_per_sec", at, stop);
+        m.scalingEfficiency =
+            findNumber(text, "scaling_efficiency", at, stop)
+                .value_or(-1.0);
+        entry.measurements.push_back(m);
+        at = next;
+    }
+    return entry;
+}
+
+std::vector<GuardVerdict>
+guardVerdicts(const BenchEntry &committed, const BenchEntry &measured)
+{
+    const auto byWorkers = [](const BenchEntry &entry,
+                              int workers) -> const BenchMeasurement * {
+        for (const BenchMeasurement &m : entry.measurements)
+            if (m.workers == workers)
+                return &m;
+        return nullptr;
+    };
+    const auto verdict = [](const std::string &what, double value,
+                            double baseline, const char *unit,
+                            const char *bound, double limit, bool ok) {
+        return GuardVerdict{"perf guard: " + what + " " + num(value) +
+                                unit + " vs committed baseline " +
+                                num(baseline) + unit + " (" + bound +
+                                " " + num(limit) + unit +
+                                "): " + (ok ? "ok" : "REGRESSION"),
+                            ok};
+    };
+    std::vector<GuardVerdict> verdicts;
+
+    // Throughput: the 1-worker rate is the least scheduler-noisy one.
+    const BenchMeasurement *base = byWorkers(committed, 1);
+    if (!base || base->pointsPerSec <= 0.0)
+        LERGAN_FATAL("--bench-check: the newest entry has no 1-worker "
+                     "points_per_sec");
+    const BenchMeasurement *one = byWorkers(measured, 1);
+    if (!one && !measured.measurements.empty())
+        one = &measured.measurements.front();
+    if (one) {
+        const double floor = base->pointsPerSec * 0.8;
+        verdicts.push_back(verdict(
+            std::to_string(one->workers) + "-worker points/sec",
+            one->pointsPerSec, base->pointsPerSec, "", "floor", floor,
+            one->pointsPerSec >= floor));
+    }
+
+    // Scaling: a contention regression shows up here even when
+    // 1-worker throughput is intact.
+    for (const BenchMeasurement &m : measured.measurements) {
+        const BenchMeasurement *ref = byWorkers(committed, m.workers);
+        if (m.workers == 1 || m.scalingEfficiency < 0.0 || !ref ||
+            ref->scalingEfficiency <= 0.0)
             continue;
-        const double committed =
-            lastScalingEfficiency(baseline_text, m.workers);
-        if (committed <= 0.0)
-            continue; // baseline predates the scaling schema
-        const double floor = committed * 0.8;
-        const bool ok = m.scalingEfficiency >= floor;
-        std::cerr << "perf guard: " << m.workers
-                  << "-worker scaling efficiency "
-                  << num(m.scalingEfficiency)
-                  << " vs committed baseline " << num(committed)
-                  << " (floor " << num(floor) << "): "
-                  << (ok ? "ok" : "REGRESSION") << "\n";
-        if (!ok)
-            guardFailed_ = true;
-    }
-}
-
-void
-Runner::applyGuard(const BenchMeasurement &measured)
-{
-    guardRan_ = true;
-    const std::string path = args_.get("bench-check");
-    std::ifstream in(path);
-    if (!in)
-        LERGAN_FATAL("--bench-check: cannot read baseline '", path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const double baseline = lastOneWorkerPointsPerSec(buffer.str());
-    if (baseline <= 0.0)
-        LERGAN_FATAL("--bench-check: no 1-worker points_per_sec entry "
-                     "in '",
-                     path, "'");
-    const double floor = baseline * 0.8;
-    const bool ok = measured.pointsPerSec >= floor;
-    std::cerr << "perf guard: measured " << num(measured.pointsPerSec)
-              << " points/sec vs committed baseline " << num(baseline)
-              << " (floor " << num(floor) << "): "
-              << (ok ? "ok" : "REGRESSION") << "\n";
-    if (!ok)
-        guardFailed_ = true;
-}
-
-int
-Runner::finish()
-{
-    computeScalingEfficiencies();
-
-    if (args_.given("bench-check") && !measurements_.empty()) {
-        // Guard against the 1-worker measurement when present (it is
-        // the least scheduler-noisy one), else the first.
-        const BenchMeasurement *oneWorker = nullptr;
-        for (const BenchMeasurement &m : measurements_)
-            if (m.workers == 1) {
-                oneWorker = &m;
-                break;
-            }
-        applyGuard(oneWorker ? *oneWorker : measurements_.front());
-        // Second half of the guard: every measured multi-worker count
-        // must hold its committed scaling efficiency.
-        std::ifstream in(args_.get("bench-check"));
-        if (in) {
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            applyScalingGuard(buffer.str());
-        }
+        const double floor = ref->scalingEfficiency * 0.8;
+        verdicts.push_back(verdict(
+            std::to_string(m.workers) + "-worker scaling efficiency",
+            m.scalingEfficiency, ref->scalingEfficiency, "", "floor",
+            floor, m.scalingEfficiency >= floor));
     }
 
-    if (args_.given("bench-json")) {
-        LERGAN_ASSERT(!measurements_.empty(),
-                      "--bench-json given but the bench never ran a "
-                      "measurable workload");
-        writeBenchJson(args_.get("bench-json"), benchName_,
-                       args_.get("bench-label"),
-                       args_.get("bench-commit"),
-                       measurements_.front().points,
-                       measuredIterations_, defaultThreadCount(),
-                       measurements_, args_.getFlag("bench-append"));
-    }
+    // Recording costs a meaningful relative share of a ~80 ns/task
+    // loop, so the guard is on the ratio: 4 points absorb host noise
+    // while a recording-path regression shows up as tens of points.
+    const double recordingCeiling = committed.critpathRecordingPct + 4.0;
+    verdicts.push_back(verdict(
+        "critpath recording overhead", measured.critpathRecordingPct,
+        committed.critpathRecordingPct, "%", "ceiling", recordingCeiling,
+        measured.critpathRecordingPct <= recordingCeiling));
 
-    obs().finish();
-    return guardFailed_ ? 1 : 0;
+    // Tracing's budget is 3% host-ms/point; the committed number is
+    // typically ~0, so 2 points over it would be inside host noise.
+    const double tracingCeiling =
+        std::max(3.0, committed.tracingPct + 2.0);
+    verdicts.push_back(verdict("tracing overhead", measured.tracingPct,
+                               committed.tracingPct, "%", "ceiling",
+                               tracingCeiling,
+                               measured.tracingPct <= tracingCeiling));
+    return verdicts;
 }
 
 } // namespace bench

@@ -1,41 +1,35 @@
 /**
  * @file
- * Unified driver for the figure/table bench binaries.
+ * Unified driver for the figure/table bench binaries, plus the pieces of
+ * the fig19 host-performance guard.
  *
  * Every bench used to copy-paste the same plumbing: an ArgParser, the
  * shared Observability options, a --threads knob for sweep-based grids
- * and the final export calls. bench::Runner owns all of that, plus the
- * host-performance measurement facility behind --bench-json: any bench
- * built on the Runner can emit a machine-readable points/sec +
- * p50/p95-host-ms-per-point entry (schema below) without writing a line
- * of measurement code.
+ * and the final export calls. bench::Runner owns all of that.
  *
  * Usage (sweep-based bench):
  * @code
- *   bench::Runner runner("fig19", "Fig. 19: ...", "paper claim ...");
+ *   bench::Runner runner("Fig. 19: ...", "paper claim ...");
  *   runner.args().addOption("trace", "...");     // bench-specific flags
  *   runner.parse(argc, argv, "Fig. 19 reproduction");
  *   ExperimentSweep sweep;  ...build grid...
  *   const auto results = runner.runSweep(sweep, kIterations);
  *   ...print tables from results...
- *   return runner.finish();
+ *   runner.finish();
  * @endcode
  *
- * Non-sweep benches wrap their simulation work in measure():
- * @code
- *   const auto rows = runner.measure(points, [&] { ...simulate...; });
- *   ...print rows...
- * @endcode
- *
+ * The perf guard belongs to fig19 alone, the paper's headline grid
+ * (bench/fig19_lergan_vs_prime.cc declares its --bench-* options).
  * --bench-json FILE writes (or, with --bench-append, appends an entry
- * to) a BENCH_*.json performance-trajectory file:
+ * to) the BENCH_fig19.json performance trajectory:
  *
  *   {
- *     "schema": "lergan-bench/2",
+ *     "schema": "lergan-bench/3",
  *     "bench": "fig19",
  *     "entries": [
  *       { "label": "scaling", "commit": "<sha>", "grid_points": 48,
  *         "iterations": 10, "hardware_threads": 8,
+ *         "overheads_pct": { "critpath_recording": ..., "tracing": ... },
  *         "measurements": [
  *           { "workers": 1, "repetitions": 3, "wall_ms": ...,
  *             "points_per_sec": ..., "scaling_efficiency": ...,
@@ -46,28 +40,19 @@
  *       ... ]
  *   }
  *
- * Schema lergan-bench/2 added "hardware_threads" (the measuring
- * machine's defaultThreadCount()) per entry and "scaling_efficiency"
- * per measurement. Efficiency is points/sec at W workers divided by
- * (1-worker points/sec × min(W, hardware_threads)) — 1.0 means the
- * curve is ideal for the cores actually available, so the number stays
- * meaningful on machines with fewer cores than workers (oversubscribed
- * worker counts are expected to hold ~1.0, not W×). Appending to a
- * schema/1 file upgrades the schema line in place; old entries are
- * preserved and simply lack the new fields. Host wall-clock numbers
- * are facts about the machine that ran the bench; they are never part
- * of golden comparisons. The committed BENCH_*.json files track the
- * simulator's speed trajectory on the reference container
- * (scripts/bench_baseline.sh regenerates them).
+ * Scaling efficiency is points/sec at W workers divided by (1-worker
+ * points/sec × min(W, hardware_threads)) — 1.0 means the curve is ideal
+ * for the cores actually available. The two overheads are warm A/B
+ * on-costs measured by abOverheadPct(): critical-path recording
+ * (ExecRecord on vs off over the grid templates) and span tracing
+ * (FlightRecorder on vs off over the warm grid). Schema /3 added
+ * "overheads_pct"; older entries in the file lack it and are never read.
+ * Host wall-clock numbers are facts about the machine that ran the
+ * bench; they are never part of golden comparisons.
  *
- * --bench-check FILE is the perf-regression guard: it re-measures the
- * bench and fails the process (exit 1) when (a) the measured 1-worker
- * points/sec drops more than 20% below the last committed entry's
- * 1-worker baseline, or (b) any measured multi-worker scaling
- * efficiency drops more than 20% below the efficiency the last
- * committed entry records for that worker count (contention
- * regressions show up here even when 1-worker throughput is intact).
- * scripts/check.sh runs it at 1 and 4 workers (skippable via
+ * --bench-check FILE re-measures and fails the process (exit 1) when any
+ * of guardVerdicts()' four checks against the file's newest entry says
+ * REGRESSION. scripts/check.sh runs it at 1 and 4 workers (skippable via
  * LERGAN_SKIP_PERF_GUARD=1 for slow or noisy machines).
  */
 
@@ -77,6 +62,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,11 +72,55 @@
 namespace lergan {
 namespace bench {
 
-/** One timed configuration (worker count) of a bench's workload. */
+/** Unified bench driver: argument parsing and observability. */
+class Runner
+{
+  public:
+    /**
+     * @param title       banner headline.
+     * @param paper_claim banner "paper:" line.
+     */
+    Runner(std::string title, std::string paper_claim);
+
+    /** Declare bench-specific options here before parse(). */
+    ArgParser &args() { return args_; }
+
+    /**
+     * Declare the shared options (threads, observability), parse argv,
+     * construct the Observability plumbing and print the banner — the
+     * exact sequence every bench main used to open with.
+     */
+    void parse(int argc, char **argv, const std::string &program_doc);
+
+    /** The shared observability plumbing (valid after parse()). */
+    Observability &obs();
+
+    /** --threads value (0 = hardware concurrency). */
+    int threads() const;
+
+    /**
+     * Run @p sweep once under the shared flags (--threads, --metrics
+     * telemetry, --progress, tracing) and return the results for
+     * printing.
+     */
+    std::vector<SweepResult> runSweep(ExperimentSweep &sweep,
+                                      int iterations);
+
+    /** Export the Observability (--metrics / --self-profile / spans)
+     *  output; bench mains end with it. */
+    void finish();
+
+  private:
+    std::string title_;
+    std::string paperClaim_;
+    ArgParser args_;
+    std::unique_ptr<Observability> obs_;
+};
+
+/** One timed configuration (worker count) of the fig19 grid. */
 struct BenchMeasurement {
     int workers = 1;
     int repetitions = 0;
-    std::size_t points = 0;            ///< grid points per repetition
     double wallMs = 0.0;               ///< total wall time of the reps
     double pointsPerSec = 0.0;
     /**
@@ -106,131 +136,83 @@ struct BenchMeasurement {
     std::map<std::string, double> hostPhasesMs;
 };
 
-/** Unified bench driver: argument parsing, observability, perf. */
-class Runner
-{
-  public:
-    /**
-     * @param bench_name  short id recorded in the JSON entry ("fig19").
-     * @param title       banner headline.
-     * @param paper_claim banner "paper:" line.
-     */
-    Runner(std::string bench_name, std::string title,
-           std::string paper_claim);
-
-    /** Declare bench-specific options here before parse(). */
-    ArgParser &args() { return args_; }
-
-    /**
-     * Declare the shared options (threads, observability, bench-json),
-     * parse argv, construct the Observability plumbing and print the
-     * banner — the exact sequence every bench main used to open with.
-     */
-    void parse(int argc, char **argv, const std::string &program_doc);
-
-    /** The shared observability plumbing (valid after parse()). */
-    Observability &obs();
-
-    /** --threads value (0 = hardware concurrency). */
-    int threads() const;
-
-    /** True when --bench-json or --bench-check was given. */
-    bool measurementWanted() const;
-
-    /**
-     * Run @p sweep once under the shared flags (--threads, --metrics
-     * telemetry, --progress) and return the results for printing. When
-     * --bench-json / --bench-check is active, afterwards re-runs the
-     * (now warm) sweep per measured worker count — one warm-up plus
-     * --bench-repeats timed repetitions each — with per-point host
-     * telemetry, and records the measurements.
-     */
-    std::vector<SweepResult> runSweep(ExperimentSweep &sweep,
-                                      int iterations);
-
-    /**
-     * Non-sweep benches: run @p body once and return its result (the
-     * data the bench prints). When measurement is active, re-runs the
-     * body (warm-up + timed repetitions, single configuration at the
-     * --threads setting) and records a measurement over @p points
-     * simulated grid points; the percentile fields then describe
-     * per-repetition ms/point rather than true per-point times.
-     */
-    template <typename Fn>
-    auto
-    measure(std::size_t points, Fn &&body)
-    {
-        auto result = body();
-        if (measurementWanted())
-            measureBody(points, [&body] { (void)body(); });
-        return result;
-    }
-
-    /**
-     * Export everything: the --bench-json entry, the --bench-check
-     * verdict and the Observability (--metrics / --self-profile) output.
-     *
-     * @return the process exit code: 1 when the --bench-check guard
-     * detected a regression, else 0. Bench mains end with
-     * `return runner.finish();`.
-     */
-    int finish();
-
-  private:
-    void measureSweep(ExperimentSweep &sweep, int iterations);
-    void measureBody(std::size_t points,
-                     const std::function<void()> &body);
-    /** Worker counts to measure (--bench-workers, 0 = hardware). */
-    std::vector<int> measuredWorkerCounts() const;
-    /** Fill scalingEfficiency on every measurement from the 1-worker
-     *  reference (no-op when the run measured no 1-worker count). */
-    void computeScalingEfficiencies();
-    /** Apply the --bench-check guard against @p measured points/sec. */
-    void applyGuard(const BenchMeasurement &measured);
-    /** Apply the scaling-efficiency side of --bench-check against
-     *  every measured multi-worker count. */
-    void applyScalingGuard(const std::string &baseline_text);
-
-    std::string benchName_;
-    std::string title_;
-    std::string paperClaim_;
-    ArgParser args_;
-    std::unique_ptr<Observability> obs_;
-    std::vector<BenchMeasurement> measurements_;
-    int measuredIterations_ = kIterations;
-    bool guardFailed_ = false;
-    bool guardRan_ = false;
+/** One entry of BENCH_fig19.json (schema lergan-bench/3). */
+struct BenchEntry {
+    std::string label = "current";
+    std::string commit = "unknown";
+    std::size_t gridPoints = 0;
+    int iterations = kIterations;
+    unsigned hardwareThreads = 0;
+    /** Warm A/B on-cost of critical-path recording, in percent. */
+    double critpathRecordingPct = 0.0;
+    /** Warm A/B on-cost of span tracing, in percent. */
+    double tracingPct = 0.0;
+    std::vector<BenchMeasurement> measurements;
 };
 
 /**
- * Write one BENCH_*.json file (or append an entry to an existing one).
- * Exposed for tests; benches go through Runner::finish().
- *
- * @param append splice the entry into @p path's existing entries array
- *        instead of rewriting the file (fatal when the file does not
- *        end with the writer's own "\n  ]\n}" tail).
+ * The one A/B routine: run @p off and @p on once each to warm up, then
+ * 15 back-to-back off/on pairs, and return the median pairwise on-cost
+ * 100 × (on − off) / off, in percent.
  */
-void writeBenchJson(const std::string &path, const std::string &bench,
-                    const std::string &label, const std::string &commit,
-                    std::size_t grid_points, int iterations,
-                    unsigned hardware_threads,
-                    const std::vector<BenchMeasurement> &measurements,
+double abOverheadPct(const std::function<void()> &off,
+                     const std::function<void()> &on);
+
+/**
+ * Parse a --bench-workers list: comma-separated positive worker counts,
+ * 0 meaning the hardware thread count; duplicates collapse. Fatal on
+ * anything else.
+ */
+std::vector<int> parseWorkerCounts(const std::string &list);
+
+/**
+ * Time the (warm) @p sweep at each worker count: one warm-up run, then
+ * @p repeats timed runs with per-point host telemetry. Scaling
+ * efficiencies are filled in when @p workers includes 1. The caller
+ * detaches telemetry and tracing first, so the product-default fast path
+ * is the measured one.
+ */
+std::vector<BenchMeasurement> measureSweep(ExperimentSweep &sweep,
+                                           int iterations,
+                                           const std::vector<int> &workers,
+                                           int repeats);
+
+/**
+ * Write BENCH_fig19.json at @p path with @p entry as its only entry, or
+ * with @p append splice @p entry after the entries of the existing
+ * schema/3 file there (fatal when the file is another schema or does not
+ * end with the writer's own "\n  ]\n}" tail).
+ */
+void writeBenchJson(const std::string &path, const BenchEntry &entry,
                     bool append);
 
 /**
- * @return the "points_per_sec" of the last 1-worker measurement in
- * @p bench_json_text (a file produced by writeBenchJson), or a negative
- * value when the file contains none.
+ * Read the newest (last) entry of the schema/3 file at @p path: the two
+ * overheads and, per measurement, workers, points/sec and scaling
+ * efficiency (negative when absent) — the numbers guardVerdicts()
+ * compares. Nothing is taken from older entries. Fatal when the file is
+ * unreadable, another schema, or lacks a field.
  */
-double lastOneWorkerPointsPerSec(const std::string &bench_json_text);
+BenchEntry readNewestBenchEntry(const std::string &path);
+
+/** One line of the --bench-check report. */
+struct GuardVerdict {
+    std::string line;
+    bool ok = true;
+};
 
 /**
- * @return the "scaling_efficiency" of the last @p workers-worker
- * measurement in @p bench_json_text, or a negative value when the file
- * records none for that worker count (e.g. schema/1 entries).
+ * The perf guard's four verdicts of @p measured against @p committed:
+ *  - 1-worker points/sec ≥ 80% of the committed 1-worker rate (the first
+ *    measurement stands in when none has 1 worker; fatal when the
+ *    committed entry has none);
+ *  - every multi-worker scaling efficiency ≥ 80% of the committed one
+ *    for that worker count (skipped when the committed entry lacks it);
+ *  - critical-path recording overhead ≤ committed + 4 points;
+ *  - tracing overhead ≤ max(3%, committed + 2 points).
  */
-double lastScalingEfficiency(const std::string &bench_json_text,
-                             int workers);
+std::vector<GuardVerdict> guardVerdicts(const BenchEntry &committed,
+                                        const BenchEntry &measured);
 
 } // namespace bench
 } // namespace lergan

@@ -1,15 +1,15 @@
 #!/bin/sh
-# Regenerate the committed BENCH_*.json host-performance baselines.
+# Regenerate the committed BENCH_fig19.json host-performance baseline.
 #
-# Builds the bench binaries, then measures the fig19 grid (the paper's
-# headline figure and the widest sweep) across a 1/2/4/8-worker scaling
-# curve and appends a fresh "scaling" entry (points/sec + scaling
-# efficiency per worker count, schema lergan-bench/2) to
+# Builds the fig19 bench, then measures its grid (the paper's headline
+# figure and the widest sweep) across a 1/2/4/8-worker scaling curve,
+# plus the critical-path recording and span-tracing A/B overheads, and
+# appends a fresh "scaling" entry (schema lergan-bench/3) to
 # BENCH_fig19.json, preserving the earlier entries — the file is the
 # perf trajectory. Run it on the reference container after a perf-
 # relevant change and commit the result; scripts/check.sh guards future
-# changes against the newest entry (1-worker throughput and 4-worker
-# scaling efficiency; see --bench-check in bench/runner.hh).
+# changes against the newest entry (see --bench-check in
+# bench/runner.hh).
 #
 # Usage: scripts/bench_baseline.sh [jobs]
 set -eu
@@ -33,19 +33,3 @@ append=""
     --bench-repeats 3 >/dev/null
 
 echo "wrote $root/BENCH_fig19.json (commit $commit)"
-
-# Critical-path recording overhead (warm A/B over the grid templates):
-# scripts/check.sh fails when a future change pushes the measured
-# overhead more than 4 points above this committed figure.
-"$root/build/bench/fig19_lergan_vs_prime" \
-    --critpath-baseline "$root/BENCH_fig19_critpath.json" >/dev/null
-
-echo "wrote $root/BENCH_fig19_critpath.json"
-
-# Span tracing overhead (warm A/B over the fig19 grid with and without
-# a flight recorder attached): scripts/check.sh fails when a future
-# change pushes the measured overhead above max(3%, committed + 2).
-"$root/build/bench/fig19_lergan_vs_prime" \
-    --tracing-baseline "$root/BENCH_fig19_tracing.json" >/dev/null
-
-echo "wrote $root/BENCH_fig19_tracing.json"

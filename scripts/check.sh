@@ -2,9 +2,10 @@
 # Full verification: plain build + complete test suite, then a
 # ThreadSanitizer build of the execution-engine tests (ctest label
 # `tsan`) and an ASan+UBSan build of the audit/exporter, event-kernel,
-# fault, critical-path and DSL-parser tests (ctest labels `audit`,
-# `sim`, `faults`, `critpath` and `parser`). Run from anywhere; builds
-# land in build/, build-tsan/ and build-asan/.
+# fault, critical-path, DSL-parser and perf-guard tests (ctest labels
+# `audit`, `sim`, `faults`, `critpath`, `parser` and `bench`), with the
+# fig19 perf guard in between. Run from anywhere; builds land in
+# build/, build-tsan/ and build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -17,54 +18,22 @@ cmake -B "$root/build" -S "$root" >/dev/null
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-# Host-performance guard: measure the fig19 grid at 1 and 4 workers
-# and fail when the 1-worker points/sec drops >20% below the committed
-# BENCH_fig19.json baseline, or when the 4-worker scaling efficiency
-# drops >20% below the efficiency the committed baseline records (a
-# contention regression shows up there even when single-worker
-# throughput is intact; see bench/runner.hh). Wall-clock measurements
-# are machine-dependent; set LERGAN_SKIP_PERF_GUARD=1 on slow or noisy
+# Host-performance guard (bench/runner.hh): measure the fig19 grid at 1
+# and 4 workers plus the critical-path recording and span-tracing A/B
+# overheads, and fail when any of the four verdicts against the newest
+# BENCH_fig19.json entry regresses: 1-worker points/sec below 80% of the
+# committed rate, a scaling efficiency below 80% of the committed one,
+# recording overhead above committed + 4 points, or tracing overhead
+# above max(3%, committed + 2). Wall-clock measurements are
+# machine-dependent; set LERGAN_SKIP_PERF_GUARD=1 on slow or noisy
 # machines.
 if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
     echo "== perf guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
-elif [ -f "$root/BENCH_fig19.json" ]; then
-    echo "== perf guard: fig19 throughput + scaling efficiency vs" \
-         "committed BENCH_fig19.json =="
+else
+    echo "== perf guard: fig19 vs committed BENCH_fig19.json =="
     "$root/build/bench/fig19_lergan_vs_prime" \
         --bench-check "$root/BENCH_fig19.json" \
         --bench-workers 1,4 --bench-repeats 2 >/dev/null
-else
-    echo "== perf guard skipped (no BENCH_fig19.json baseline) =="
-fi
-
-# Critical-path recording overhead guard: a warm A/B replay of the
-# fig19 grid templates with and without an ExecRecord attached must not
-# exceed the committed overhead ratio by more than 4 points (the ratio
-# is mostly machine-independent; LERGAN_SKIP_PERF_GUARD skips it too).
-if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
-    echo "== critpath overhead guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
-elif [ -f "$root/BENCH_fig19_critpath.json" ]; then
-    echo "== critpath overhead guard: fig19 recording A/B vs committed" \
-         "BENCH_fig19_critpath.json =="
-    "$root/build/bench/fig19_lergan_vs_prime" \
-        --critpath-check "$root/BENCH_fig19_critpath.json" >/dev/null
-else
-    echo "== critpath overhead guard skipped (no baseline) =="
-fi
-
-# Span tracing overhead guard: a warm A/B run of the fig19 grid with
-# and without a flight recorder attached must not exceed max(3%, the
-# committed overhead + 2 points) — the tracing layer's "≤3% on the
-# reference container" budget (LERGAN_SKIP_PERF_GUARD skips it too).
-if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
-    echo "== tracing overhead guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
-elif [ -f "$root/BENCH_fig19_tracing.json" ]; then
-    echo "== tracing overhead guard: fig19 span-recording A/B vs" \
-         "committed BENCH_fig19_tracing.json =="
-    "$root/build/bench/fig19_lergan_vs_prime" \
-        --tracing-check "$root/BENCH_fig19_tracing.json" >/dev/null
-else
-    echo "== tracing overhead guard skipped (no baseline) =="
 fi
 
 # The exec tests exercise the worker pool and the compile cache under
@@ -102,28 +71,29 @@ fi
 # densest drivers for Address- and UBSanitizer; the sim tests drive the
 # event kernel's vector insert/partition/erase and the CSR walks. The
 # parser tests push malformed DSL text through the tokenizer, the fault
-# tests compile degraded mappings and the critpath tests walk recorded
-# timing graphs.
+# tests compile degraded mappings, the critpath tests walk recorded
+# timing graphs and the bench tests parse BENCH_fig19.json files.
 echo "== ASan+UBSan availability probe =="
 if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -o "$probe_dir/probe-asan" 2>/dev/null && \
         "$probe_dir/probe-asan"; then
     echo "== ASan+UBSan build of the audit + sim + faults + critpath +" \
-         "parser tests (ctest -L 'audit|sim|faults|critpath|parser') =="
+         "parser + bench tests" \
+         "(ctest -L 'audit|sim|faults|critpath|parser|bench') =="
     cmake -B "$root/build-asan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
     cmake --build "$root/build-asan" -j "$jobs" \
         --target test_audit test_sweep_io test_sim test_properties \
-        test_parser test_faults test_critpath
+        test_parser test_faults test_critpath test_bench_guard
     ctest --test-dir "$root/build-asan" \
-        -L 'audit|sim|faults|critpath|parser' \
+        -L 'audit|sim|faults|critpath|parser|bench' \
         --output-on-failure -j "$jobs"
 else
     echo "ASan+UBSan unavailable on this toolchain; skipping the" \
-         "sanitizer rerun of the audit/sim/faults/critpath/parser" \
-         "suites (plain suite already ran)."
+         "sanitizer rerun of the audit/sim/faults/critpath/parser/" \
+         "bench suites (plain suite already ran)."
 fi
 
 echo "== all checks passed =="
