@@ -100,6 +100,9 @@ banner(const std::string &what, const std::string &paper_claim)
 class Observability
 {
   public:
+    /** Largest --trace-capacity accepted (spans per worker lane). */
+    static constexpr int kMaxTraceCapacity = 65536;
+
     /** Declare the shared options on @p args (call before parse). */
     static void
     addOptions(ArgParser &args)
@@ -124,7 +127,7 @@ class Observability
                        "0.9");
         args.addOption("trace-capacity",
                        "flight-recorder ring capacity per worker lane "
-                       "(spans kept for post-mortem)",
+                       "(spans kept for post-mortem, 1 to 65536)",
                        "4096");
     }
 
@@ -142,11 +145,15 @@ class Observability
                          "' (expected prom, json or csv)");
         if (!metricsPath_.empty())
             registry_ = std::make_shared<MetricsRegistry>();
+        // Rings are allocated up front, so an absurd capacity would
+        // abort in the allocator instead of failing here.
+        const int capacity = args.getInt("trace-capacity");
+        if (capacity < 1 || capacity > kMaxTraceCapacity)
+            LERGAN_FATAL("--trace-capacity must be in [1, ",
+                         kMaxTraceCapacity, "], got ", capacity);
         if (!spansPath_.empty() || anomaliesWanted_) {
-            const int capacity = args.getInt("trace-capacity");
             recorder_ = std::make_shared<FlightRecorder>(
-                capacity > 0 ? static_cast<std::size_t>(capacity)
-                             : FlightRecorder::kDefaultCapacity);
+                static_cast<std::size_t>(capacity));
         }
         if (anomaliesWanted_) {
             anomalyOptions_.quantile = args.getDouble("trace-anomalies");

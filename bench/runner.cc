@@ -13,7 +13,6 @@
 #include "common/json.hh"
 #include "common/strings.hh"
 #include "exec/thread_pool.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 namespace bench {
@@ -32,22 +31,6 @@ percentile(std::vector<double> samples, double q)
     const auto rank = static_cast<std::size_t>(
         q * static_cast<double>(samples.size()));
     return samples[std::min(rank, samples.size() - 1)];
-}
-
-/** Per-phase host milliseconds of @p after minus @p before. */
-std::map<std::string, double>
-phaseDeltaMs(const std::map<std::string, HostPhaseStat> &before,
-             const std::map<std::string, HostPhaseStat> &after)
-{
-    std::map<std::string, double> delta;
-    for (const auto &[phase, stat] : after) {
-        std::uint64_t earlier = 0;
-        if (auto it = before.find(phase); it != before.end())
-            earlier = it->second.ns;
-        if (stat.ns > earlier)
-            delta[phase] = static_cast<double>(stat.ns - earlier) / 1e6;
-    }
-    return delta;
 }
 
 /** Fixed-point number with enough digits for a perf trajectory. */
@@ -101,15 +84,7 @@ formatEntry(const BenchEntry &entry)
         os << "          \"p50_host_ms_per_point\": "
            << num(m.p50HostMsPerPoint) << ",\n";
         os << "          \"p95_host_ms_per_point\": "
-           << num(m.p95HostMsPerPoint) << ",\n";
-        os << "          \"host_phases_ms\": {";
-        bool first = true;
-        for (const auto &[phase, ms] : m.hostPhasesMs) {
-            os << (first ? " " : ", ") << '"'
-               << JsonWriter::escape(phase) << "\": " << num(ms);
-            first = false;
-        }
-        os << (first ? "}" : " }") << "\n";
+           << num(m.p95HostMsPerPoint) << "\n";
         os << "        }" << (i + 1 < entry.measurements.size() ? "," : "")
            << "\n";
     }
@@ -259,10 +234,6 @@ std::vector<BenchMeasurement>
 measureSweep(ExperimentSweep &sweep, int iterations,
              const std::vector<int> &workers, int repeats)
 {
-    HostProfiler &profiler = HostProfiler::global();
-    const bool wasEnabled = profiler.enabled();
-    profiler.enable();
-
     std::vector<BenchMeasurement> measurements;
     for (int count : workers) {
         RunOptions options;
@@ -272,7 +243,6 @@ measureSweep(ExperimentSweep &sweep, int iterations,
 
         sweep.run(options); // warm-up: caches hot, allocators settled
 
-        const auto phasesBefore = profiler.stats();
         std::vector<double> pointMs;
         PerfTimer timer;
         for (int rep = 0; rep < repeats; ++rep) {
@@ -292,7 +262,6 @@ measureSweep(ExperimentSweep &sweep, int iterations,
                          : 0.0;
         m.p50HostMsPerPoint = percentile(pointMs, 0.5);
         m.p95HostMsPerPoint = percentile(pointMs, 0.95);
-        m.hostPhasesMs = phaseDeltaMs(phasesBefore, profiler.stats());
         measurements.push_back(m);
 
         std::cerr << "bench: workers=" << count << " "
@@ -300,7 +269,6 @@ measureSweep(ExperimentSweep &sweep, int iterations,
                   << num(m.p50HostMsPerPoint) << " ms/point, p95 "
                   << num(m.p95HostMsPerPoint) << " ms/point)\n";
     }
-    profiler.enable(wasEnabled);
 
     const auto one = std::find_if(
         measurements.begin(), measurements.end(),

@@ -34,8 +34,7 @@
  *           { "workers": 1, "repetitions": 3, "wall_ms": ...,
  *             "points_per_sec": ..., "scaling_efficiency": ...,
  *             "p50_host_ms_per_point": ...,
- *             "p95_host_ms_per_point": ...,
- *             "host_phases_ms": { "schedule": ..., "simulate": ... } },
+ *             "p95_host_ms_per_point": ... },
  *           ... ] },
  *       ... ]
  *   }
@@ -47,6 +46,8 @@
  * (ExecRecord on vs off over the grid templates) and span tracing
  * (FlightRecorder on vs off over the warm grid). Schema /3 added
  * "overheads_pct"; older entries in the file lack it and are never read.
+ * Some committed entries also carry a "host_phases_ms" object from an
+ * earlier writer, which the reader ignores.
  * Host wall-clock numbers are facts about the machine that ran the
  * bench; they are never part of golden comparisons.
  *
@@ -61,7 +62,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,8 +132,6 @@ struct BenchMeasurement {
     double scalingEfficiency = -1.0;
     double p50HostMsPerPoint = 0.0;
     double p95HostMsPerPoint = 0.0;
-    /** Per-phase host time (HostProfiler delta over the timed reps). */
-    std::map<std::string, double> hostPhasesMs;
 };
 
 /** One entry of BENCH_fig19.json (schema lergan-bench/3). */

@@ -2,10 +2,10 @@
 # Full verification: plain build + complete test suite, then a
 # ThreadSanitizer build of the execution-engine tests (ctest label
 # `tsan`) and an ASan+UBSan build of the audit/exporter, event-kernel,
-# fault, critical-path, DSL-parser and perf-guard tests (ctest labels
-# `audit`, `sim`, `faults`, `critpath`, `parser` and `bench`), with the
-# fig19 perf guard in between. Run from anywhere; builds land in
-# build/, build-tsan/ and build-asan/.
+# executor, trace-export, fault, critical-path, DSL-parser and
+# perf-guard tests (ctest labels `audit`, `sim`, `faults`, `critpath`,
+# `parser` and `bench`), with the fig19 perf guard in between. Run from
+# anywhere; builds land in build/, build-tsan/ and build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -69,7 +69,8 @@ fi
 # The audit tests walk every cross-layer data structure a simulation
 # produces (stats, traces, compiled mappings), which makes them the
 # densest drivers for Address- and UBSanitizer; the sim tests drive the
-# event kernel's vector insert/partition/erase and the CSR walks. The
+# event kernel's vector insert/partition/erase and the CSR walks, and
+# the trace export tests execute graphs and export their labels. The
 # parser tests push malformed DSL text through the tokenizer, the fault
 # tests compile degraded mappings, the critpath tests walk recorded
 # timing graphs and the bench tests parse BENCH_fig19.json files.
@@ -85,8 +86,8 @@ if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
     cmake --build "$root/build-asan" -j "$jobs" \
-        --target test_audit test_sweep_io test_sim test_properties \
-        test_parser test_faults test_critpath test_bench_guard
+        --target test_audit test_sweep_io test_sim test_json_trace \
+        test_properties test_parser test_faults test_critpath test_bench_guard
     ctest --test-dir "$root/build-asan" \
         -L 'audit|sim|faults|critpath|parser|bench' \
         --output-on-failure -j "$jobs"

@@ -175,7 +175,7 @@ class IterationBuilder
         energy.add("energy.control", params().controllerPjPerTask);
 
         const TaskId id =
-            graph.addTask({op.op.label, opResources(op), duration, 0, ""});
+            graph.addTask({op.op.label, opResources(op), duration});
         for (TaskId dep : deps)
             if (dep != kNoTask)
                 graph.addDep(id, dep);
@@ -217,7 +217,7 @@ class IterationBuilder
         const TaskId id = graph.addTask(
             {"xfer:" + src.op.label + "->" + dst.op.label,
              machine_.topo().routeResources(route),
-             route.transferTime(wire_bytes), 0, ""});
+             route.transferTime(wire_bytes)});
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -235,7 +235,7 @@ class IterationBuilder
             params().bankReadNs +
             static_cast<double>(bytes) / (2 * params().linkBytesPerNs));
         const TaskId id =
-            graph.addTask({"load:" + dst.op.label, {}, duration, 0, ""});
+            graph.addTask({"load:" + dst.op.label, {}, duration});
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -263,7 +263,7 @@ class IterationBuilder
             switches.empty() ? 0 : controller_.switchTime();
         const TaskId id = graph.addTask(
             {std::string("ctrl:") + ctrlStateName(controller_.state()), {},
-             duration, 0, ""});
+             duration});
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -273,7 +273,7 @@ class IterationBuilder
     TaskId
     barrierTask(const char *label, const std::vector<TaskId> &deps)
     {
-        const TaskId id = graph.addTask({label, {}, 0, 0, ""});
+        const TaskId id = graph.addTask({label, {}, 0});
         for (TaskId dep : deps)
             if (dep != kNoTask)
                 graph.addDep(id, dep);
@@ -546,16 +546,14 @@ class IterationBuilder
              {cpuRes_},
              nsToPs(params().bankReadNs +
                     static_cast<double>(grad_bytes) /
-                        (2 * params().linkBytesPerNs)),
-             0, ""});
+                        (2 * params().linkBytesPerNs))});
         graph.addDep(read, entry);
 
         // Host-side SGD arithmetic.
         const TaskId cpu = graph.addTask(
             {disc ? "D.update.cpu" : "G.update.cpu",
              {cpuRes_},
-             nsToPs(kCpuNsPerWeight * static_cast<double>(base_weights)),
-             0, ""});
+             nsToPs(kCpuNsPerWeight * static_cast<double>(base_weights))});
         graph.addDep(cpu, read);
 
         // Rewrite every stored copy of the network's kernels.
@@ -570,8 +568,7 @@ class IterationBuilder
                     op.tileCount);
                 tile_.chargeWeightWrite(energy, op.cost.weightElems);
                 const TaskId write = graph.addTask(
-                    {"update:" + op.op.label, opResources(op), duration, 0,
-                     ""});
+                    {"update:" + op.op.label, opResources(op), duration});
                 graph.addDep(write, cpu);
                 writes.push_back(write);
             }
@@ -679,10 +676,10 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
             metrics->counter(name).add(delta);
     }
 
-    ExecResult exec;
+    PicoSeconds makespan = 0;
     {
         const auto scope = HostProfiler::global().scope("simulate");
-        exec = tmpl->graph.execute(
+        makespan = tmpl->graph.execute(
             machine_.pool(), tracer, metrics,
             externalScratch_ ? externalScratch_ : &scratch_, record);
     }
@@ -692,20 +689,19 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
             metrics->counter("critpath.records").add(1);
         recordPoolMetrics(machine_.pool(), *metrics);
     }
-    return assembleReport(*tmpl, n, exec.makespan, exec.stats);
+    return assembleReport(*tmpl, n, makespan);
 }
 
 TrainingReport
 LerGanAccelerator::assembleReport(const IterationTemplate &tmpl, int n,
-                                  PicoSeconds iteration_time,
-                                  const StatSet &exec_stats) const
+                                  PicoSeconds iteration_time) const
 {
     TrainingReport report;
     report.benchmark = model_.name;
     report.config = config_.label();
     report.iterationTime = iteration_time;
     report.stats = tmpl.buildEnergy;
-    report.stats.merge(exec_stats);
+    report.stats.set("sim.tasks", static_cast<double>(tmpl.graph.size()));
     // Snapshot of the energy total at the moment the run produced it;
     // the audit layer compares the prefix sum against this to detect
     // post-run mutation of any component (audit/audit.hh).
@@ -748,14 +744,8 @@ LerGanAccelerator::estimateIterations(int n, const IterationTemplate *tmpl,
         tmpl = own.get();
     }
     // Everything but the makespan is a build-time fact of the template;
-    // only the timing channel carries the analytic estimate. The
-    // executor's sole stat contribution is the task count, reproduced
-    // here so estimated and simulated reports share their stat shape.
-    StatSet exec_stats;
-    exec_stats.set("sim.tasks",
-                   static_cast<double>(tmpl->graph.size()));
-    TrainingReport report =
-        assembleReport(*tmpl, n, per_iteration, exec_stats);
+    // only the timing channel carries the analytic estimate.
+    TrainingReport report = assembleReport(*tmpl, n, per_iteration);
     report.stats.set("critpath.estimated", 1.0);
     return report;
 }

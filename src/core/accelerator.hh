@@ -163,8 +163,7 @@ class LerGanAccelerator
     /** Assemble the per-iteration report of an @p n-iteration run from
      *  a template plus the (real or estimated) timing outcome. */
     TrainingReport assembleReport(const IterationTemplate &tmpl, int n,
-                                  PicoSeconds iteration_time,
-                                  const StatSet &exec_stats) const;
+                                  PicoSeconds iteration_time) const;
 
     GanModel model_;
     AcceleratorConfig config_;

@@ -60,17 +60,6 @@ sortedRollup(const std::map<std::string, PicoSeconds> &totals)
     return rollup;
 }
 
-/** Per-task offset into ExecRecord::resPrev (CSR over resource lists),
- *  mirroring the executor's frozen layout. */
-std::vector<std::size_t>
-resourceSlotOffsets(const TaskGraph &graph)
-{
-    std::vector<std::size_t> offsets(graph.size() + 1, 0);
-    for (TaskId id = 0; id < graph.size(); ++id)
-        offsets[id + 1] = offsets[id] + graph.task(id).resources.size();
-    return offsets;
-}
-
 /**
  * Per-task slack from a backward pass over the recorded timing graph:
  * dependency edges plus, for every reservation, the edge from the
@@ -82,7 +71,6 @@ std::vector<PicoSeconds>
 computeSlack(const TaskGraph &graph, const ExecRecord &record)
 {
     const std::size_t n = graph.size();
-    const std::vector<std::size_t> offsets = resourceSlotOffsets(graph);
 
     // Backward pass in reverse completion order (a reverse topological
     // order of the timing graph): the latest a task may end without
@@ -95,17 +83,14 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record)
     for (std::size_t i = record.completionOrder.size(); i-- > 0;) {
         const TaskId id = record.completionOrder[i];
         PicoSeconds late = lateEnd[id];
-        for (const TaskId succ : graph.successors(id)) {
-            const PicoSeconds dur =
-                record.end[succ] - record.start[succ];
-            late = std::min(late, lateEnd[succ] - dur);
-        }
+        for (const TaskId succ : graph.successors(id))
+            late = std::min(late, lateEnd[succ] - graph.duration(succ));
         lateEnd[id] = late;
         slack[id] = late - record.end[id];
-        const PicoSeconds lateStart =
-            late - (record.end[id] - record.start[id]);
-        for (std::size_t slot = offsets[id]; slot < offsets[id + 1];
-             ++slot) {
+        const PicoSeconds lateStart = late - graph.duration(id);
+        const std::size_t first = graph.resourceOffset(id);
+        for (std::size_t slot = first;
+             slot < first + graph.resources(id).size(); ++slot) {
             const TaskId prev = record.resPrev[slot];
             if (prev != kNoTask)
                 lateEnd[prev] = std::min(lateEnd[prev], lateStart);
@@ -145,24 +130,22 @@ extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
     std::map<std::string, PicoSeconds> by_category;
     path.entries.reserve(chain.size());
     for (TaskId id : chain) {
-        const Task &task = graph.task(id);
+        const auto resources = graph.resources(id);
         CritEntry entry;
         entry.task = id;
-        entry.label = task.label;
-        entry.phase = taskPhaseOf(task.label);
+        entry.label = graph.label(id);
+        entry.phase = taskPhaseOf(entry.label);
         entry.kind = record.bindingKind[id];
         if (entry.kind == BindingKind::Resource &&
             record.bindingRes[id] < resource_names.size()) {
             entry.resource = resource_names[record.bindingRes[id]];
         }
         entry.category =
-            task.resources.empty() ||
-                    task.resources.front() >= resource_names.size()
+            resources.empty() || resources.front() >= resource_names.size()
                 ? "none"
-                : resourceCategoryOf(
-                      resource_names[task.resources.front()]);
+                : resourceCategoryOf(resource_names[resources.front()]);
         entry.start = record.start[id];
-        entry.duration = record.end[id] - record.start[id];
+        entry.duration = graph.duration(id);
         by_phase[entry.phase] += entry.duration;
         by_category[entry.category] += entry.duration;
         path.entries.push_back(std::move(entry));

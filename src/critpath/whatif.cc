@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "common/logging.hh"
 #include "sim/calendar_queue.hh"
@@ -20,23 +21,12 @@ scaleText(double scale)
     return buf;
 }
 
-/** Recorded duration of every task (end - start, == Task::duration). */
-std::vector<PicoSeconds>
-recordedDurations(const RecordedRun &run)
-{
-    const ExecRecord &record = run.record;
-    std::vector<PicoSeconds> durations(record.start.size());
-    for (std::size_t id = 0; id < durations.size(); ++id)
-        durations[id] = record.end[id] - record.start[id];
-    return durations;
-}
-
 /** True when any resource the task holds belongs to @p category. */
 bool
 holdsCategory(const RecordedRun &run, TaskId id,
               const std::string &category)
 {
-    for (std::size_t rid : run.graph->task(id).resources) {
+    for (const std::uint32_t rid : run.graph->resources(id)) {
         if (rid < run.resourceNames.size() &&
             category == resourceCategoryOf(run.resourceNames[rid])) {
             return true;
@@ -52,8 +42,7 @@ holdsCategory(const RecordedRun &run, TaskId id,
  * work per unit time). @p order must be a topological order.
  */
 PicoSeconds
-lowerBound(const TaskGraph &graph,
-           const std::vector<PicoSeconds> &durations,
+lowerBound(const TaskGraph &graph, std::span<const PicoSeconds> durations,
            const std::vector<std::uint32_t> &copies,
            const std::vector<TaskId> &order, std::size_t resource_count)
 {
@@ -71,7 +60,7 @@ lowerBound(const TaskGraph &graph,
 
     std::vector<PicoSeconds> work(resource_count, 0);
     for (TaskId id = 0; id < n; ++id)
-        for (std::size_t rid : graph.task(id).resources)
+        for (const std::uint32_t rid : graph.resources(id))
             work[rid] += durations[id];
     for (std::size_t rid = 0; rid < resource_count; ++rid) {
         const std::uint64_t c =
@@ -94,8 +83,7 @@ lowerBound(const TaskGraph &graph,
  * order) for the lower bound's chain pass.
  */
 PicoSeconds
-simulateList(const TaskGraph &graph,
-             const std::vector<PicoSeconds> &durations,
+simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
              const std::vector<std::uint32_t> &copies,
              std::size_t resource_count, std::vector<TaskId> *fire_order)
 {
@@ -137,10 +125,10 @@ simulateList(const TaskGraph &graph,
             if (fire_order)
                 fire_order->push_back(id);
             PicoSeconds start = now;
-            for (std::size_t rid : graph.task(id).resources)
+            for (const std::uint32_t rid : graph.resources(id))
                 start = std::max(start, unitFree[earliestUnit(rid)]);
             const PicoSeconds end = start + durations[id];
-            for (std::size_t rid : graph.task(id).resources)
+            for (const std::uint32_t rid : graph.resources(id))
                 unitFree[earliestUnit(rid)] = end;
             queue.scheduleAt(end, TaskEvent{id, true});
         } else {
@@ -176,9 +164,10 @@ scalePhase(const RecordedRun &run, const std::string &phase,
 {
     WhatIfTransform transform;
     transform.description = "phase " + phase + " x" + scaleText(scale);
-    transform.durations = recordedDurations(run);
+    const auto durations = run.graph->durations();
+    transform.durations.assign(durations.begin(), durations.end());
     for (TaskId id = 0; id < transform.durations.size(); ++id) {
-        if (taskPhaseOf(run.graph->task(id).label) == phase) {
+        if (taskPhaseOf(run.graph->label(id)) == phase) {
             transform.durations[id] = static_cast<PicoSeconds>(
                 static_cast<double>(transform.durations[id]) * scale +
                 0.5);
@@ -196,7 +185,8 @@ scaleResourceCategory(const RecordedRun &run, const std::string &category,
     WhatIfTransform transform;
     transform.description =
         category + " throughput x" + scaleText(throughput_scale);
-    transform.durations = recordedDurations(run);
+    const auto durations = run.graph->durations();
+    transform.durations.assign(durations.begin(), durations.end());
     for (TaskId id = 0; id < transform.durations.size(); ++id) {
         if (holdsCategory(run, id, category)) {
             transform.durations[id] = static_cast<PicoSeconds>(
@@ -238,15 +228,13 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
                       transform.durations.size() == n,
                   "transform durations do not match the graph");
 
-    const std::vector<PicoSeconds> durations =
-        transform.durations.empty() ? recordedDurations(run)
-                                    : transform.durations;
-
-    std::size_t resource_count = run.resourceNames.size();
-    for (TaskId id = 0; id < n; ++id)
-        for (std::size_t rid : graph.task(id).resources)
-            resource_count = std::max(resource_count, rid + 1);
-    resource_count = std::max(resource_count, transform.copies.size());
+    const std::span<const PicoSeconds> durations =
+        transform.durations.empty()
+            ? graph.durations()
+            : std::span<const PicoSeconds>(transform.durations);
+    const std::size_t resource_count =
+        std::max({run.resourceNames.size(), graph.resourceBound(),
+                  transform.copies.size()});
 
     auto copiesOf = [&](std::size_t rid) -> std::size_t {
         return rid < transform.copies.size()
@@ -264,14 +252,14 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
     std::vector<std::vector<PicoSeconds>> grants(resource_count);
     for (TaskId id : record.completionOrder) {
         PicoSeconds start = ready[id];
-        for (std::size_t rid : graph.task(id).resources) {
+        for (const std::uint32_t rid : graph.resources(id)) {
             const std::vector<PicoSeconds> &g = grants[rid];
             const std::size_t c = copiesOf(rid);
             if (g.size() >= c)
                 start = std::max(start, g[g.size() - c]);
         }
         const PicoSeconds end = start + durations[id];
-        for (std::size_t rid : graph.task(id).resources)
+        for (const std::uint32_t rid : graph.resources(id))
             grants[rid].push_back(end);
         for (const TaskId succ : graph.successors(id))
             ready[succ] = std::max(ready[succ], end);
@@ -297,13 +285,7 @@ makespanBounds(const TaskGraph &graph, std::size_t resource_count)
     MakespanBounds bounds;
     if (n == 0)
         return bounds;
-    for (TaskId id = 0; id < n; ++id)
-        for (std::size_t rid : graph.task(id).resources)
-            resource_count = std::max(resource_count, rid + 1);
-
-    std::vector<PicoSeconds> durations(n, 0);
-    for (TaskId id = 0; id < n; ++id)
-        durations[id] = graph.task(id).duration;
+    resource_count = std::max(resource_count, graph.resourceBound());
 
     // The mirror reproduces the event simulation's schedule exactly, so
     // the upper bound is the true makespan of this graph; the
@@ -312,9 +294,9 @@ makespanBounds(const TaskGraph &graph, std::size_t resource_count)
     // chain pass walks.
     std::vector<TaskId> order;
     order.reserve(n);
-    bounds.upper =
-        simulateList(graph, durations, {}, resource_count, &order);
-    bounds.lower = lowerBound(graph, durations, {}, order,
+    bounds.upper = simulateList(graph, graph.durations(), {},
+                                resource_count, &order);
+    bounds.lower = lowerBound(graph, graph.durations(), {}, order,
                               resource_count);
     return bounds;
 }

@@ -12,7 +12,10 @@
  *
  *     end(t) = max(max_deps end(d), max_res end(prev holder)) + dur(t)
  *
- * is precisely how the executor computed each start time.
+ * is precisely how the executor computed each start time. Task
+ * durations, resource lists and dependency edges are read straight from
+ * the TaskGraph's columns and CSR lists; the record contributes only its
+ * completion order, which fixes the per-resource grant order.
  *
  * Each estimate comes with bounds on the *true* (resimulated) makespan
  * under the transform:
@@ -60,7 +63,7 @@ namespace lergan {
 struct WhatIfTransform {
     /** Human-readable description ("wire throughput x2"). */
     std::string description;
-    /** New duration per TaskId; empty = recorded durations. */
+    /** New duration per TaskId; empty = the graph's durations. */
     std::vector<PicoSeconds> durations;
     /** Copies per resource id (>= 1); empty = one of each. */
     std::vector<std::uint32_t> copies;
@@ -138,7 +141,8 @@ struct MakespanBounds {
  * simulation's makespan exactly.
  *
  * @param resource_count size of the pool the graph's resource ids
- *                       index into.
+ *                       index into (raised to graph.resourceBound()
+ *                       when smaller).
  */
 MakespanBounds makespanBounds(const TaskGraph &graph,
                               std::size_t resource_count);

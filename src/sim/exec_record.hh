@@ -71,9 +71,10 @@ struct ExecRecord {
     std::vector<std::uint32_t> bindingRes;
     /**
      * Previous holder per (task, resource) reservation slot, laid out
-     * exactly like the frozen CSR resource list: slot j of task t is
-     * the j-th entry of task(t).resources. SIZE_MAX-valued entries mean
-     * the reservation was the resource's first.
+     * exactly like the graph's resource CSR: slot
+     * graph.resourceOffset(t) + j belongs to graph.resources(t)[j].
+     * SIZE_MAX-valued entries mean the reservation was the resource's
+     * first.
      */
     std::vector<std::size_t> resPrev;
     /**

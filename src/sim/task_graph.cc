@@ -9,18 +9,26 @@ namespace lergan {
 TaskId
 TaskGraph::addTask(Task task)
 {
-    LERGAN_ASSERT(!frozen_->done, "addTask after the graph was executed");
-    tasks_.push_back(std::move(task));
+    LERGAN_ASSERT(frozen_->succStart.empty(),
+                  "addTask after the graph was executed");
+    labels_.push_back(std::move(task.label));
+    durations_.push_back(task.duration);
+    for (std::size_t rid : task.resources) {
+        resIds_.push_back(static_cast<std::uint32_t>(rid));
+        resourceBound_ = std::max(resourceBound_, rid + 1);
+    }
+    resStart_.push_back(static_cast<std::uint32_t>(resIds_.size()));
     depCount_.push_back(0);
-    return tasks_.size() - 1;
+    return durations_.size() - 1;
 }
 
 void
 TaskGraph::addDep(TaskId task, TaskId dep)
 {
-    LERGAN_ASSERT(!frozen_->done, "addDep after the graph was executed");
-    LERGAN_ASSERT(task < tasks_.size(), "addDep: bad task id ", task);
-    LERGAN_ASSERT(dep < tasks_.size(), "addDep: bad dep id ", dep);
+    LERGAN_ASSERT(frozen_->succStart.empty(),
+                  "addDep after the graph was executed");
+    LERGAN_ASSERT(task < size(), "addDep: bad task id ", task);
+    LERGAN_ASSERT(dep < size(), "addDep: bad dep id ", dep);
     LERGAN_ASSERT(dep != task, "task cannot depend on itself");
     edges_.emplace_back(dep, task);
     depCount_[task]++;
@@ -31,25 +39,10 @@ TaskGraph::freeze() const
 {
     Frozen &f = *frozen_;
     std::call_once(f.once, [this, &f] {
-        const std::size_t n = tasks_.size();
-        f.durations.resize(n);
-        f.energies.resize(n);
-        f.resStart.assign(n + 1, 0);
-        for (std::size_t id = 0; id < n; ++id) {
-            f.durations[id] = tasks_[id].duration;
-            f.energies[id] = tasks_[id].energy;
-            f.resStart[id + 1] =
-                f.resStart[id] +
-                static_cast<std::uint32_t>(tasks_[id].resources.size());
-        }
-        f.resIds.reserve(f.resStart[n]);
-        for (const Task &task : tasks_)
-            for (std::size_t rid : task.resources)
-                f.resIds.push_back(static_cast<std::uint32_t>(rid));
-
         // CSR successor lists via a counting sort over the edge list:
         // stable, so each task's successors keep their addDep order —
         // the firing-order contract depends on it.
+        const std::size_t n = size();
         f.succStart.assign(n + 1, 0);
         for (const auto &[dep, task] : edges_)
             f.succStart[dep + 1]++;
@@ -61,21 +54,20 @@ TaskGraph::freeze() const
         for (const auto &[dep, task] : edges_)
             f.succIds[fill[dep]++] = static_cast<std::uint32_t>(task);
         std::vector<std::pair<TaskId, TaskId>>().swap(edges_);
-
-        f.done = true;
     });
     return f;
 }
 
-ExecResult
+PicoSeconds
 TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                    MetricsRegistry *metrics, ExecScratch *scratch,
                    ExecRecord *record) const
 {
     const Frozen &f = freeze();
-    const std::size_t n = tasks_.size();
-
-    ExecResult result;
+    const std::size_t n = size();
+    LERGAN_ASSERT(resourceBound_ <= pool.size(), "task graph names resource ",
+                  resourceBound_ - 1, " but the pool has ", pool.size());
+    PicoSeconds makespan = 0;
 
     ExecScratch local;
     ExecScratch &s = scratch ? *scratch : local;
@@ -92,7 +84,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
         record->bindingPred.resize(n);
         record->bindingKind.resize(n);
         record->bindingRes.resize(n);
-        record->resPrev.resize(f.resStart[n]);
+        record->resPrev.resize(resIds_.size());
         record->completionOrder.resize(n);
         record->lastTask = kNoTask;
         record->makespan = 0;
@@ -140,20 +132,19 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
 
     // The POD event loop. A fire event commits FIFO reservations on
     // every resource the task needs and schedules the completion event;
-    // a completion charges energy and releases the successors in addDep
-    // order. Events pop in (time, schedule order), so equal-time events
-    // fire in the order they were scheduled and every run is
-    // deterministic.
+    // a completion releases the successors in addDep order. Events pop
+    // in (time, schedule order), so equal-time events fire in the order
+    // they were scheduled and every run is deterministic.
     TaskEvent event;
     while (s.queue.pop(event)) {
         const TaskId id = event.task;
         if (!event.complete) {
             PicoSeconds start = s.queue.now();
-            const std::uint32_t resBegin = f.resStart[id];
-            const std::uint32_t resEnd = f.resStart[id + 1];
+            const std::uint32_t resBegin = resStart_[id];
+            const std::uint32_t resEnd = resStart_[id + 1];
             if (!record) {
                 for (std::uint32_t r = resBegin; r < resEnd; ++r)
-                    start = std::max(start, pool[f.resIds[r]].nextFree());
+                    start = std::max(start, pool[resIds_[r]].nextFree());
             } else {
                 // Binding rule: the fire time (now) is the ready time —
                 // the moment the last dependency released the task. If
@@ -167,7 +158,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                 // the fire-time start value).
                 std::uint32_t bind_slot = ExecRecord::kNoResource;
                 for (std::uint32_t r = resBegin; r < resEnd; ++r) {
-                    const std::uint32_t rid = f.resIds[r];
+                    const std::uint32_t rid = resIds_[r];
                     const PicoSeconds free = pool[rid].nextFree();
                     record->resPrev[r] = s.lastHolder[rid];
                     s.lastHolder[rid] = id;
@@ -180,7 +171,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                 if (bind_slot != ExecRecord::kNoResource) {
                     record->bindingKind[id] = BindingKind::Resource;
                     record->bindingPred[id] = record->resPrev[bind_slot];
-                    record->bindingRes[id] = f.resIds[bind_slot];
+                    record->bindingRes[id] = resIds_[bind_slot];
                 } else if (s.bindingDep[id] != kNoTask) {
                     record->bindingKind[id] = BindingKind::Dependency;
                     record->bindingPred[id] = s.bindingDep[id];
@@ -193,15 +184,15 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
             }
             for (std::uint32_t r = resBegin; r < resEnd; ++r) {
                 const PicoSeconds got =
-                    pool[f.resIds[r]].reserve(start, f.durations[id]);
+                    pool[resIds_[r]].reserve(start, durations_[id]);
                 LERGAN_ASSERT(got == start, "non-FIFO reservation for ",
-                              tasks_[id].label);
+                              labels_[id]);
             }
-            const PicoSeconds end = start + f.durations[id];
+            const PicoSeconds end = start + durations_[id];
             if (tracer) {
-                tracer->record(tasks_[id].label, start, end,
+                tracer->record(labels_[id], start, end,
                                resBegin == resEnd ? SIZE_MAX
-                                                  : f.resIds[resBegin]);
+                                                  : resIds_[resBegin]);
             }
             s.queue.scheduleAt(end, TaskEvent{id, true});
             --readyCount;
@@ -210,9 +201,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                 sample();
         } else {
             const PicoSeconds end = s.queue.now();
-            if (f.energies[id] != 0)
-                result.stats.add(tasks_[id].energyKey, f.energies[id]);
-            result.makespan = std::max(result.makespan, end);
+            makespan = std::max(makespan, end);
             ++completed;
             if (record) {
                 record->end[id] = end;
@@ -249,13 +238,12 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
     LERGAN_ASSERT(completed == n,
                   "task graph has a cycle or orphaned dependency: ",
                   completed, " of ", n, " tasks completed");
-    result.stats.set("sim.tasks", static_cast<double>(n));
     if (metrics) {
         metrics->counter("sim.graph.runs").add(1);
         metrics->counter("sim.tasks.executed").add(n);
-        metrics->histogram("sim.makespan_ps").observe(result.makespan);
+        metrics->histogram("sim.makespan_ps").observe(makespan);
     }
-    return result;
+    return makespan;
 }
 
 } // namespace lergan

@@ -4,20 +4,21 @@
  *
  * The compiler lowers one GAN training iteration into a DAG of compute and
  * transfer tasks. Each task occupies one or more resources for a fixed
- * duration and contributes energy under a named statistic key. Execution
- * is event-driven: a task fires when its last dependency completes, then
- * reserves its resources FIFO, which naturally models pipelining across a
- * minibatch and contention on tiles and links.
+ * duration. Execution is event-driven: a task fires when its last
+ * dependency completes, then reserves its resources FIFO, which naturally
+ * models pipelining across a minibatch and contention on tiles and links.
+ * (Energy is not the executor's business: it is schedule-independent and
+ * accrued while the iteration is built.)
  *
- * Execution is built for replay speed. On the first execute() the graph
- * freezes its hot state into struct-of-arrays form — flat duration and
- * energy arrays plus CSR resource and successor lists — so the event
- * loop never touches the cold per-task strings or per-task vectors. The
- * events themselves are POD (task id + kind) dispatched by a switch in
- * the executor: no closures, no type erasure, no allocation per event.
- * With an ExecScratch the remaining per-run buffers (event calendar,
- * dependency counters, ready times) are reused across runs, so a replay
- * does near-zero allocation after the first execution.
+ * Each task is stored once, as flat columns that addTask() appends to: a
+ * label column (cold; traces and diagnostics only), a duration column and
+ * a CSR resource list. On the first execute() the graph freezes its
+ * dependency edges into a CSR successor list, so the event loop only reads
+ * flat arrays. The events themselves are POD (task id + kind) dispatched
+ * by a switch in the executor: no closures, no type erasure, no allocation
+ * per event. With an ExecScratch the remaining per-run buffers (event
+ * calendar, dependency counters, ready times) are reused across runs, so a
+ * replay does near-zero allocation after the first execution.
  *
  * A frozen graph is immutable and may be executed concurrently from
  * several worker threads (each run's mutable state lives in its own
@@ -36,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/calendar_queue.hh"
 #include "sim/exec_record.hh"
@@ -52,7 +52,7 @@ using TaskId = std::size_t;
 /** Sentinel meaning "no task". */
 constexpr TaskId kNoTask = std::numeric_limits<TaskId>::max();
 
-/** One schedulable unit of work. */
+/** One schedulable unit of work: the argument of TaskGraph::addTask. */
 struct Task {
     /** Diagnostic label ("D.fwd L3 img17"). */
     std::string label;
@@ -60,18 +60,6 @@ struct Task {
     std::vector<std::size_t> resources;
     /** Occupancy time. Zero-duration tasks act as barriers. */
     PicoSeconds duration = 0;
-    /** Energy charged when the task runs. */
-    PicoJoules energy = 0;
-    /** Statistic key the energy is charged to ("energy.compute.adc"). */
-    std::string energyKey;
-};
-
-/** Result of executing a task graph. */
-struct ExecResult {
-    /** Completion time of the last task. */
-    PicoSeconds makespan = 0;
-    /** Energy per key, plus bookkeeping counters. */
-    StatSet stats;
 };
 
 /** POD event of the task executor: fire or complete one task. */
@@ -134,10 +122,33 @@ class TaskGraph
     void addDep(TaskId task, TaskId dep);
 
     /** Number of tasks in the graph. */
-    std::size_t size() const { return tasks_.size(); }
+    std::size_t size() const { return durations_.size(); }
 
-    /** Read-only access for inspection in tests. */
-    const Task &task(TaskId id) const { return tasks_[id]; }
+    /** Diagnostic label of task @p id. */
+    const std::string &label(TaskId id) const { return labels_[id]; }
+
+    /** Occupancy time of task @p id. */
+    PicoSeconds duration(TaskId id) const { return durations_[id]; }
+
+    /** Every task's duration, indexed by TaskId. */
+    std::span<const PicoSeconds> durations() const { return durations_; }
+
+    /** Resource ids task @p id holds, in addTask order — a view of the
+     *  resource CSR. */
+    std::span<const std::uint32_t>
+    resources(TaskId id) const
+    {
+        return {resIds_.data() + resStart_[id],
+                resIds_.data() + resStart_[id + 1]};
+    }
+
+    /** Index of task @p id's first resource slot in the resource CSR:
+     *  slot resourceOffset(id) + j holds resources(id)[j]. */
+    std::size_t resourceOffset(TaskId id) const { return resStart_[id]; }
+
+    /** One past the largest resource id any task holds (0 when none):
+     *  the smallest pool the graph can execute on. */
+    std::size_t resourceBound() const { return resourceBound_; }
 
     /**
      * Execute the whole DAG to completion.
@@ -155,17 +166,18 @@ class TaskGraph
      * order — see sim/exec_record.hh). Recording is pure output: event
      * order, results, traces and metrics are identical with it on.
      *
-     * @param pool    resource pool the task resource ids index into.
+     * @param pool    resource pool the task resource ids index into;
+     *                must hold at least resourceBound() resources.
      * @param tracer  optional recorder of per-task execution intervals.
      * @param metrics optional registry for sim.* metrics.
      * @param scratch optional reusable buffers (see ExecScratch).
      * @param record  optional execution record for critpath analysis.
-     * @return makespan and accumulated energy statistics.
+     * @return the makespan: completion time of the last task.
      */
-    ExecResult execute(ResourcePool &pool, Tracer *tracer = nullptr,
-                       MetricsRegistry *metrics = nullptr,
-                       ExecScratch *scratch = nullptr,
-                       ExecRecord *record = nullptr) const;
+    PicoSeconds execute(ResourcePool &pool, Tracer *tracer = nullptr,
+                        MetricsRegistry *metrics = nullptr,
+                        ExecScratch *scratch = nullptr,
+                        ExecRecord *record = nullptr) const;
 
     /**
      * Tasks that depend on @p id, in addDep order — a view of the
@@ -185,30 +197,31 @@ class TaskGraph
 
   private:
     /**
-     * Frozen hot state, built once on first execute: struct-of-arrays
-     * mirrors of the task list plus CSR lists, so the event loop reads
-     * only these flat arrays. Heap-held (with its own once_flag) to
+     * The successor CSR, built once on first execute. Heap-held (with
+     * its own once_flag, since templates are executed concurrently) to
      * keep TaskGraph movable.
      */
     struct Frozen {
         std::once_flag once;
-        bool done = false;
-        std::vector<PicoSeconds> durations;
-        std::vector<PicoJoules> energies;
-        std::vector<std::uint32_t> resStart; ///< size N+1
-        std::vector<std::uint32_t> resIds;
-        std::vector<std::uint32_t> succStart; ///< size N+1
+        std::vector<std::uint32_t> succStart; ///< size N+1 once frozen
         std::vector<std::uint32_t> succIds;
     };
 
-    /** Build the SoA/CSR hot state (thread-safe, runs once). */
+    /** Build the successor CSR (thread-safe, runs once). */
     const Frozen &freeze() const;
 
-    std::vector<Task> tasks_;
+    /** @name Task columns, indexed by TaskId */
+    ///@{
+    std::vector<std::string> labels_;
+    std::vector<PicoSeconds> durations_;
+    std::vector<std::uint32_t> resStart_{0}; ///< size N+1
+    std::vector<std::uint32_t> resIds_;
+    std::vector<std::uint32_t> depCount_;
+    ///@}
+    std::size_t resourceBound_ = 0;
     /** Build-time (dep, task) edges in addDep order; freeze() turns
      *  them into the CSR successor lists and releases them. */
     mutable std::vector<std::pair<TaskId, TaskId>> edges_;
-    std::vector<std::uint32_t> depCount_;
     mutable std::unique_ptr<Frozen> frozen_ =
         std::make_unique<Frozen>();
 };

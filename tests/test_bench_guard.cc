@@ -3,7 +3,8 @@
  * Tests for the fig19 perf guard: the BENCH_fig19.json writer and its
  * newest-entry reader, the four verdicts at their thresholds, the A/B
  * routine's schedule, and the bench CLI's rejection of malformed
- * --bench-workers, --trace-anomalies and --metrics-format values.
+ * --bench-workers, --trace-anomalies, --trace-capacity and
+ * --metrics-format values.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +41,6 @@ measurement(int workers, double pointsPerSec, double efficiency)
     m.wallMs = 80.0;
     m.pointsPerSec = pointsPerSec;
     m.scalingEfficiency = efficiency;
-    m.hostPhasesMs = {{"simulate", 60.5}};
     return m;
 }
 
@@ -285,6 +285,31 @@ TEST(BenchGuard, TraceAnomaliesQuantileIsChecked)
         EXPECT_EXIT(makeObservability({"--trace-anomalies", bad}),
                     testing::ExitedWithCode(1), "must be in \\(0,1\\]")
             << bad;
+}
+
+TEST(BenchGuard, TraceCapacityIsChecked)
+{
+    makeObservability({"--trace-spans", "/dev/null", "--trace-capacity",
+                       "1"});
+    makeObservability({"--trace-spans", "/dev/null", "--trace-capacity",
+                       "65536"});
+    EXPECT_EXIT(makeObservability({"--trace-capacity", "abc"}),
+                testing::ExitedWithCode(1), "expects an integer");
+    EXPECT_EXIT(makeObservability({"--trace-capacity", "12x"}),
+                testing::ExitedWithCode(1), "expects an integer");
+    EXPECT_EXIT(makeObservability({"--trace-capacity", "2000000000000"}),
+                testing::ExitedWithCode(1), "expects an integer");
+    for (const char *bad : {"0", "-5", "65537", "2000000000"}) {
+        EXPECT_EXIT(makeObservability({"--trace-spans", "/dev/null",
+                                       "--trace-capacity", bad}),
+                    testing::ExitedWithCode(1),
+                    "--trace-capacity must be in \\[1, 65536\\]")
+            << bad;
+        // Checked even when no span recording asks for the rings.
+        EXPECT_EXIT(makeObservability({"--trace-capacity", bad}),
+                    testing::ExitedWithCode(1), "--trace-capacity")
+            << bad;
+    }
 }
 
 TEST(BenchGuard, MetricsFormatIsCheckedAtParseTime)

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
@@ -235,9 +236,9 @@ resimulate(const RandomModel &model,
 {
     TaskGraph graph;
     for (TaskId id = 0; id < model.graph->size(); ++id) {
-        Task task = model.graph->task(id);
-        task.duration = durations[id];
-        graph.addTask(std::move(task));
+        const auto res = model.graph->resources(id);
+        graph.addTask({model.graph->label(id), {res.begin(), res.end()},
+                       durations[id]});
     }
     for (TaskId dep = 0; dep < model.graph->size(); ++dep)
         for (const TaskId task : model.graph->successors(dep))
@@ -245,8 +246,7 @@ resimulate(const RandomModel &model,
     ResourcePool pool;
     for (const std::string &name : model.resourceNames)
         pool.create(name);
-    return graph.execute(pool, nullptr, nullptr, nullptr, record)
-        .makespan;
+    return graph.execute(pool, nullptr, nullptr, nullptr, record);
 }
 
 TEST(CritPathRandom, ChainAndIdentityHoldOnSeededGraphs)
@@ -273,6 +273,50 @@ TEST(CritPathRandom, ChainAndIdentityHoldOnSeededGraphs)
         EXPECT_EQ(identity.makespan, makespan);
         EXPECT_EQ(identity.upper, makespan);
         EXPECT_LE(identity.lower, makespan);
+    }
+}
+
+TEST(CritPathRandom, RecordSlotsFollowTheGraphResourceCsr)
+{
+    for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+        const RandomModel model = makeRandomModel(seed);
+        const TaskGraph &graph = *model.graph;
+        ResourcePool pool;
+        for (const std::string &name : model.resourceNames)
+            pool.create(name);
+        ExecRecord record;
+        graph.execute(pool, nullptr, nullptr, nullptr, &record);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+
+        std::size_t slots = 0;
+        for (TaskId id = 0; id < graph.size(); ++id)
+            slots += graph.resources(id).size();
+        ASSERT_EQ(record.resPrev.size(), slots);
+
+        // Slot j of task t is the reservation of resources(t)[j]: its
+        // previous holder held that same resource and had released it
+        // by the time t started.
+        std::size_t named = 0;
+        for (TaskId id = 0; id < graph.size(); ++id) {
+            const auto held = graph.resources(id);
+            for (std::size_t j = 0; j < held.size(); ++j) {
+                const TaskId prev =
+                    record.resPrev[graph.resourceOffset(id) + j];
+                if (prev == kNoTask)
+                    continue;
+                ++named;
+                ASSERT_LT(prev, graph.size());
+                const auto prevHeld = graph.resources(prev);
+                EXPECT_NE(std::find(prevHeld.begin(), prevHeld.end(),
+                                    held[j]),
+                          prevHeld.end())
+                    << "task " << id << " slot " << j;
+                EXPECT_LE(record.end[prev], record.start[id])
+                    << "task " << id << " slot " << j;
+            }
+        }
+        // Contended graphs: most reservations queue behind another.
+        EXPECT_GT(named, slots / 2);
     }
 }
 

@@ -52,8 +52,8 @@ makeRandomDag(std::uint64_t seed)
             std::vector<std::size_t> resources;
             if (rng.nextBounded(4) != 0)
                 resources.push_back(rng.nextBounded(num_resources));
-            const TaskId id = dag.graph.addTask(
-                {"t", resources, duration, 0, ""});
+            const TaskId id =
+                dag.graph.addTask({"t", resources, duration});
             dag.durations.push_back(duration);
             dag.deps.emplace_back();
             if (layer > 0) {
@@ -100,15 +100,15 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
 {
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
     ExecRecord record;
-    const ExecResult result =
+    const PicoSeconds makespan =
         dag.graph.execute(dag.pool, nullptr, nullptr, nullptr, &record);
 
     // Bounds: critical path <= makespan <= serial sum.
     PicoSeconds serial = 0;
     for (PicoSeconds d : dag.durations)
         serial += d;
-    EXPECT_GE(result.makespan, criticalPath(dag));
-    EXPECT_LE(result.makespan, serial);
+    EXPECT_GE(makespan, criticalPath(dag));
+    EXPECT_LE(makespan, serial);
 
     // Dependencies respected: a task ends at least its duration after
     // every prerequisite's end.
@@ -118,7 +118,7 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
 
     // No resource is busy longer than the run.
     for (std::size_t r = 0; r < dag.pool.size(); ++r)
-        EXPECT_LE(dag.pool[r].busyTime(), result.makespan);
+        EXPECT_LE(dag.pool[r].busyTime(), makespan);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty, testing::Range(0, 24));

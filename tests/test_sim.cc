@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,13 +113,13 @@ TEST(TaskGraph, ChainRespectsDependencies)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r}, 10, 0, ""});
-    const TaskId b = graph.addTask({"b", {r}, 20, 0, ""});
+    const TaskId a = graph.addTask({"a", {r}, 10});
+    const TaskId b = graph.addTask({"b", {r}, 20});
     graph.addDep(b, a);
     ExecRecord record;
-    const ExecResult result =
+    const PicoSeconds makespan =
         graph.execute(pool, nullptr, nullptr, nullptr, &record);
-    EXPECT_EQ(result.makespan, 30u);
+    EXPECT_EQ(makespan, 30u);
     EXPECT_EQ(record.end[a], 10u);
     EXPECT_EQ(record.end[b], 30u);
 }
@@ -129,9 +130,9 @@ TEST(TaskGraph, IndependentTasksContendOnSharedResource)
     const auto r = pool.create("unit");
     TaskGraph graph;
     for (int i = 0; i < 4; ++i)
-        graph.addTask({"t", {r}, 10, 0, ""});
-    const ExecResult result = graph.execute(pool);
-    EXPECT_EQ(result.makespan, 40u); // serialized on one resource
+        graph.addTask({"t", {r}, 10});
+    const PicoSeconds makespan = graph.execute(pool);
+    EXPECT_EQ(makespan, 40u); // serialized on one resource
 }
 
 TEST(TaskGraph, IndependentTasksOnDistinctResourcesOverlap)
@@ -140,9 +141,9 @@ TEST(TaskGraph, IndependentTasksOnDistinctResourcesOverlap)
     TaskGraph graph;
     for (int i = 0; i < 4; ++i) {
         const auto r = pool.create("unit" + std::to_string(i));
-        graph.addTask({"t", {r}, 10, 0, ""});
+        graph.addTask({"t", {r}, 10});
     }
-    EXPECT_EQ(graph.execute(pool).makespan, 10u);
+    EXPECT_EQ(graph.execute(pool), 10u);
 }
 
 TEST(TaskGraph, PipelineOverlapsStages)
@@ -153,11 +154,11 @@ TEST(TaskGraph, PipelineOverlapsStages)
     const auto s2 = pool.create("stage2");
     TaskGraph graph;
     for (int item = 0; item < 3; ++item) {
-        const TaskId a = graph.addTask({"s1", {s1}, 10, 0, ""});
-        const TaskId b = graph.addTask({"s2", {s2}, 10, 0, ""});
+        const TaskId a = graph.addTask({"s1", {s1}, 10});
+        const TaskId b = graph.addTask({"s2", {s2}, 10});
         graph.addDep(b, a);
     }
-    EXPECT_EQ(graph.execute(pool).makespan, 40u);
+    EXPECT_EQ(graph.execute(pool), 40u);
 }
 
 TEST(TaskGraph, MultiResourceTaskHoldsAll)
@@ -166,24 +167,12 @@ TEST(TaskGraph, MultiResourceTaskHoldsAll)
     const auto r1 = pool.create("r1");
     const auto r2 = pool.create("r2");
     TaskGraph graph;
-    graph.addTask({"uses r1", {r1}, 10, 0, ""});
-    graph.addTask({"uses both", {r1, r2}, 10, 0, ""});
-    graph.addTask({"uses r2", {r2}, 10, 0, ""});
-    const ExecResult result = graph.execute(pool);
+    graph.addTask({"uses r1", {r1}, 10});
+    graph.addTask({"uses both", {r1, r2}, 10});
+    graph.addTask({"uses r2", {r2}, 10});
+    const PicoSeconds makespan = graph.execute(pool);
     // The both-task starts after r1 frees; the r2-task waits for it.
-    EXPECT_EQ(result.makespan, 30u);
-}
-
-TEST(TaskGraph, EnergyChargedToKeys)
-{
-    ResourcePool pool;
-    TaskGraph graph;
-    graph.addTask({"a", {}, 1, 12.5, "energy.x"});
-    graph.addTask({"b", {}, 1, 7.5, "energy.x"});
-    graph.addTask({"c", {}, 1, 5.0, "energy.y"});
-    const ExecResult result = graph.execute(pool);
-    EXPECT_DOUBLE_EQ(result.stats.get("energy.x"), 20.0);
-    EXPECT_DOUBLE_EQ(result.stats.get("energy.y"), 5.0);
+    EXPECT_EQ(makespan, 30u);
 }
 
 TEST(TaskGraph, ZeroDurationBarrier)
@@ -191,16 +180,16 @@ TEST(TaskGraph, ZeroDurationBarrier)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r}, 15, 0, ""});
-    const TaskId barrier = graph.addTask({"barrier", {}, 0, 0, ""});
-    const TaskId b = graph.addTask({"b", {r}, 5, 0, ""});
+    const TaskId a = graph.addTask({"a", {r}, 15});
+    const TaskId barrier = graph.addTask({"barrier", {}, 0});
+    const TaskId b = graph.addTask({"b", {r}, 5});
     graph.addDep(barrier, a);
     graph.addDep(b, barrier);
     ExecRecord record;
-    const ExecResult result =
+    const PicoSeconds makespan =
         graph.execute(pool, nullptr, nullptr, nullptr, &record);
     EXPECT_EQ(record.end[barrier], 15u);
-    EXPECT_EQ(result.makespan, 20u);
+    EXPECT_EQ(makespan, 20u);
 }
 
 TEST(TaskGraph, ReexecutableAfterPoolReset)
@@ -208,10 +197,10 @@ TEST(TaskGraph, ReexecutableAfterPoolReset)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph graph;
-    graph.addTask({"a", {r}, 10, 0, ""});
-    EXPECT_EQ(graph.execute(pool).makespan, 10u);
+    graph.addTask({"a", {r}, 10});
+    EXPECT_EQ(graph.execute(pool), 10u);
     pool.resetAll();
-    EXPECT_EQ(graph.execute(pool).makespan, 10u);
+    EXPECT_EQ(graph.execute(pool), 10u);
 }
 
 TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
@@ -220,21 +209,20 @@ TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
     const auto r0 = pool.create("r0");
     const auto r1 = pool.create("r1");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r0}, 10, 1.0, "energy.a"});
-    const TaskId b = graph.addTask({"b", {r1}, 20, 2.0, "energy.b"});
-    const TaskId c = graph.addTask({"c", {r0, r1}, 5, 0, ""});
+    const TaskId a = graph.addTask({"a", {r0}, 10});
+    const TaskId b = graph.addTask({"b", {r1}, 20});
+    const TaskId c = graph.addTask({"c", {r0, r1}, 5});
     graph.addDep(c, a);
     graph.addDep(c, b);
 
     ExecRecord fresh;
     const PicoSeconds makespan =
-        graph.execute(pool, nullptr, nullptr, nullptr, &fresh).makespan;
+        graph.execute(pool, nullptr, nullptr, nullptr, &fresh);
     ExecScratch scratch;
     for (int round = 0; round < 3; ++round) {
         pool.resetAll();
         ExecRecord reused;
-        EXPECT_EQ(graph.execute(pool, nullptr, nullptr, &scratch, &reused)
-                      .makespan,
+        EXPECT_EQ(graph.execute(pool, nullptr, nullptr, &scratch, &reused),
                   makespan);
         EXPECT_EQ(reused.end, fresh.end);
     }
@@ -254,7 +242,7 @@ makeContendedGraph(std::uint64_t seed, std::size_t resources,
         std::vector<std::size_t> res;
         if (rng.nextBounded(4) != 0)
             res.push_back(rng.nextBounded(resources));
-        graph.addTask({"t", res, 1 + rng.nextBounded(20), 0, ""});
+        graph.addTask({"t", res, 1 + rng.nextBounded(20)});
         // Interleave deps of different tasks so each dep's successor
         // list is assembled out of call order.
         for (std::uint64_t d = rng.nextBounded(4); id > 0 && d > 0; --d) {
@@ -264,6 +252,31 @@ makeContendedGraph(std::uint64_t seed, std::size_t resources,
         }
     }
     return graph;
+}
+
+TEST(TaskGraph, ColumnsKeepEveryTask)
+{
+    TaskGraph graph;
+    EXPECT_EQ(graph.resourceBound(), 0u);
+    graph.addTask({"a", {2, 0}, 10});
+    graph.addTask({"barrier", {}, 0});
+    graph.addTask({"b", {5}, 7});
+    ASSERT_EQ(graph.size(), 3u);
+    EXPECT_EQ(graph.label(0), "a");
+    EXPECT_EQ(graph.label(2), "b");
+    EXPECT_EQ(graph.duration(0), 10u);
+    EXPECT_EQ(graph.duration(1), 0u);
+    EXPECT_EQ(std::vector<PicoSeconds>(graph.durations().begin(),
+                                       graph.durations().end()),
+              (std::vector<PicoSeconds>{10, 0, 7}));
+    const auto a = graph.resources(0);
+    EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
+              (std::vector<std::uint32_t>{2, 0}));
+    EXPECT_TRUE(graph.resources(1).empty());
+    EXPECT_EQ(graph.resourceOffset(0), 0u);
+    EXPECT_EQ(graph.resourceOffset(1), 2u);
+    EXPECT_EQ(graph.resourceOffset(2), 2u);
+    EXPECT_EQ(graph.resourceBound(), 6u);
 }
 
 TEST(TaskGraph, SuccessorsKeepAddDepOrder)
@@ -298,8 +311,11 @@ TEST(TaskGraph, RebuiltFromSuccessorsExecutesIdentically)
     // Re-declare every edge dep-major from the CSR: a different addDep
     // call order with the same per-dependency successor order.
     TaskGraph rebuilt;
-    for (TaskId id = 0; id < graph.size(); ++id)
-        rebuilt.addTask(graph.task(id));
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        const auto res = graph.resources(id);
+        rebuilt.addTask(
+            {graph.label(id), {res.begin(), res.end()}, graph.duration(id)});
+    }
     for (TaskId dep = 0; dep < graph.size(); ++dep)
         for (const TaskId task : graph.successors(dep))
             rebuilt.addDep(task, dep);
@@ -325,24 +341,37 @@ TEST(TaskGraph, MovableAcrossBuildAndExecute)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph built;
-    built.addTask({"a", {r}, 7, 0, ""});
+    built.addTask({"a", {r}, 7});
     TaskGraph moved = std::move(built);
-    EXPECT_EQ(moved.execute(pool).makespan, 7u);
+    EXPECT_EQ(moved.execute(pool), 7u);
 
     pool.resetAll();
     TaskGraph again = std::move(moved);
-    EXPECT_EQ(again.execute(pool).makespan, 7u);
+    EXPECT_EQ(again.execute(pool), 7u);
 }
 
 TEST(TaskGraphDeath, CycleIsDetected)
 {
     ResourcePool pool;
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {}, 1, 0, ""});
-    const TaskId b = graph.addTask({"b", {}, 1, 0, ""});
+    const TaskId a = graph.addTask({"a", {}, 1});
+    const TaskId b = graph.addTask({"b", {}, 1});
     graph.addDep(a, b);
     graph.addDep(b, a);
     EXPECT_DEATH(graph.execute(pool), "cycle");
+}
+
+TEST(TaskGraphDeath, ResourceOutsideThePoolIsABug)
+{
+    ResourcePool pool;
+    const auto r = pool.create("r");
+    TaskGraph graph;
+    graph.addTask({"in the pool", {r}, 1});
+    graph.addTask({"past the pool", {r + 1}, 1});
+    EXPECT_DEATH(graph.execute(pool), "names resource 1 but the pool has 1");
+    ExecRecord record;
+    EXPECT_DEATH(graph.execute(pool, nullptr, nullptr, nullptr, &record),
+                 "names resource 1 but the pool has 1");
 }
 
 } // namespace
