@@ -2,6 +2,7 @@
 
 #include "common/json.hh"
 #include "critpath/critpath.hh"
+#include "reram/ledger.hh"
 #include "telemetry/profiler.hh"
 
 namespace lergan {
@@ -227,7 +228,7 @@ writeSweepCsv(std::ostream &os, const std::vector<SweepResult> &results,
            << result.crossbarsUsed << ',' << result.oversubscribed << ','
            << result.report.computeEnergyPj() << ','
            << result.report.commEnergyPj() << ','
-           << result.report.stats.get("energy.update") << ',';
+           << result.report.stats.get(quantityName(Quantity::Update)) << ',';
         if (any_faults) {
             if (result.faults.ran()) {
                 os << ',' << result.faults.trials << ','

@@ -1,6 +1,7 @@
 #include "reram/endurance.hh"
 
 #include "common/logging.hh"
+#include "reram/ledger.hh"
 
 namespace lergan {
 
@@ -10,7 +11,7 @@ estimateEndurance(const StatSet &stats, std::uint64_t stored_weights,
 {
     LERGAN_ASSERT(stored_weights > 0, "endurance needs stored weights");
     EnduranceReport report;
-    const double writes = stats.get("count.weight_writes");
+    const double writes = stats.get(quantityName(Quantity::WeightWrites));
     report.writesPerCellPerIteration =
         writes / static_cast<double>(stored_weights);
     if (report.writesPerCellPerIteration <= 0.0)

@@ -41,7 +41,7 @@ struct EnduranceReport {
  * Estimate endurance from one iteration's statistics.
  *
  * @param stats          a TrainingReport's stats (needs
- *                       "count.weight_writes").
+ *                       Quantity::WeightWrites).
  * @param stored_weights weight elements resident in CArrays (replicas
  *                       included) — the cells sharing the write load.
  */

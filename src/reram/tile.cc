@@ -9,43 +9,46 @@ TileModel::mmvTime(std::uint64_t waves) const
 }
 
 void
-TileModel::chargeMmv(StatSet &stats, std::uint64_t crossbar_activations) const
+TileModel::chargeMmv(BuildLedger &ledger,
+                     std::uint64_t crossbar_activations) const
 {
     const double n = static_cast<double>(crossbar_activations);
-    stats.add("energy.compute.adc", params_.adcPjPerXbar * n);
-    stats.add("energy.compute.cell", params_.cellPjPerXbar * n);
-    stats.add("energy.compute.dac", params_.dacPjPerXbar * n);
-    stats.add("energy.compute.sh", params_.shPjPerXbar * n);
-    stats.add("energy.compute.driver", params_.driverPjPerXbar * n);
-    stats.add("count.crossbar_activations", n);
+    ledger.add(Quantity::ComputeAdc, params_.adcPjPerXbar * n);
+    ledger.add(Quantity::ComputeCell, params_.cellPjPerXbar * n);
+    ledger.add(Quantity::ComputeDac, params_.dacPjPerXbar * n);
+    ledger.add(Quantity::ComputeSh, params_.shPjPerXbar * n);
+    ledger.add(Quantity::ComputeDriver, params_.driverPjPerXbar * n);
+    ledger.add(Quantity::CrossbarActivations, n);
 }
 
 void
-TileModel::chargeBuffer(StatSet &stats, Bytes bytes) const
+TileModel::chargeBuffer(BuildLedger &ledger, Bytes bytes) const
 {
-    stats.add("energy.buffer", params_.bufferPjPerByte *
-                                   static_cast<double>(bytes));
+    ledger.add(Quantity::Buffer,
+               params_.bufferPjPerByte * static_cast<double>(bytes));
 }
 
 void
-TileModel::chargeStorage(StatSet &stats, Bytes read, Bytes written) const
+TileModel::chargeStorage(BuildLedger &ledger, Bytes read,
+                         Bytes written) const
 {
     // SArray accesses are tile-granularity reads/writes [Table IV],
     // charged per 16-byte access row.
     const double reads = static_cast<double>(read) / 16.0;
     const double writes = static_cast<double>(written) / 16.0;
-    stats.add("energy.storage", params_.tileReadPj * reads +
-                                    params_.tileWritePj * writes);
+    ledger.add(Quantity::Storage,
+               params_.tileReadPj * reads + params_.tileWritePj * writes);
 }
 
 PicoSeconds
-TileModel::chargeWeightWrite(StatSet &stats, std::uint64_t elems) const
+TileModel::chargeWeightWrite(BuildLedger &ledger,
+                             std::uint64_t elems) const
 {
     const double n = static_cast<double>(elems);
     // Updating a weight physically switches its cells; the Fig. 24
     // reproduction folds this into the cell-switching share.
-    stats.add("energy.update", params_.weightWritePjPerElem * n);
-    stats.add("count.weight_writes", n);
+    ledger.add(Quantity::Update, params_.weightWritePjPerElem * n);
+    ledger.add(Quantity::WeightWrites, n);
     return nsToPs(params_.weightWriteNsPerElem * n);
 }
 

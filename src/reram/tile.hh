@@ -6,7 +6,7 @@
  * MMVs), a BArray (random-access buffer feeding the CArray) and an SArray
  * (plain storage). This model converts op costs (zfdr/cost.hh) into
  * component-resolved energy and occupancy time; the Fig. 24 tile energy
- * breakdown is read straight out of the statistic keys charged here.
+ * breakdown is read straight out of the ledger quantities charged here.
  */
 
 #ifndef LERGAN_RERAM_TILE_HH
@@ -14,8 +14,8 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
 #include "common/types.hh"
+#include "reram/ledger.hh"
 #include "reram/params.hh"
 
 namespace lergan {
@@ -33,22 +33,24 @@ class TileModel
 
     /**
      * Charge the energy of @p crossbar_activations MMV crossbar firings
-     * into @p stats under "energy.compute.{adc,cell,dac,sh,driver}".
+     * into @p ledger, split over the five Compute* components.
      */
-    void chargeMmv(StatSet &stats, std::uint64_t crossbar_activations) const;
+    void chargeMmv(BuildLedger &ledger,
+                   std::uint64_t crossbar_activations) const;
 
-    /** Charge BArray traffic ("energy.buffer"). */
-    void chargeBuffer(StatSet &stats, Bytes bytes) const;
+    /** Charge BArray traffic (Quantity::Buffer). */
+    void chargeBuffer(BuildLedger &ledger, Bytes bytes) const;
 
-    /** Charge SArray reads/writes ("energy.storage"). */
-    void chargeStorage(StatSet &stats, Bytes read, Bytes written) const;
+    /** Charge SArray reads/writes (Quantity::Storage). */
+    void chargeStorage(BuildLedger &ledger, Bytes read, Bytes written) const;
 
     /**
      * Charge a weight update of @p elems CArray elements
-     * ("energy.update", also booked under cell switching since updates
+     * (Quantity::Update, also booked under cell switching since updates
      * physically switch cells). @return the write time.
      */
-    PicoSeconds chargeWeightWrite(StatSet &stats, std::uint64_t elems) const;
+    PicoSeconds chargeWeightWrite(BuildLedger &ledger,
+                                  std::uint64_t elems) const;
 
     /** Total energy of one crossbar activation (all components). */
     PicoJoules perCrossbarEnergy() const;

@@ -1,8 +1,7 @@
 /**
  * @file
  * Hierarchical metrics registry: counters, gauges and histograms under
- * dot-separated names ("sim.queue.depth", "ic.htree.wire.flits",
- * "cache.model.hits").
+ * dot-separated names ("sim.queue.depth", "cache.model.hits").
  *
  * Recording is cheap, thread-safe and contention-free: counters and
  * histograms are sharded into cache-line-padded per-thread slots (each

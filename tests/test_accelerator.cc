@@ -283,6 +283,37 @@ TEST(Accelerator, TemplateReplayIsRepeatable)
     }
 }
 
+TEST(Accelerator, LedgerKeysFollowTheFabric)
+{
+    // An H-tree (PRIME) machine never charges added wires, so its report
+    // has no energy.comm.added key at all while a 3D one does; with
+    // telemetry attached, both create every per-link-kind flit counter.
+    const GanModel model = makeBenchmark("cGAN");
+    for (AcceleratorConfig config :
+         {AcceleratorConfig::prime(),
+          AcceleratorConfig::lerGan(ReplicaDegree::Low)}) {
+        config.batchSize = 4;
+        const bool three_d = config.connection == Connection::ThreeD;
+        LerGanAccelerator acc(model, config);
+        MetricsRegistry metrics;
+        const TrainingReport report =
+            acc.trainIterations(1, nullptr, &metrics);
+        EXPECT_EQ(report.stats.has("energy.comm.added"), three_d);
+        EXPECT_EQ(report.stats.has("energy.comm.bypass"), three_d);
+        EXPECT_TRUE(report.stats.has("energy.comm.htree"));
+
+        const MetricsSnapshot snapshot = metrics.snapshot();
+        for (const char *name :
+             {"ic.htree.wire.flits", "ic.added.h.flits", "ic.added.v.flits",
+              "ic.bypass.flits", "ic.bus.flits"})
+            EXPECT_EQ(snapshot.counters.count(name), 1u) << name;
+        EXPECT_EQ(snapshot.counters.at("ic.added.v.flits") > 0, three_d);
+        EXPECT_EQ(snapshot.counters.at("ctrl.transitions"), 4u);
+        EXPECT_EQ(snapshot.counters.count("ctrl.enter.idle"), 0u);
+        EXPECT_EQ(snapshot.counters.at("ctrl.enter.train_gen"), 1u);
+    }
+}
+
 TEST(Accelerator, AllBenchmarksRunOnAllConnections)
 {
     for (const GanModel &model : allBenchmarks()) {
