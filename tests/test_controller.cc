@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/controller.hh"
 
 namespace lergan {
@@ -96,7 +99,25 @@ TEST(Controller, StateNamesArePrintable)
 {
     EXPECT_STREQ(ctrlStateName(CtrlState::Idle), "idle");
     EXPECT_STREQ(ctrlStateName(CtrlState::TrainDisc), "train_disc");
+    EXPECT_STREQ(ctrlStateName(CtrlState::UpdateDisc), "update_disc");
+    EXPECT_STREQ(ctrlStateName(CtrlState::TrainGen), "train_gen");
     EXPECT_STREQ(ctrlStateName(CtrlState::UpdateGen), "update_gen");
+}
+
+TEST(Controller, EachStateHasItsOwnEntryCounter)
+{
+    // The ledger's ctrl.enter.<state> counter of every state is named
+    // after that state, so swapping two entries of the state-to-counter
+    // table would rename the states themselves.
+    std::set<Quantity> counters;
+    for (CtrlState state :
+         {CtrlState::Idle, CtrlState::TrainDisc, CtrlState::UpdateDisc,
+          CtrlState::TrainGen, CtrlState::UpdateGen}) {
+        EXPECT_EQ(quantityName(ctrlEnterQuantity(state)),
+                  std::string("ctrl.enter.") + ctrlStateName(state));
+        counters.insert(ctrlEnterQuantity(state));
+    }
+    EXPECT_EQ(counters.size(), 5u);
 }
 
 TEST(ControllerDeath, BadBankIdPanics)
