@@ -26,7 +26,6 @@
 #include "core/anomaly.hh"
 #include "core/api.hh"
 #include "exec/engine.hh"
-#include "telemetry/profiler.hh"
 #include "telemetry/tracing.hh"
 
 namespace lergan {
@@ -82,10 +81,11 @@ banner(const std::string &what, const std::string &paper_claim)
 
 /**
  * Shared observability plumbing of the bench binaries: the --progress,
- * --metrics, --metrics-format and --self-profile options, the metrics
- * registry they populate, and the end-of-run export. Everything is off
- * by default, so the figure tables on stdout (the golden-diffed output)
- * are untouched unless a flag asks for more.
+ * --metrics, --metrics-format, --self-profile and --trace-* options,
+ * the metrics registry and flight recorder they populate, and the
+ * end-of-run export. Everything is off by default, so the figure tables
+ * on stdout (the golden-diffed output) are untouched unless a flag asks
+ * for more.
  *
  * Usage:
  *   ArgParser args;
@@ -115,8 +115,8 @@ class Observability
         args.addOption("metrics-format",
                        "snapshot format: prom, json or csv", "prom");
         args.addOption("self-profile",
-                       "profile the simulator's own host phases "
-                       "(reported on stderr)",
+                       "record lifecycle spans and print each span "
+                       "name's self time on stderr",
                        "", /*is_flag=*/true);
         args.addOption("trace-spans",
                        "record lifecycle spans and write the NDJSON "
@@ -151,7 +151,7 @@ class Observability
         if (capacity < 1 || capacity > kMaxTraceCapacity)
             LERGAN_FATAL("--trace-capacity must be in [1, ",
                          kMaxTraceCapacity, "], got ", capacity);
-        if (!spansPath_.empty() || anomaliesWanted_) {
+        if (!spansPath_.empty() || anomaliesWanted_ || selfProfile_) {
             recorder_ = std::make_shared<FlightRecorder>(
                 static_cast<std::size_t>(capacity));
         }
@@ -163,10 +163,6 @@ class Observability
                              "(0,1], got ",
                              args.get("trace-anomalies"));
         }
-        if (selfProfile_) {
-            HostProfiler::global().reset();
-            HostProfiler::global().enable();
-        }
     }
 
     /** The registry to attach via withTelemetry() (null = no --metrics). */
@@ -177,7 +173,7 @@ class Observability
 
     /**
      * The flight recorder to attach via withTracing() (null unless
-     * --trace-spans or --trace-anomalies was given).
+     * --trace-spans, --trace-anomalies or --self-profile was given).
      */
     const std::shared_ptr<FlightRecorder> &recorder() const
     {
@@ -217,10 +213,10 @@ class Observability
     }
 
     /**
-     * Export everything the flags asked for: the --metrics snapshot
-     * (host-profile gauges folded in first), the --self-profile table
-     * on stderr and — last, so the export's own span makes it into the
-     * log — the --trace-spans NDJSON event log.
+     * Export everything the flags asked for: the --metrics snapshot,
+     * then — so the export's own span makes it into both — the
+     * --trace-spans NDJSON event log and the --self-profile table of
+     * span self times on stderr.
      */
     void
     finish()
@@ -236,20 +232,19 @@ class Observability
             exportMetrics();
         }
         exportSpans();
+        if (selfProfile_) {
+            std::cerr << "host profile (span self time):\n";
+            printSpanSelfTimes(std::cerr, recorder_->collect());
+            warnOverwrites("self-profile");
+        }
     }
 
   private:
     void
     exportMetrics()
     {
-        if (selfProfile_) {
-            std::cerr << "host profile:\n";
-            HostProfiler::global().print(std::cerr);
-        }
         if (!registry_)
             return;
-        if (HostProfiler::global().enabled())
-            HostProfiler::global().exportInto(*registry_);
         const MetricsSnapshot snapshot = registry_->snapshot();
         const auto write = [&](std::ostream &os) {
             if (metricsFormat_ == "json")
@@ -278,14 +273,21 @@ class Observability
         const std::vector<SpanEvent> events = recorder_->collect();
         if (spansPath_ == "-") {
             writeSpanNdjson(std::cout, events);
-            return;
+        } else {
+            std::ofstream out(spansPath_);
+            if (!out)
+                LERGAN_FATAL("cannot write span log '", spansPath_, "'");
+            writeSpanNdjson(out, events);
         }
-        std::ofstream out(spansPath_);
-        if (!out)
-            LERGAN_FATAL("cannot write span log '", spansPath_, "'");
-        writeSpanNdjson(out, events);
+        warnOverwrites("trace-spans");
+    }
+
+    /** Note on stderr that the rings dropped spans, if they did. */
+    void
+    warnOverwrites(const char *what) const
+    {
         if (recorder_->dropped() > 0) {
-            std::cerr << "trace-spans: " << recorder_->dropped()
+            std::cerr << what << ": " << recorder_->dropped()
                       << " spans overwritten (ring capacity "
                       << recorder_->laneCapacity()
                       << "/lane) — oldest traces are partial\n";
@@ -307,8 +309,8 @@ class Observability
  * Wall-clock stopwatch for bench-side performance measurement.
  *
  * Times host phases of a bench run (the simulator's own speed, never
- * the simulated hardware's). Used by the fig19 perf guard's
- * measurements (bench/runner.hh); standalone benches may use it directly.
+ * the simulated hardware's): the fig19 perf guard's measurements
+ * (bench/runner.hh) and every bench's wall-clock line.
  */
 class PerfTimer
 {

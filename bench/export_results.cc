@@ -15,7 +15,6 @@
  * golden diffs are unaffected.
  */
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 
@@ -72,13 +71,10 @@ main(int argc, char **argv)
     options.pointTelemetry =
         args.getFlag("telemetry") || obs.anomaliesWanted();
 
-    const auto began = std::chrono::steady_clock::now();
+    const PerfTimer timer;
     const auto results = sweep.run(options);
     obs.reportSweep(results);
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - began)
-            .count();
+    const double wall_ms = timer.elapsedMs();
 
     SweepTelemetrySummary summary;
     summary.cacheHits = sweep.cache().hits();

@@ -20,8 +20,6 @@
  *   ./build/bench/fault_sweep [--trials 32] [--threads 0] [--golden]
  */
 
-#include <chrono>
-
 #include "bench_util.hh"
 #include "common/args.hh"
 #include "faults/montecarlo.hh"
@@ -61,7 +59,7 @@ main(int argc, char **argv)
 
     TextTable table({"config", "kill rate", "ms mean", "ms p95",
                      "mJ mean", "mJ p95", "cap lost", "failed"});
-    const auto start = std::chrono::steady_clock::now();
+    const PerfTimer timer;
     int trials_total = 0;
     bool audits_ok = true;
     for (double rate : rates) {
@@ -79,6 +77,7 @@ main(int argc, char **argv)
         options.audit = AuditOptions::full();
         options.onProgress = obs.progress();
         options.telemetry = obs.registry();
+        options.recorder = obs.recorder();
         const std::vector<SweepResult> results = experiment.run(options);
 
         for (const SweepResult &result : results) {
@@ -108,11 +107,8 @@ main(int argc, char **argv)
                             : "FAILURES (simulator bug)")
               << "\n";
     if (!golden) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start);
         std::cout << "swept " << trials_total << " trials in "
-                  << elapsed.count() << " ms\n";
+                  << static_cast<long long>(timer.elapsedMs()) << " ms\n";
     }
     obs.finish();
     return audits_ok ? 0 : 1;

@@ -20,23 +20,30 @@ main(int argc, char **argv)
                   "little on H-tree, a lot on 3D");
     runner.parse(argc, argv, "Fig. 17 reproduction");
 
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("2d-nodup",
+                    makeConfig(Connection::HTree, ReshapeMode::Zfdr, false))
+        .addConfig("2d-dup", makeConfig(Connection::HTree, ReshapeMode::Zfdr,
+                                        true, ReplicaDegree::High))
+        .addConfig("3d-nodup",
+                   makeConfig(Connection::ThreeD, ReshapeMode::Zfdr, false))
+        .addConfig("3d-dup", makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
+                                        true, ReplicaDegree::High));
+    const auto results = runner.runSweep(sweep, 1);
+
     TextTable table({"benchmark", "2D nodup (base)", "2D dup",
                      "3D nodup", "3D dup"});
     Mean m2dup, m3nodup, m3dup;
     for (const GanModel &model : allBenchmarks()) {
-        const auto ms = [&](const AcceleratorConfig &config) {
-            return SimulationSession(config).run(model).timeMs();
+        const auto ms = [&](const char *config) {
+            return resultOf(results, model.name, config).report.timeMs();
         };
-        const double base = ms(makeConfig(
-            Connection::HTree, ReshapeMode::Zfdr, false));
-        const double dup_2d =
-            ms(makeConfig(Connection::HTree, ReshapeMode::Zfdr,
-                          true, ReplicaDegree::High));
-        const double nodup_3d = ms(makeConfig(
-            Connection::ThreeD, ReshapeMode::Zfdr, false));
-        const double dup_3d =
-            ms(makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
-                          true, ReplicaDegree::High));
+        const double base = ms("2d-nodup");
+        const double dup_2d = ms("2d-dup");
+        const double nodup_3d = ms("3d-nodup");
+        const double dup_3d = ms("3d-dup");
         m2dup.add(base / dup_2d);
         m3nodup.add(base / nodup_3d);
         m3dup.add(base / dup_3d);

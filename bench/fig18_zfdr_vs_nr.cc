@@ -19,22 +19,31 @@ main(int argc, char **argv)
                   "average");
     runner.parse(argc, argv, "Fig. 18 reproduction");
 
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("2d-nr",
+                    makeConfig(Connection::HTree, ReshapeMode::Normal, false))
+        .addConfig("3d-nr",
+                   makeConfig(Connection::ThreeD, ReshapeMode::Normal, false))
+        .addConfig("3d-zfdr",
+                   makeConfig(Connection::ThreeD, ReshapeMode::Zfdr, false))
+        .addConfig("3d-zfdr-dup",
+                   makeConfig(Connection::ThreeD, ReshapeMode::Zfdr, true,
+                              ReplicaDegree::High));
+    const auto results = runner.runSweep(sweep, 1);
+
     TextTable table({"benchmark", "NR+3D", "ZFDR+3D",
                      "ZFDR+3D+dup"});
     Mean m_nr, m_zfdr, m_dup;
     for (const GanModel &model : allBenchmarks()) {
-        const auto ms = [&](const AcceleratorConfig &config) {
-            return SimulationSession(config).run(model).timeMs();
+        const auto ms = [&](const char *config) {
+            return resultOf(results, model.name, config).report.timeMs();
         };
-        const double base = ms(makeConfig(
-            Connection::HTree, ReshapeMode::Normal, false));
-        const double nr_3d = ms(makeConfig(
-            Connection::ThreeD, ReshapeMode::Normal, false));
-        const double zfdr_3d = ms(makeConfig(
-            Connection::ThreeD, ReshapeMode::Zfdr, false));
-        const double zfdr_dup =
-            ms(makeConfig(Connection::ThreeD, ReshapeMode::Zfdr,
-                          true, ReplicaDegree::High));
+        const double base = ms("2d-nr");
+        const double nr_3d = ms("3d-nr");
+        const double zfdr_3d = ms("3d-zfdr");
+        const double zfdr_dup = ms("3d-zfdr-dup");
         m_nr.add(base / nr_3d);
         m_zfdr.add(base / zfdr_3d);
         m_dup.add(base / zfdr_dup);

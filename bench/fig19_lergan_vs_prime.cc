@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 #include <memory>
 
 #include "core/validate.hh"
@@ -283,14 +282,17 @@ main(int argc, char **argv)
 
     if (args.getFlag("self-profile")) {
         // Telemetry on-cost on the warm grid, against the product
-        // default of telemetry off.
+        // default of telemetry and tracing off; the A/B runs stay out
+        // of the span profile.
         const auto registry = std::make_shared<MetricsRegistry>();
+        sweep.withTracing(nullptr);
         const double overhead = abOverheadPct(
             [&] { sweep.withTelemetry(nullptr).run(warm); },
             [&] { sweep.withTelemetry(registry).run(warm); });
         std::cerr << "telemetry overhead (warm A/B): "
                   << TextTable::num(overhead) << "% on-cost\n";
-        sweep.withTelemetry(runner.obs().registry());
+        sweep.withTelemetry(runner.obs().registry())
+            .withTracing(runner.obs().recorder());
     }
 
     if (args.getFlag("critpath")) {
@@ -319,17 +321,16 @@ main(int argc, char **argv)
         exportCounterTrace(args.get("trace"),
                            runner.obs().recorder().get());
 
-    std::map<std::pair<std::string, std::string>, double> msPerIter;
-    for (const SweepResult &result : sweepResults)
-        msPerIter[{result.benchmark, result.configLabel}] =
-            result.report.timeMs();
-
     TextTable table({"benchmark", "low", "middle", "high", "low-NS"});
     Mean m_low, m_mid, m_high, m_ns;
     for (const GanModel &model : allBenchmarks()) {
-        const double prime = msPerIter.at({model.name, "prime"});
+        const auto ms = [&](const char *label) {
+            return resultOf(sweepResults, model.name, label)
+                .report.timeMs();
+        };
+        const double prime = ms("prime");
         const auto speedup = [&](const char *label) {
-            return prime / msPerIter.at({model.name, label});
+            return prime / ms(label);
         };
         const double low = speedup("low");
         const double mid = speedup("middle");

@@ -19,24 +19,31 @@ main(int argc, char **argv)
                   "duplication grows");
     runner.parse(argc, argv, "Fig. 20 reproduction");
 
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("prime", AcceleratorConfig::prime())
+        .addConfig("low", AcceleratorConfig::lerGan(ReplicaDegree::Low))
+        .addConfig("middle",
+                   AcceleratorConfig::lerGan(ReplicaDegree::Middle))
+        .addConfig("high", AcceleratorConfig::lerGan(ReplicaDegree::High));
+    for (const GanModel &model : allBenchmarks())
+        sweep.addPoint(model, "low-NS", lerGanLowNs(model));
+    const auto results = runner.runSweep(sweep, 1);
+
     TextTable table({"benchmark", "low", "middle", "high",
                      "low-NS"});
     Mean m_low, m_mid, m_high, m_ns;
-    const SimulationSession prime_session(AcceleratorConfig::prime());
     for (const GanModel &model : allBenchmarks()) {
-        const double prime =
-            prime_session.run(model).totalEnergyPj();
-        auto saving = [&](const AcceleratorConfig &config) {
-            const SimulationSession session(config);
-            return prime / session.run(model).totalEnergyPj();
+        const auto energy = [&](const char *config) {
+            return resultOf(results, model.name, config)
+                .report.totalEnergyPj();
         };
-        const double low =
-            saving(AcceleratorConfig::lerGan(ReplicaDegree::Low));
-        const double mid =
-            saving(AcceleratorConfig::lerGan(ReplicaDegree::Middle));
-        const double high =
-            saving(AcceleratorConfig::lerGan(ReplicaDegree::High));
-        const double ns = saving(lerGanLowNs(model));
+        const double prime = energy("prime");
+        const double low = prime / energy("low");
+        const double mid = prime / energy("middle");
+        const double high = prime / energy("high");
+        const double ns = prime / energy("low-NS");
         m_low.add(low);
         m_mid.add(mid);
         m_high.add(high);

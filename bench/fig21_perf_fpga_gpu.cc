@@ -22,11 +22,14 @@ main(int argc, char **argv)
     TextTable table({"benchmark", "LerGAN ms/iter", "vs FPGA-GAN",
                      "vs GPU"});
     Mean m_fpga, m_gpu;
-    const SimulationSession session(
-        AcceleratorConfig::lerGan(ReplicaDegree::High));
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("high", AcceleratorConfig::lerGan(ReplicaDegree::High));
+    const auto results = runner.runSweep(sweep, kIterations);
     for (const GanModel &model : allBenchmarks()) {
         const double lergan =
-            session.run(model, kIterations).timeMs();
+            resultOf(results, model.name, "high").report.timeMs();
         const double fpga = simulateFpgaGan(model).timeMs();
         const double gpu = simulateGpu(model).timeMs();
         m_fpga.add(fpga / lergan);

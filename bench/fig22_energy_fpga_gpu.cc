@@ -21,10 +21,14 @@ main(int argc, char **argv)
     TextTable table({"benchmark", "LerGAN mJ/iter", "vs FPGA-GAN",
                      "vs GPU"});
     Mean m_fpga, m_gpu;
-    const SimulationSession session(
-        AcceleratorConfig::lerGan(ReplicaDegree::High));
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("high", AcceleratorConfig::lerGan(ReplicaDegree::High));
+    const auto results = runner.runSweep(sweep, 1);
     for (const GanModel &model : allBenchmarks()) {
-        const double lergan = session.run(model).totalEnergyPj();
+        const double lergan =
+            resultOf(results, model.name, "high").report.totalEnergyPj();
         const double fpga = simulateFpgaGan(model).totalEnergyPj();
         const double gpu = simulateGpu(model).totalEnergyPj();
         m_fpga.add(fpga / lergan);

@@ -19,14 +19,14 @@ main(int argc, char **argv)
                   "computing 70.4%, communication 16%, others 13.6%");
     runner.parse(argc, argv, "Fig. 23 reproduction");
 
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("low", AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    const auto results = runner.runSweep(sweep, 1);
     StatSet total;
-    for (const GanModel &model : allBenchmarks()) {
-        const TrainingReport report =
-            SimulationSession(
-                AcceleratorConfig::lerGan(ReplicaDegree::Low))
-                .run(model);
-        total.merge(report.stats);
-    }
+    for (const GanModel &model : allBenchmarks())
+        total.merge(resultOf(results, model.name, "low").report.stats);
 
     const double all = total.sumPrefix("energy.");
     TextTable table({"component", "share", "paper"});

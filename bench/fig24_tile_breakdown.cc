@@ -19,14 +19,14 @@ main(int argc, char **argv)
                   "ADC 45.14%, cell switching 40.16%, rest ~14.7%");
     runner.parse(argc, argv, "Fig. 24 reproduction");
 
+    ExperimentSweep sweep;
+    for (const GanModel &model : allBenchmarks())
+        sweep.addBenchmark(model);
+    sweep.addConfig("low", AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    const auto results = runner.runSweep(sweep, 1);
     StatSet total;
-    for (const GanModel &model : allBenchmarks()) {
-        const TrainingReport report =
-            SimulationSession(
-                AcceleratorConfig::lerGan(ReplicaDegree::Low))
-                .run(model);
-        total.merge(report.stats);
-    }
+    for (const GanModel &model : allBenchmarks())
+        total.merge(resultOf(results, model.name, "low").report.stats);
 
     const double adc = total.get("energy.compute.adc");
     const double cell =

@@ -181,6 +181,22 @@ Runner::finish()
     obs().finish();
 }
 
+const SweepResult &
+resultOf(const std::vector<SweepResult> &results,
+         const std::string &benchmark, const std::string &config)
+{
+    const auto it = std::find_if(
+        results.begin(), results.end(), [&](const SweepResult &r) {
+            return r.benchmark == benchmark && r.configLabel == config;
+        });
+    if (it == results.end())
+        LERGAN_FATAL("no sweep point ", benchmark, "/", config);
+    if (it->failed)
+        LERGAN_FATAL("sweep point ", benchmark, "/", config,
+                     " failed: ", it->error);
+    return *it;
+}
+
 double
 abOverheadPct(const std::function<void()> &off,
               const std::function<void()> &on)

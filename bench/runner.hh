@@ -5,16 +5,19 @@
  *
  * Every bench used to copy-paste the same plumbing: an ArgParser, the
  * shared Observability options, a --threads knob for sweep-based grids
- * and the final export calls. bench::Runner owns all of that.
+ * and the final export calls. bench::Runner owns all of that, and
+ * runSweep() is how every figure bench simulates, so --threads,
+ * --progress, --metrics, --trace-* and --self-profile mean the same
+ * thing in each of them.
  *
- * Usage (sweep-based bench):
+ * Usage (figure bench):
  * @code
  *   bench::Runner runner("Fig. 19: ...", "paper claim ...");
  *   runner.args().addOption("trace", "...");     // bench-specific flags
  *   runner.parse(argc, argv, "Fig. 19 reproduction");
  *   ExperimentSweep sweep;  ...build grid...
  *   const auto results = runner.runSweep(sweep, kIterations);
- *   ...print tables from results...
+ *   ...print tables from resultOf(results, benchmark, config)...
  *   runner.finish();
  * @endcode
  *
@@ -116,6 +119,15 @@ class Runner
     ArgParser args_;
     std::unique_ptr<Observability> obs_;
 };
+
+/**
+ * The result of the (@p benchmark, @p config) point in @p results — the
+ * one lookup the figure benches read their sweeps with. Fatal when the
+ * point is absent or failed.
+ */
+const SweepResult &resultOf(const std::vector<SweepResult> &results,
+                            const std::string &benchmark,
+                            const std::string &config);
 
 /** One timed configuration (worker count) of the fig19 grid. */
 struct BenchMeasurement {

@@ -7,7 +7,6 @@
  * export byte-identical JSON.
  */
 
-#include <chrono>
 #include <sstream>
 
 #include "core/sweep_io.hh"
@@ -37,11 +36,9 @@ timedRun(const lergan::ExperimentSweep &sweep, int threads)
     lergan::RunOptions options;
     options.threads = threads;
     options.iterations = lergan::bench::kIterations;
-    const auto start = std::chrono::steady_clock::now();
+    const lergan::bench::PerfTimer timer;
     auto results = sweep.run(options);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    return {std::move(results), elapsed.count()};
+    return {std::move(results), timer.elapsedMs() * 1e-3};
 }
 
 /**

@@ -2,10 +2,10 @@
 # Full verification: plain build + complete test suite, then a
 # ThreadSanitizer build of the execution-engine tests (ctest label
 # `tsan`) and an ASan+UBSan build of the audit/exporter, event-kernel,
-# executor, trace-export, fault, critical-path, DSL-parser, perf-guard
-# and build-ledger tests (ctest labels `audit`, `sim`, `faults`,
-# `critpath`, `parser`, `bench` and `ledger`), with the fig19 perf guard
-# in between. Run from anywhere; builds land in build/, build-tsan/ and
+# executor, trace-export, fault, critical-path, DSL-parser, perf-guard,
+# build-ledger and causal-tracing tests (ctest labels `audit`, `sim`,
+# `faults`, `critpath`, `parser`, `bench`, `ledger` and `tracing`), with
+# the fig19 perf guard in between. Run from anywhere; builds land in build/, build-tsan/ and
 # build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
@@ -76,14 +76,16 @@ fi
 # tests compile degraded mappings, the critpath tests walk recorded
 # timing graphs and the bench tests parse BENCH_fig19.json files. The
 # ledger tests (tile, topology, accelerator) drive the iteration build's
-# enum-indexed ledger arrays and the cached routes' resource lists.
+# enum-indexed ledger arrays and the cached routes' resource lists, and
+# the tracing tests index span events by their parent links (the
+# --self-profile self-time pass).
 echo "== ASan+UBSan availability probe =="
 if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -o "$probe_dir/probe-asan" 2>/dev/null && \
         "$probe_dir/probe-asan"; then
     echo "== ASan+UBSan build of the audit + sim + faults + critpath +" \
-         "parser + bench + ledger tests" \
-         "(ctest -L 'audit|sim|faults|critpath|parser|bench|ledger') =="
+         "parser + bench + ledger + tracing tests" \
+         "(ctest -L 'audit|sim|faults|critpath|parser|bench|ledger|tracing') =="
     cmake -B "$root/build-asan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -91,14 +93,14 @@ if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
     cmake --build "$root/build-asan" -j "$jobs" \
         --target test_audit test_sweep_io test_sim test_json_trace \
         test_properties test_parser test_faults test_critpath test_bench_guard \
-        test_reram test_interconnect test_accelerator
+        test_reram test_interconnect test_accelerator test_tracing
     ctest --test-dir "$root/build-asan" \
-        -L 'audit|sim|faults|critpath|parser|bench|ledger' \
+        -L 'audit|sim|faults|critpath|parser|bench|ledger|tracing' \
         --output-on-failure -j "$jobs"
 else
     echo "ASan+UBSan unavailable on this toolchain; skipping the" \
          "sanitizer rerun of the audit/sim/faults/critpath/parser/" \
-         "bench/ledger suites (plain suite already ran)."
+         "bench/ledger/tracing suites (plain suite already ran)."
 fi
 
 echo "== all checks passed =="

@@ -6,7 +6,6 @@
 #include "core/validate.hh"
 #include "sim/task_graph.hh"
 #include "sim/utilization.hh"
-#include "telemetry/profiler.hh"
 #include "workloads/zoo.hh"
 
 namespace lergan {
@@ -534,7 +533,6 @@ LerGanAccelerator::resourceNames() const
 std::shared_ptr<const IterationTemplate>
 LerGanAccelerator::makeIterationTemplate()
 {
-    const auto scope = HostProfiler::global().scope("schedule");
     controller_.reset();
 
     IterationBuilder builder(model_, config_, *compiled_, machine_,
@@ -576,13 +574,9 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
         }
     }
 
-    PicoSeconds makespan = 0;
-    {
-        const auto scope = HostProfiler::global().scope("simulate");
-        makespan = tmpl->graph.execute(
-            machine_.pool(), tracer, metrics,
-            externalScratch_ ? externalScratch_ : &scratch_, record);
-    }
+    const PicoSeconds makespan = tmpl->graph.execute(
+        machine_.pool(), tracer, metrics,
+        externalScratch_ ? externalScratch_ : &scratch_, record);
     if (metrics) {
         metrics->counter("sim.iterations").add(1);
         if (record)

@@ -1,6 +1,5 @@
 #include "core/sweep.hh"
 
-#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -214,9 +213,8 @@ ExperimentSweep::run(const RunOptions &options) const
 
     const auto body = [&](std::size_t i, std::size_t lane) {
         const Point &point = points[i];
-        const auto began = options.pointTelemetry
-                               ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
+        const std::uint64_t beganNs =
+            options.pointTelemetry ? traceNowNs() : 0;
         // Under withTracing, the engine's root "point" span is open on
         // this thread; name it and hang the stage spans below it. All
         // of this is inert (one TL load per scope) when untraced.
@@ -234,9 +232,7 @@ ExperimentSweep::run(const RunOptions &options) const
             result.telemetry.ran = true;
             result.telemetry.cacheHit = prepared.cacheHit;
             result.telemetry.hostMs =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - began)
-                    .count();
+                static_cast<double>(traceNowNs() - beganNs) * 1e-6;
         };
 
         if (pruning_ && point.prunable) {

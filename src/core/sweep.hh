@@ -169,8 +169,8 @@ class ExperimentSweep
      * accumulates sim-time telemetry into it (same contract as
      * SimulationSession::withTelemetry — integer instruments only, so
      * totals are independent of worker count), plus compile-cache
-     * gauges and the worker pool's "host."-prefixed stats after each
-     * run. Pass null to detach.
+     * gauges and the worker pool's "host."-prefixed worker count after
+     * each run. Pass null to detach.
      */
     ExperimentSweep &withTelemetry(
         std::shared_ptr<MetricsRegistry> registry =

@@ -3,7 +3,6 @@
 #include "common/json.hh"
 #include "critpath/critpath.hh"
 #include "reram/ledger.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 
@@ -50,7 +49,6 @@ void
 writeSweepJson(std::ostream &os, const std::vector<SweepResult> &results,
                const SweepTelemetrySummary *summary)
 {
-    const auto scope = HostProfiler::global().scope("export");
     JsonWriter json(os);
     if (summary)
         json.beginObject().key("points");
@@ -169,7 +167,6 @@ void
 writeSweepCsv(std::ostream &os, const std::vector<SweepResult> &results,
               const SweepTelemetrySummary *summary)
 {
-    const auto scope = HostProfiler::global().scope("export");
     // Monte Carlo columns appear only when some result carries trial
     // distributions, so plain sweeps export the exact historical shape;
     // telemetry columns follow the same pattern.

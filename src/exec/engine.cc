@@ -76,14 +76,6 @@ runPoints(std::size_t count, unsigned threads, const PointBodyFn &body,
     if (metrics) {
         metrics->gauge("host.pool.threads")
             .set(static_cast<double>(pool.threadCount()));
-        metrics->counter("host.pool.tasks.run").add(pool.tasksRun());
-        const auto busy = pool.workerBusyNs();
-        for (std::size_t w = 0; w < busy.size(); ++w) {
-            metrics
-                ->gauge("host.pool.worker." + std::to_string(w) +
-                        ".busy_ms")
-                .set(static_cast<double>(busy[w]) * 1e-6);
-        }
     }
     return statuses;
 }

@@ -100,9 +100,9 @@ using PointTraceIdFn = std::function<TraceId(std::size_t)>;
  * without a sink the per-point epilogue takes no lock and touches no
  * shared counter.
  *
- * When @p metrics is given, the pool's host-side stats (worker count,
- * per-worker busy time, tasks run) are recorded after the drain under
- * the "host." prefix — wall-clock facts, never part of goldens.
+ * When @p metrics is given, the pool's worker count is recorded after
+ * the drain as the "host.pool.threads" gauge — a fact about the host,
+ * never part of goldens.
  *
  * When @p recorder is given, every point runs under a root "point"
  * span on its lane's flight-recorder ring: the lane is bound before

@@ -1,7 +1,8 @@
 #include "exec/thread_pool.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <memory>
 
 namespace lergan {
 
@@ -15,10 +16,9 @@ ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = defaultThreadCount();
-    stats_ = std::make_unique<WorkerStat[]>(threads);
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -84,28 +84,9 @@ ThreadPool::forEach(std::size_t count,
     drain();
 }
 
-std::vector<std::uint64_t>
-ThreadPool::workerBusyNs() const
-{
-    std::vector<std::uint64_t> busy(workers_.size());
-    for (std::size_t w = 0; w < workers_.size(); ++w)
-        busy[w] = stats_[w].busyNs.load(std::memory_order_relaxed);
-    return busy;
-}
-
-std::uint64_t
-ThreadPool::tasksRun() const
-{
-    std::uint64_t total = 0;
-    for (std::size_t w = 0; w < workers_.size(); ++w)
-        total += stats_[w].tasksRun.load(std::memory_order_relaxed);
-    return total;
-}
-
 void
-ThreadPool::workerLoop(std::size_t worker)
+ThreadPool::workerLoop()
 {
-    WorkerStat &stat = stats_[worker];
     std::unique_lock lock(mutex_);
     for (;;) {
         workReady_.wait(
@@ -116,17 +97,7 @@ ThreadPool::workerLoop(std::size_t worker)
         queue_.pop_front();
         ++running_;
         lock.unlock();
-        const auto begin = std::chrono::steady_clock::now();
         task();
-        const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
-        // Stats go to this worker's own padded slot — the queue lock
-        // is for the queue, not for accounting.
-        stat.busyNs.fetch_add(static_cast<std::uint64_t>(ns),
-                              std::memory_order_relaxed);
-        stat.tasksRun.fetch_add(1, std::memory_order_relaxed);
         lock.lock();
         --running_;
         if (queue_.empty() && running_ == 0)

@@ -7,9 +7,7 @@
  * grids go through forEach(), which pushes only one claiming task per
  * worker through the queue and lets the workers carve the index range
  * into chunks off a shared atomic cursor — the mutex/condvar pair is
- * touched O(workers) times per grid, not O(points). Per-worker stats
- * (busy time, tasks run) live in cache-line-padded atomic slots, so
- * task completion never takes the queue lock either.
+ * touched O(workers) times per grid, not O(points).
  *
  * Tasks must not let exceptions escape: the pool has nowhere to deliver
  * them (the engine layer wraps point bodies in a catch-all and records
@@ -19,13 +17,10 @@
 #ifndef LERGAN_EXEC_THREAD_POOL_HH
 #define LERGAN_EXEC_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -77,35 +72,16 @@ class ThreadPool
     /** Number of worker threads. */
     std::size_t threadCount() const { return workers_.size(); }
 
-    /**
-     * Wall time each worker has spent inside tasks so far, indexed by
-     * worker. Host-side observability: which workers the sweep engine
-     * actually kept busy (reported under the "host." metric prefix, so
-     * never part of a determinism golden).
-     */
-    std::vector<std::uint64_t> workerBusyNs() const;
-
-    /** Total tasks completed by all workers. */
-    std::uint64_t tasksRun() const;
-
   private:
-    void workerLoop(std::size_t worker);
+    void workerLoop();
 
-    /** Per-worker stats in a padded slot: workers update their own
-     *  line without the queue lock and without false sharing. */
-    struct alignas(64) WorkerStat {
-        std::atomic<std::uint64_t> busyNs{0};
-        std::atomic<std::uint64_t> tasksRun{0};
-    };
-
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable workReady_;
     std::condition_variable allIdle_;
     std::deque<std::function<void()>> queue_;
     /** Tasks currently executing on some worker. */
     std::size_t running_ = 0;
     bool stopping_ = false;
-    std::unique_ptr<WorkerStat[]> stats_;
     std::vector<std::jthread> workers_;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 
@@ -418,7 +417,6 @@ GanModel
 parseGan(const std::string &name, const std::string &generator,
          const std::string &discriminator, int item_size, int spatial_dims)
 {
-    const auto scope = HostProfiler::global().scope("parse");
     GanModel model;
     model.name = name;
     model.itemSize = item_size;

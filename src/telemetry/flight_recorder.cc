@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -252,6 +253,54 @@ printSpanTree(std::ostream &os, const std::vector<SpanEvent> &events)
         if (orphan)
             os << "  (parent span not resident)";
         os << '\n';
+    }
+}
+
+std::map<std::string, SpanSelfTime>
+spanSelfTimes(const std::vector<SpanEvent> &events)
+{
+    // Candidate parents by (lane, trace, span): reused ids make a key
+    // name several spans, told apart by which one contains the child.
+    using Key = std::tuple<std::uint32_t, TraceId, SpanId>;
+    std::map<Key, std::vector<std::size_t>> byId;
+    for (std::size_t i = 0; i < events.size(); ++i)
+        byId[{events[i].lane, events[i].trace, events[i].span}]
+            .push_back(i);
+
+    std::vector<std::uint64_t> childNs(events.size(), 0);
+    for (const SpanEvent &child : events) {
+        if (child.parent == 0)
+            continue;
+        const auto it = byId.find({child.lane, child.trace, child.parent});
+        if (it == byId.end())
+            continue;
+        for (const std::size_t p : it->second) {
+            if (events[p].beginNs <= child.beginNs &&
+                child.endNs <= events[p].endNs) {
+                childNs[p] += child.endNs - child.beginNs;
+                break;
+            }
+        }
+    }
+
+    std::map<std::string, SpanSelfTime> totals;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        SpanSelfTime &total = totals[events[i].name];
+        total.ns += events[i].endNs - events[i].beginNs - childNs[i];
+        total.calls += 1;
+    }
+    return totals;
+}
+
+void
+printSpanSelfTimes(std::ostream &os, const std::vector<SpanEvent> &events)
+{
+    for (const auto &[name, total] : spanSelfTimes(events)) {
+        char row[128];
+        std::snprintf(row, sizeof row, "  %-12s %12.3f ms  %llu calls\n",
+                      name.c_str(), static_cast<double>(total.ns) * 1e-6,
+                      static_cast<unsigned long long>(total.calls));
+        os << row;
     }
 }
 

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -252,6 +253,32 @@ void writeSpanNdjson(std::ostream &os,
  * with a note.
  */
 void printSpanTree(std::ostream &os, const std::vector<SpanEvent> &events);
+
+/** Accumulated self time of every span sharing one name. */
+struct SpanSelfTime {
+    std::uint64_t ns = 0;
+    std::uint64_t calls = 0;
+};
+
+/**
+ * Self time per span name over @p events: each span's duration minus
+ * the durations of its resident direct children. Several runs may
+ * share one recorder and reuse trace and span ids (every sweep numbers
+ * its points' traces from 1), so a child's parent is the span on the
+ * same lane, in the same trace, with the child's parent id, whose
+ * interval contains the child's. A child whose parent is not resident
+ * subtracts from nothing.
+ */
+std::map<std::string, SpanSelfTime>
+spanSelfTimes(const std::vector<SpanEvent> &events);
+
+/**
+ * Print spanSelfTimes(@p events) as a "name  self ms  calls" table,
+ * one row per span name in name order — the bench --self-profile
+ * report of where the simulator's own host time went.
+ */
+void printSpanSelfTimes(std::ostream &os,
+                        const std::vector<SpanEvent> &events);
 
 /**
  * One-stop failure dump: the span tree of @p trace as currently

@@ -19,8 +19,8 @@
  * so their totals are identical regardless of how many worker threads
  * interleaved the recording — a sweep's sim-time metrics snapshot is
  * byte-identical at 1 and N workers (the golden tests pin this).
- * Host-time measurements (wall clocks, worker busy time) live under the
- * reserved "host." prefix and are excluded from golden comparisons;
+ * Host facts (the pool's worker count) live under the reserved
+ * "host." prefix and are excluded from golden comparisons;
  * see MetricsSnapshot::withoutPrefix and docs/INTERNALS.md.
  */
 

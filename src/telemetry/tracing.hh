@@ -23,9 +23,8 @@
  * order on the owning thread, so a point's span sequence is a pure
  * function of its code path — identical at any worker count.
  *
- * Clock: all span timestamps (and HostProfiler phase scopes) derive
- * from one process-wide steady-clock epoch, captured on first use —
- * see traceNowNs(). Span nesting is asserted monotonic in debug
+ * Clock: all span timestamps derive from one process-wide steady-clock
+ * epoch, captured on first use — see traceNowNs(). Span nesting is asserted monotonic in debug
  * builds: closing a span that is not the innermost open one aborts.
  */
 
@@ -42,9 +41,9 @@ namespace lergan {
 
 /**
  * Nanoseconds since the process-wide trace epoch — one steady-clock
- * origin, captured once at first use (i.e. session start), shared by
- * every span and every HostProfiler phase scope so the two timelines
- * never disagree on where zero is.
+ * origin, captured once at first use (i.e. session start). The
+ * library's only host clock: spans, queue waits and per-point host
+ * times all read it, so they never disagree on where zero is.
  */
 std::uint64_t traceNowNs();
 

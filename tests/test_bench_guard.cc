@@ -2,9 +2,9 @@
  * @file
  * Tests for the fig19 perf guard: the BENCH_fig19.json writer and its
  * newest-entry reader, the four verdicts at their thresholds, the A/B
- * routine's schedule, and the bench CLI's rejection of malformed
+ * routine's schedule, the bench CLI's rejection of malformed
  * --bench-workers, --trace-anomalies, --trace-capacity and
- * --metrics-format values.
+ * --metrics-format values, and the --self-profile span table.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "exec/thread_pool.hh"
 #include "runner.hh"
+#include "workloads/zoo.hh"
 
 namespace lergan {
 namespace bench {
@@ -317,6 +318,43 @@ TEST(BenchGuard, MetricsFormatIsCheckedAtParseTime)
     makeObservability({"--metrics-format", "json"});
     EXPECT_EXIT(makeObservability({"--metrics-format", "xml"}),
                 testing::ExitedWithCode(1), "unknown --metrics-format");
+}
+
+TEST(BenchGuard, SelfProfilePrintsSpanSelfTimes)
+{
+    const std::string metrics = scratchPath();
+    Argv argv({"bench", "--self-profile", "--threads", "2", "--metrics",
+               metrics});
+    Runner runner("self-profile", "test");
+    testing::internal::CaptureStdout(); // the banner
+    runner.parse(argv.argc(), argv.argv(), "test");
+    testing::internal::GetCapturedStdout();
+
+    ExperimentSweep sweep;
+    sweep.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+        .addConfig("low", AcceleratorConfig::lerGan(ReplicaDegree::Low))
+        .addConfig("prime", AcceleratorConfig::prime());
+    testing::internal::CaptureStderr();
+    ASSERT_EQ(runner.runSweep(sweep, 1).size(), 2u);
+    runner.finish();
+    const std::string table = testing::internal::GetCapturedStderr();
+    for (const char *row :
+         {"\n  compile ", "\n  template ", "\n  simulate ", "\n  point "})
+        EXPECT_NE(table.find(row), std::string::npos) << row << table;
+    EXPECT_NE(table.find(" 2 calls\n"), std::string::npos) << table;
+
+    // Self-profiling adds nothing to the snapshot: its only host metric
+    // is the pool's worker count.
+    std::ifstream in(metrics);
+    bool sim = false;
+    for (std::string line; std::getline(in, line);) {
+        sim = sim || line.rfind("sim_", 0) == 0;
+        if (line.rfind("host_", 0) == 0) {
+            EXPECT_EQ(line.rfind("host_pool_threads", 0), 0u) << line;
+        }
+    }
+    std::remove(metrics.c_str());
+    EXPECT_TRUE(sim);
 }
 
 } // namespace

@@ -10,6 +10,9 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -520,6 +523,41 @@ TEST(Faults, DistinctSeedsAreDistinctCacheKeys)
     session.withFaults(faults);
     session.run(model); // different fault map: must recompile
     EXPECT_EQ(session.cacheMisses(), 2u);
+}
+
+TEST(MonteCarlo, RecorderTracesEveryTrialPoint)
+{
+    const auto spans = [](int threads) {
+        AcceleratorConfig low = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+        AcceleratorConfig prime = AcceleratorConfig::prime();
+        low.faults.tileKillRate = prime.faults.tileKillRate = 0.02;
+        FaultMonteCarlo experiment;
+        experiment.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+            .addConfig("lergan-low", low)
+            .addConfig("prime", prime);
+        MonteCarloOptions options;
+        options.trials = 2;
+        options.threads = threads;
+        options.recorder = std::make_shared<FlightRecorder>();
+        experiment.run(options);
+        // The deterministic shape of the log: ids, links and names.
+        std::vector<std::tuple<TraceId, SpanId, SpanId, std::string>> ids;
+        for (const SpanEvent &event : options.recorder->collect())
+            ids.emplace_back(event.trace, event.span, event.parent,
+                             event.name);
+        return ids;
+    };
+    const auto serial = spans(1);
+    std::vector<TraceId> roots;
+    for (const auto &[trace, span, parent, name] : serial) {
+        if (parent != 0)
+            continue;
+        EXPECT_EQ(name, "point");
+        roots.push_back(trace);
+    }
+    // One root per trial point: 2 configs x 2 trials.
+    EXPECT_EQ(roots, (std::vector<TraceId>{1, 2, 3, 4}));
+    EXPECT_EQ(serial, spans(4));
 }
 
 TEST(MonteCarlo, TrialSeedsAreDistinct)

@@ -2,8 +2,8 @@
  * @file
  * Tests for the telemetry subsystem: registry create-or-get semantics,
  * histogram bucketing, snapshot/delta/prefix-filter algebra, the three
- * exporters, the host self-profiler, and a worker-pool hammer that the
- * TSan stage of scripts/check.sh re-runs (label "telemetry").
+ * exporters, and a worker-pool hammer that the TSan stage of
+ * scripts/check.sh re-runs (label "telemetry").
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "common/json.hh"
 #include "exec/thread_pool.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 namespace {
@@ -184,42 +183,6 @@ TEST(MetricsSnapshot, EqualContentsSerializeByteIdentically)
     a.snapshot().writePrometheus(oa);
     b.snapshot().writePrometheus(ob);
     EXPECT_EQ(oa.str(), ob.str());
-}
-
-TEST(HostProfiler, DisabledScopeRecordsNothing)
-{
-    HostProfiler &profiler = HostProfiler::global();
-    profiler.reset();
-    profiler.enable(false);
-    {
-        const auto scope = profiler.scope("parse");
-    }
-    EXPECT_TRUE(profiler.stats().empty());
-}
-
-TEST(HostProfiler, EnabledScopeAccumulatesPhase)
-{
-    HostProfiler &profiler = HostProfiler::global();
-    profiler.reset();
-    profiler.enable();
-    {
-        const auto scope = profiler.scope("compile");
-    }
-    {
-        const auto scope = profiler.scope("compile");
-    }
-    const auto stats = profiler.stats();
-    ASSERT_EQ(stats.count("compile"), 1u);
-    EXPECT_EQ(stats.at("compile").calls, 2u);
-
-    MetricsRegistry registry;
-    profiler.exportInto(registry);
-    const MetricsSnapshot snapshot = registry.snapshot();
-    EXPECT_EQ(snapshot.gauges.count("host.phase.compile.calls"), 1u);
-    EXPECT_EQ(snapshot.gauges.count("host.phase.compile.ms"), 1u);
-
-    profiler.enable(false);
-    profiler.reset();
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingFromWorkerPool)

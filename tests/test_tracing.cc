@@ -234,6 +234,60 @@ TEST(Tracing, SpanTreeNotesEvictedParents)
               std::string::npos);
 }
 
+SpanEvent
+timedEvent(std::uint32_t lane, TraceId trace, SpanId span, SpanId parent,
+           const char *name, std::uint64_t begin, std::uint64_t end)
+{
+    SpanEvent event = makeEvent(trace, span, parent, name);
+    event.lane = lane;
+    event.beginNs = begin;
+    event.endNs = end;
+    return event;
+}
+
+TEST(FlightRecorder, SelfTimesSubtractDirectChildren)
+{
+    constexpr std::uint32_t kMain = SpanEvent::kMainLane;
+    const std::vector<SpanEvent> events = {
+        // Lane 0, trace 1: a point with two stages, one of them nested.
+        timedEvent(0, 1, 1, 0, "point", 0, 100),
+        timedEvent(0, 1, 2, 1, "compile", 10, 40),
+        timedEvent(0, 1, 3, 1, "simulate", 40, 90),
+        timedEvent(0, 1, 4, 3, "audit", 50, 70),
+        // Lane 1 reuses trace 1 over overlapping times: its compile
+        // must not subtract from lane 0's point.
+        timedEvent(1, 1, 1, 0, "run", 5, 55),
+        timedEvent(1, 1, 2, 1, "compile", 10, 30),
+        // A childless root on the main lane.
+        timedEvent(kMain, 7, 1, 0, "export", 200, 230),
+        // A later run on lane 0 reuses trace 1 and span ids 1-3: its
+        // audit must not subtract from the first run's span 2.
+        timedEvent(0, 1, 1, 0, "point", 1000, 1200),
+        timedEvent(0, 1, 2, 1, "template", 1010, 1150),
+        timedEvent(0, 1, 3, 2, "audit", 1100, 1130),
+    };
+    const auto totals = spanSelfTimes(events);
+    ASSERT_EQ(totals.size(), 7u);
+    EXPECT_EQ(totals.at("point").ns, 20u + 60u);
+    EXPECT_EQ(totals.at("point").calls, 2u);
+    EXPECT_EQ(totals.at("compile").ns, 30u + 20u);
+    EXPECT_EQ(totals.at("compile").calls, 2u);
+    EXPECT_EQ(totals.at("simulate").ns, 30u);
+    EXPECT_EQ(totals.at("simulate").calls, 1u);
+    EXPECT_EQ(totals.at("audit").ns, 20u + 30u);
+    EXPECT_EQ(totals.at("audit").calls, 2u);
+    EXPECT_EQ(totals.at("run").ns, 30u);
+    EXPECT_EQ(totals.at("template").ns, 110u);
+    EXPECT_EQ(totals.at("export").ns, 30u);
+    EXPECT_EQ(totals.at("export").calls, 1u);
+
+    std::ostringstream os;
+    printSpanSelfTimes(os, events);
+    EXPECT_NE(os.str().find("  point               0.000 ms  2 calls\n"),
+              std::string::npos)
+        << os.str();
+}
+
 /**
  * Eight lanes recording concurrently — the TSan-label stress. Every
  * lane writes only its own ring, so the only shared state is each
