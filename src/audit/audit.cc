@@ -154,12 +154,12 @@ checkTiming(const AuditInput &input, const AuditOptions &options,
     std::uint64_t busy_total = 0;
     for (const TraceEvent &event : events) {
         if (event.end < event.start) {
-            fail(verdict, "timing", event.label, " ends (", event.end,
-                 ") before it starts (", event.start, ")");
+            fail(verdict, "timing", input.trace->label(event), " ends (",
+                 event.end, ") before it starts (", event.start, ")");
         }
         if (event.end > makespan) {
-            fail(verdict, "timing", event.label, " ends at ", event.end,
-                 " ps, after the makespan ", makespan, " ps");
+            fail(verdict, "timing", input.trace->label(event), " ends at ",
+                 event.end, " ps, after the makespan ", makespan, " ps");
         }
         last_end = std::max(last_end, event.end);
         busy_total += event.end - event.start;
@@ -341,7 +341,7 @@ checkFaults(const AuditInput &input, const AuditOptions &,
         }
         for (const TraceEvent &event : input.trace->events()) {
             if (dead.count(event.lane)) {
-                fail(verdict, "faults", event.label,
+                fail(verdict, "faults", input.trace->label(event),
                      " executed on the compute resource of a killed"
                      " tile (lane ",
                      event.lane, ")");

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "core/validate.hh"
+#include "sim/observe.hh"
 #include "sim/task_graph.hh"
 #include "sim/utilization.hh"
 #include "workloads/zoo.hh"
@@ -574,9 +575,17 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
         }
     }
 
-    const PicoSeconds makespan = tmpl->graph.execute(
-        machine_.pool(), tracer, metrics,
-        externalScratch_ ? externalScratch_ : &scratch_, record);
+    // The executor writes only the record; the trace and the sim.*
+    // occupancy metrics are derived from it after the run, so a caller
+    // that wants only those records into the scratch's reusable one.
+    ExecScratch &scratch = externalScratch_ ? *externalScratch_ : scratch_;
+    ExecRecord *run = record;
+    if (!run && (tracer || metrics))
+        run = &scratch.observerRecord();
+    const PicoSeconds makespan =
+        tmpl->graph.execute(machine_.pool(), &scratch, run);
+    if (run)
+        deriveObservers(tmpl->graph, *run, tracer, metrics);
     if (metrics) {
         metrics->counter("sim.iterations").add(1);
         if (record)

@@ -93,10 +93,13 @@ class LerGanAccelerator
      * simulates one and reports per-iteration numbers with counters
      * scaled by @p n in "total.*" keys. Every observer is optional:
      *
-     * @param tracer  records the simulated iteration's task intervals
-     *                (cleared first) — what the audit layer uses to
-     *                cross-check phase times against the makespan, and
-     *                what a Chrome trace exports.
+     * @param tracer  receives the simulated iteration's task intervals
+     *                and occupancy counter tracks (cleared first) —
+     *                what the audit layer uses to cross-check phase
+     *                times against the makespan, and what a Chrome
+     *                trace exports. Its events label themselves from
+     *                the template's label column, which the tracer
+     *                keeps alive.
      * @param metrics accumulates sim-time telemetry (queue depth,
      *                per-link flit traffic, controller transitions,
      *                resource contention); only integer instruments are
@@ -109,10 +112,14 @@ class LerGanAccelerator
      *                metrics are identical to the rebuild path by
      *                construction (the rebuild path itself builds a
      *                template and replays it once).
-     * @param record  filled with the execution's dependence record
-     *                (binding predecessors, reservation order —
+     * @param record  filled with the execution's record (binding
+     *                predecessors, reservation and pop order —
      *                sim/exec_record.hh) for critical-path analysis.
-     *                Recording never changes results, traces or metrics.
+     *                The tracer and the sim.* metrics are derived from
+     *                the record after the run (sim/observe.hh); without
+     *                one, a run that has either records into the
+     *                scratch's reusable record instead. Recording never
+     *                changes results, traces or metrics.
      */
     TrainingReport trainIterations(int n = 1, Tracer *tracer = nullptr,
                                    MetricsRegistry *metrics = nullptr,

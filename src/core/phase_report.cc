@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <map>
+#include <string_view>
 
 #include "critpath/critpath.hh"
 
@@ -12,10 +12,24 @@ std::vector<PhaseTime>
 phaseTimes(const Tracer &tracer)
 {
     // Labels classify into the same phase families the critical-path
-    // rollups use (taskPhaseOf), so both reports bucket identically.
-    std::map<std::string, PhaseTime> families;
+    // rollups use (taskPhaseOf), so both reports bucket identically. A
+    // run has a handful of families, so a flat table keyed by the
+    // family's view of a label beats a map of copied strings.
+    struct Family {
+        std::string_view name;
+        PhaseTime time;
+    };
+    std::vector<Family> families;
     for (const TraceEvent &event : tracer.events()) {
-        PhaseTime &family = families[taskPhaseOf(event.label)];
+        const std::string_view name = taskPhaseOf(tracer.label(event));
+        auto it = std::find_if(
+            families.begin(), families.end(),
+            [&](const Family &family) { return family.name == name; });
+        if (it == families.end()) {
+            families.push_back({name, {}});
+            it = families.end() - 1;
+        }
+        PhaseTime &family = it->time;
         if (family.tasks == 0) {
             family.firstStart = event.start;
             family.lastEnd = event.end;
@@ -27,13 +41,16 @@ phaseTimes(const Tracer &tracer)
         ++family.tasks;
     }
     std::vector<PhaseTime> result;
-    for (auto &[name, family] : families) {
-        family.name = name;
-        result.push_back(family);
+    result.reserve(families.size());
+    for (Family &family : families) {
+        family.time.name = std::string(family.name);
+        result.push_back(std::move(family.time));
     }
     std::sort(result.begin(), result.end(),
               [](const PhaseTime &a, const PhaseTime &b) {
-                  return a.firstStart < b.firstStart;
+                  if (a.firstStart != b.firstStart)
+                      return a.firstStart < b.firstStart;
+                  return a.name < b.name;
               });
     return result;
 }

@@ -26,6 +26,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,8 +89,10 @@ struct CriticalPath {
 /**
  * Classify a task label into its phase family — the same buckets the
  * phase report uses (transfers, updates, the "@phase" suffix, other).
+ * The result views @p label (or a literal), so it lives as long as the
+ * label does.
  */
-std::string taskPhaseOf(const std::string &label);
+std::string_view taskPhaseOf(std::string_view label);
 
 /**
  * Extract the critical path of one recorded execution.

@@ -4,6 +4,7 @@
 #include <iomanip>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace lergan {
 
@@ -11,21 +12,49 @@ void
 Tracer::record(std::string label, PicoSeconds start, PicoSeconds end,
                std::size_t lane)
 {
-    events_.push_back(TraceEvent{std::move(label), start, end, lane});
+    events_.push_back(TraceEvent{
+        start, end, lane, static_cast<std::uint32_t>(ownedLabels_.size()),
+        true});
+    ownedLabels_.push_back(std::move(label));
 }
 
 void
-Tracer::recordCounter(const std::string &track, PicoSeconds time,
-                      double value)
+Tracer::bindTaskLabels(LabelColumn labels)
 {
-    if (!counters_.empty()) {
-        CounterSample &last = counters_.back();
-        if (last.track == track && last.time == time) {
-            last.value = value;
-            return;
-        }
-    }
-    counters_.push_back(CounterSample{track, time, value});
+    if (labels == taskLabels_)
+        return;
+    LERGAN_ASSERT(std::none_of(events_.begin(), events_.end(),
+                               [](const TraceEvent &event) {
+                                   return !event.ownedLabel;
+                               }),
+                  "tracer already holds task events of another graph");
+    taskLabels_ = std::move(labels);
+}
+
+TrackId
+Tracer::track(const std::string &name)
+{
+    const auto it = std::find(tracks_.begin(), tracks_.end(), name);
+    if (it != tracks_.end())
+        return static_cast<TrackId>(it - tracks_.begin());
+    tracks_.push_back(name);
+    return static_cast<TrackId>(tracks_.size() - 1);
+}
+
+void
+Tracer::reserve(std::size_t events, std::size_t samples)
+{
+    events_.reserve(events_.size() + events);
+    counters_.reserve(counters_.size() + samples);
+}
+
+void
+Tracer::clear()
+{
+    events_.clear();
+    counters_.clear();
+    taskLabels_.reset();
+    ownedLabels_.clear();
 }
 
 void
@@ -42,7 +71,7 @@ Tracer::exportChromeTrace(std::ostream &os,
             event.lane == SIZE_MAX ? 0 : event.lane + 1;
         any_unlaned = any_unlaned || event.lane == SIZE_MAX;
         json.beginObject();
-        json.key("name").value(event.label);
+        json.key("name").value(label(event));
         json.key("ph").value("X");
         json.key("ts").value(static_cast<double>(event.start) * 1e-6);
         json.key("dur").value(
@@ -53,7 +82,7 @@ Tracer::exportChromeTrace(std::ostream &os,
     }
     for (const CounterSample &sample : counters_) {
         json.beginObject();
-        json.key("name").value(sample.track);
+        json.key("name").value(trackName(sample.track));
         json.key("ph").value("C");
         json.key("ts").value(static_cast<double>(sample.time) * 1e-6);
         json.key("pid").value(1);
@@ -174,7 +203,8 @@ Tracer::printTimeline(std::ostream &os, std::size_t limit) const
         const TraceEvent &e = *sorted[i];
         os << std::fixed << std::setprecision(3) << std::setw(12)
            << psToNs(e.start) / 1e3 << " us  +" << std::setw(10)
-           << psToNs(e.end - e.start) / 1e3 << " us  " << e.label << '\n';
+           << psToNs(e.end - e.start) / 1e3 << " us  " << label(e)
+           << '\n';
     }
     if (sorted.size() > shown)
         os << "... (" << sorted.size() - shown << " more events)\n";

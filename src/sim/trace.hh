@@ -2,16 +2,26 @@
  * @file
  * Execution tracing for simulated task graphs.
  *
- * A Tracer records every task's (label, start, end, lane) interval; the
- * result can be dumped as a text timeline or exported in the Chrome
- * trace-event format (chrome://tracing, Perfetto) for visual inspection
- * of pipelining and contention.
+ * A Tracer holds every task's (label, start, end, lane) interval plus
+ * sampled counter tracks; the result can be dumped as a text timeline
+ * or exported in the Chrome trace-event format (chrome://tracing,
+ * Perfetto) for visual inspection of pipelining and contention.
+ *
+ * The executor never writes a Tracer: deriveObservers
+ * (sim/observe.hh) fills one from a run's ExecRecord after the run.
+ * Those task events carry only their TaskId and read their label from
+ * the graph's label column, which the Tracer shares ownership of, so
+ * no label is copied per task and the tracer stays readable after the
+ * graph is gone. Events added by record(label, ...) own their label.
+ * Counter tracks are interned once: a sample is (track id, time,
+ * value), and trackName() maps the id back.
  */
 
 #ifndef LERGAN_SIM_TRACE_HH
 #define LERGAN_SIM_TRACE_HH
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -21,38 +31,94 @@
 
 namespace lergan {
 
-/** One recorded task execution. */
+/** One recorded task execution. Its label is Tracer::label(event). */
 struct TraceEvent {
-    std::string label;
     PicoSeconds start = 0;
     PicoSeconds end = 0;
     /** Display lane: the task's first resource id (SIZE_MAX if none). */
     std::size_t lane = SIZE_MAX;
+    /** Task id in the bound graph label column, or — when ownedLabel
+     *  is set — index into the labels the tracer owns. */
+    std::uint32_t labelIndex = 0;
+    bool ownedLabel = false;
 };
 
-/** One sampled value of a named counter track at a sim-time instant. */
+/** Interned id of a counter track (see Tracer::track). */
+using TrackId = std::uint32_t;
+
+/** One sampled value of a counter track at a sim-time instant. */
 struct CounterSample {
-    std::string track;
+    TrackId track = 0;
     PicoSeconds time = 0;
     double value = 0.0;
 };
 
-/** Collects task execution intervals during a simulation run. */
+/** Collects task execution intervals and counter tracks of a run. */
 class Tracer
 {
   public:
-    /** Record one completed task. */
+    /** Graph label column that task events index (TaskGraph::labels). */
+    using LabelColumn = std::shared_ptr<const std::vector<std::string>>;
+
+    /** Record one completed task under a label the tracer keeps. */
     void record(std::string label, PicoSeconds start, PicoSeconds end,
                 std::size_t lane);
 
     /**
-     * Record one sample of counter track @p track at sim time @p time.
-     * A sample at the same track and time as the previous one for that
-     * track overwrites it, so several updates within one event-queue
-     * instant collapse to the final value.
+     * Use @p labels as the label column of later recordTask() events.
+     * Rebinding a different column while task events exist is a bug
+     * (clear() first).
      */
-    void recordCounter(const std::string &track, PicoSeconds time,
-                       double value);
+    void bindTaskLabels(LabelColumn labels);
+
+    /** Record one run of task @p task of the bound label column. */
+    void
+    recordTask(std::uint32_t task, PicoSeconds start, PicoSeconds end,
+               std::size_t lane)
+    {
+        events_.push_back(TraceEvent{start, end, lane, task, false});
+    }
+
+    /** Label of @p event: its task's graph label, or its own. */
+    const std::string &
+    label(const TraceEvent &event) const
+    {
+        return event.ownedLabel ? ownedLabels_[event.labelIndex]
+                                : (*taskLabels_)[event.labelIndex];
+    }
+
+    /** Id of counter track @p name, interned on first use. */
+    TrackId track(const std::string &name);
+
+    /** Name of counter track @p id. */
+    const std::string &trackName(TrackId id) const { return tracks_[id]; }
+
+    /**
+     * Record one sample of counter track @p track at sim time @p time.
+     * A sample whose track and time equal those of the immediately
+     * preceding sample (of any track) overwrites it, so repeated
+     * updates of one track within one instant collapse to the final
+     * value; samples of other tracks in between keep both.
+     */
+    void
+    recordCounter(TrackId track, PicoSeconds time, double value)
+    {
+        if (!counters_.empty()) {
+            CounterSample &last = counters_.back();
+            if (last.track == track && last.time == time) {
+                last.value = value;
+                return;
+            }
+        }
+        counters_.push_back(CounterSample{track, time, value});
+    }
+
+    /** recordCounter on track(@p name). */
+    void
+    recordCounter(const std::string &name, PicoSeconds time, double value)
+    {
+        recordCounter(track(name), time, value);
+    }
 
     const std::vector<TraceEvent> &events() const { return events_; }
 
@@ -61,13 +127,12 @@ class Tracer
         return counters_;
     }
 
-    /** Drop all recorded events and counter samples. */
-    void
-    clear()
-    {
-        events_.clear();
-        counters_.clear();
-    }
+    /** Make room for @p events more events and @p samples more samples. */
+    void reserve(std::size_t events, std::size_t samples);
+
+    /** Drop all recorded events, counter samples and labels (interned
+     *  track ids stay valid). */
+    void clear();
 
     /**
      * Export in the Chrome trace-event JSON format. Lanes become thread
@@ -94,6 +159,9 @@ class Tracer
   private:
     std::vector<TraceEvent> events_;
     std::vector<CounterSample> counters_;
+    LabelColumn taskLabels_;
+    std::vector<std::string> ownedLabels_;
+    std::vector<std::string> tracks_;
 };
 
 } // namespace lergan

@@ -44,7 +44,7 @@ addSpanOccupancyTrack(Tracer &tracer, const std::string &label_prefix,
 {
     std::vector<std::pair<PicoSeconds, PicoSeconds>> intervals;
     for (const TraceEvent &event : tracer.events())
-        if (event.label.rfind(label_prefix, 0) == 0)
+        if (tracer.label(event).starts_with(label_prefix))
             intervals.emplace_back(event.start, event.end);
     return recordOccupancy(tracer, intervals, track);
 }

@@ -1,6 +1,5 @@
 #include "telemetry/metrics.hh"
 
-#include <bit>
 #include <cstdio>
 
 #include "common/json.hh"
@@ -42,6 +41,31 @@ Histogram::observe(std::uint64_t sample)
     seen = shard.max.load(std::memory_order_relaxed);
     while (sample > seen &&
            !shard.max.compare_exchange_weak(seen, sample,
+                                            std::memory_order_relaxed)) {
+    }
+}
+
+void
+Histogram::add(const HistogramBins &bins)
+{
+    if (bins.count == 0)
+        return;
+    Shard &shard = shards_[telemetry_detail::shardIndex()];
+    for (int b = 0; b < kBuckets; ++b) {
+        if (bins.buckets[b] != 0)
+            shard.buckets[b].fetch_add(bins.buckets[b],
+                                       std::memory_order_relaxed);
+    }
+    shard.count.fetch_add(bins.count, std::memory_order_relaxed);
+    shard.sum.fetch_add(bins.sum, std::memory_order_relaxed);
+    std::uint64_t seen = shard.min.load(std::memory_order_relaxed);
+    while (bins.min < seen &&
+           !shard.min.compare_exchange_weak(seen, bins.min,
+                                            std::memory_order_relaxed)) {
+    }
+    seen = shard.max.load(std::memory_order_relaxed);
+    while (bins.max > seen &&
+           !shard.max.compare_exchange_weak(seen, bins.max,
                                             std::memory_order_relaxed)) {
     }
 }
@@ -101,12 +125,6 @@ Histogram::max() const
             highest = seen;
     }
     return highest;
-}
-
-int
-Histogram::bucketOf(std::uint64_t sample)
-{
-    return std::bit_width(sample);
 }
 
 std::uint64_t

@@ -29,6 +29,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -120,6 +121,8 @@ class Gauge
     alignas(telemetry_detail::kCacheLine) std::atomic<double> value_{0.0};
 };
 
+struct HistogramBins;
+
 /**
  * Log2-bucketed distribution of unsigned samples (queue depths, waits
  * in picoseconds, makespans).
@@ -140,6 +143,10 @@ class Histogram
 
     void observe(std::uint64_t sample);
 
+    /** Observe every sample binned in @p bins at once: the same totals
+     *  as one observe() per sample, for a handful of atomic adds. */
+    void add(const HistogramBins &bins);
+
     std::uint64_t count() const;
     std::uint64_t sum() const;
     /** Smallest / largest observed sample (0 / 0 when empty). */
@@ -148,7 +155,11 @@ class Histogram
     std::uint64_t bucketCount(int bucket) const;
 
     /** Bucket index of @p sample (its bit width). */
-    static int bucketOf(std::uint64_t sample);
+    static int
+    bucketOf(std::uint64_t sample)
+    {
+        return std::bit_width(sample);
+    }
 
     /** Inclusive upper bound of @p bucket (UINT64_MAX for the last). */
     static std::uint64_t bucketUpperBound(int bucket);
@@ -162,6 +173,28 @@ class Histogram
         std::atomic<std::uint64_t> max{0};
     };
     std::array<Shard, telemetry_detail::kShards> shards_;
+};
+
+/**
+ * Unshared, non-atomic log2 bins of one recording loop's samples, to be
+ * merged into a Histogram once with Histogram::add.
+ */
+struct HistogramBins {
+    std::array<std::uint64_t, Histogram::kBuckets> buckets{};
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = UINT64_MAX;
+    std::uint64_t max = 0;
+
+    void
+    observe(std::uint64_t sample)
+    {
+        ++buckets[Histogram::bucketOf(sample)];
+        ++count;
+        sum += sample;
+        min = sample < min ? sample : min;
+        max = sample > max ? sample : max;
+    }
 };
 
 /** Plain-data copy of one histogram at snapshot time. */

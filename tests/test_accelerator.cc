@@ -257,7 +257,8 @@ TEST(Accelerator, TemplateReplayMatchesRebuild)
     for (std::size_t i = 0; i < rebuiltTrace.events().size(); ++i) {
         const TraceEvent &x = rebuiltTrace.events()[i];
         const TraceEvent &y = replayedTrace.events()[i];
-        ASSERT_EQ(x.label, y.label) << "trace event " << i;
+        ASSERT_EQ(rebuiltTrace.label(x), replayedTrace.label(y))
+            << "trace event " << i;
         ASSERT_EQ(x.start, y.start) << "trace event " << i;
         ASSERT_EQ(x.end, y.end) << "trace event " << i;
         ASSERT_EQ(x.lane, y.lane) << "trace event " << i;

@@ -246,7 +246,7 @@ resimulate(const RandomModel &model,
     ResourcePool pool;
     for (const std::string &name : model.resourceNames)
         pool.create(name);
-    return graph.execute(pool, nullptr, nullptr, nullptr, record);
+    return graph.execute(pool, nullptr, record);
 }
 
 TEST(CritPathRandom, ChainAndIdentityHoldOnSeededGraphs)
@@ -285,7 +285,7 @@ TEST(CritPathRandom, RecordSlotsFollowTheGraphResourceCsr)
         for (const std::string &name : model.resourceNames)
             pool.create(name);
         ExecRecord record;
-        graph.execute(pool, nullptr, nullptr, nullptr, &record);
+        graph.execute(pool, nullptr, &record);
         SCOPED_TRACE("seed " + std::to_string(seed));
 
         std::size_t slots = 0;
