@@ -248,9 +248,10 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
     // recorded per-resource grant order. With c copies of a resource, a
     // reservation waits for the c-th most recent grant instead of the
     // latest one.
+    const std::vector<std::size_t> order = record.completionOrder();
     std::vector<PicoSeconds> ready(n, 0);
     std::vector<std::vector<PicoSeconds>> grants(resource_count);
-    for (TaskId id : record.completionOrder) {
+    for (TaskId id : order) {
         PicoSeconds start = ready[id];
         for (const std::uint32_t rid : graph.resources(id)) {
             const std::vector<PicoSeconds> &g = grants[rid];
@@ -274,7 +275,7 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
     estimate.upper = simulateList(graph, durations, transform.copies,
                                   resource_count, nullptr);
     estimate.lower = lowerBound(graph, durations, transform.copies,
-                                record.completionOrder, resource_count);
+                                order, resource_count);
     return estimate;
 }
 
