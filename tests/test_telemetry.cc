@@ -80,6 +80,28 @@ TEST(Histogram, BucketsByBitWidth)
     EXPECT_EQ(hist.bucketCount(4), 1u); // 8 in [8,15]
 }
 
+TEST(Histogram, BulkAddMatchesObservingEachSample)
+{
+    const std::vector<std::uint64_t> first = {5, 0, 1024, 3};
+    const std::vector<std::uint64_t> second = {2, 9000};
+    Histogram observed, added;
+    for (const auto *samples : {&first, &second}) {
+        HistogramBins bins;
+        for (const std::uint64_t sample : *samples) {
+            observed.observe(sample);
+            bins.observe(sample);
+        }
+        added.add(bins);
+    }
+    added.add(HistogramBins{}); // empty bins leave min/max alone
+    EXPECT_EQ(added.count(), observed.count());
+    EXPECT_EQ(added.sum(), observed.sum());
+    EXPECT_EQ(added.min(), 0u);
+    EXPECT_EQ(added.max(), 9000u);
+    for (int b = 0; b < Histogram::kBuckets; ++b)
+        EXPECT_EQ(added.bucketCount(b), observed.bucketCount(b)) << b;
+}
+
 TEST(MetricsSnapshot, DeltaSubtractsAccumulativeFields)
 {
     MetricsRegistry registry;
