@@ -527,7 +527,7 @@ LerGanAccelerator::resourceNames() const
     std::vector<std::string> names;
     names.reserve(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i)
-        names.push_back(pool[i].name());
+        names.push_back(pool.name(i));
     return names;
 }
 

@@ -91,8 +91,8 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record)
         const std::size_t first = graph.resourceOffset(id);
         for (std::size_t slot = first;
              slot < first + graph.resources(id).size(); ++slot) {
-            const TaskId prev = record.resPrev[slot];
-            if (prev != kNoTask)
+            const std::uint32_t prev = record.resPrev[slot];
+            if (prev != ExecRecord::kNoTask32)
                 lateEnd[prev] = std::min(lateEnd[prev], lateStart);
         }
     }

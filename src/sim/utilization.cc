@@ -14,14 +14,13 @@ topBusyResources(const ResourcePool &pool, PicoSeconds makespan,
     std::vector<ResourceUsage> usage;
     usage.reserve(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i) {
-        const Resource &res = pool[i];
         ResourceUsage entry;
-        entry.name = res.name();
-        entry.busy = res.busyTime();
-        entry.reservations = res.reservations();
+        entry.name = pool.name(i);
+        entry.busy = pool.busyTime(i);
+        entry.reservations = pool.reservations(i);
         entry.utilization =
             makespan == 0 ? 0.0
-                          : static_cast<double>(res.busyTime()) /
+                          : static_cast<double>(entry.busy) /
                                 static_cast<double>(makespan);
         usage.push_back(std::move(entry));
     }
@@ -45,10 +44,9 @@ utilizationOf(const ResourcePool &pool, PicoSeconds makespan,
     double total = 0.0;
     std::size_t matches = 0;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-        const Resource &res = pool[i];
-        if (res.name().find(name_fragment) == std::string::npos)
+        if (pool.name(i).find(name_fragment) == std::string::npos)
             continue;
-        total += static_cast<double>(res.busyTime()) /
+        total += static_cast<double>(pool.busyTime(i)) /
                  static_cast<double>(makespan);
         ++matches;
     }
@@ -85,13 +83,12 @@ recordPoolMetrics(const ResourcePool &pool, MetricsRegistry &registry)
     };
     std::map<std::string, CategoryTotals> totals;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-        const Resource &res = pool[i];
-        if (res.reservations() == 0)
+        if (pool.reservations(i) == 0)
             continue;
-        CategoryTotals &t = totals[resourceCategoryOf(res.name())];
-        t.busy += static_cast<std::uint64_t>(res.busyTime());
-        t.wait += static_cast<std::uint64_t>(res.waitTime());
-        t.reservations += res.reservations();
+        CategoryTotals &t = totals[resourceCategoryOf(pool.name(i))];
+        t.busy += static_cast<std::uint64_t>(pool.busyTime(i));
+        t.wait += static_cast<std::uint64_t>(pool.waitTime(i));
+        t.reservations += pool.reservations(i);
     }
     for (const auto &[category, t] : totals) {
         registry.counter("sim.resource.busy_ps." + category).add(t.busy);

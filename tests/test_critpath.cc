@@ -300,9 +300,9 @@ TEST(CritPathRandom, RecordSlotsFollowTheGraphResourceCsr)
         for (TaskId id = 0; id < graph.size(); ++id) {
             const auto held = graph.resources(id);
             for (std::size_t j = 0; j < held.size(); ++j) {
-                const TaskId prev =
+                const std::uint32_t prev =
                     record.resPrev[graph.resourceOffset(id) + j];
-                if (prev == kNoTask)
+                if (prev == ExecRecord::kNoTask32)
                     continue;
                 ++named;
                 ASSERT_LT(prev, graph.size());

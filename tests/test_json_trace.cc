@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "common/json.hh"
 #include "core/accelerator.hh"
@@ -23,6 +25,18 @@
 
 namespace lergan {
 namespace {
+
+/** Occupy each (resource, duration) pair's resource for that long from
+ *  time zero: one independent task per pair, run through the executor. */
+void
+occupy(ResourcePool &pool,
+       std::initializer_list<std::pair<std::size_t, PicoSeconds>> slots)
+{
+    TaskGraph graph;
+    for (const auto &[rid, duration] : slots)
+        graph.addTask({"t", {rid}, duration});
+    graph.execute(pool);
+}
 
 TEST(Json, ObjectsAndArrays)
 {
@@ -368,8 +382,7 @@ TEST(Utilization, TopBusySortsByBusyTime)
     ResourcePool pool;
     const auto a = pool.create("a");
     const auto b = pool.create("b");
-    pool[a].reserve(0, 10);
-    pool[b].reserve(0, 30);
+    occupy(pool, {{a, 10}, {b, 30}});
     const auto top = topBusyResources(pool, 100, 2);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0].name, "b");
@@ -383,8 +396,7 @@ TEST(Utilization, FragmentAveraging)
     const auto a = pool.create("tile.compute.0");
     const auto b = pool.create("tile.compute.1");
     pool.create("wire.x");
-    pool[a].reserve(0, 50);
-    pool[b].reserve(0, 100);
+    occupy(pool, {{a, 50}, {b, 100}});
     EXPECT_DOUBLE_EQ(utilizationOf(pool, 100, ".compute"), 0.75);
     EXPECT_DOUBLE_EQ(utilizationOf(pool, 100, "wire"), 0.0);
     EXPECT_DOUBLE_EQ(utilizationOf(pool, 100, "nonexistent"), 0.0);
@@ -393,7 +405,7 @@ TEST(Utilization, FragmentAveraging)
 TEST(Utilization, PrintsTable)
 {
     ResourcePool pool;
-    pool[pool.create("busy.thing")].reserve(0, 42);
+    occupy(pool, {{pool.create("busy.thing"), 42}});
     std::ostringstream oss;
     printUtilization(oss, pool, 100, 5);
     EXPECT_NE(oss.str().find("busy.thing"), std::string::npos);

@@ -24,7 +24,7 @@ TEST(Machine, SixBanksWithTilesAndCpuFreePool)
     }
     // Every tile has a compute resource with a stable name.
     const std::size_t res = machine.tileComputeRes(3, 7);
-    EXPECT_EQ(machine.pool()[res].name(), "b3.t7.compute");
+    EXPECT_EQ(machine.pool().name(res), "b3.t7.compute");
 }
 
 TEST(Machine, HTreeMachineHasNoAddedWires)
