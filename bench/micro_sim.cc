@@ -1,11 +1,16 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator substrate: event
- * queue bulk load, routing, reshape enumeration and whole-iteration
+ * queue bulk load, routing, reshape enumeration, the executor's
+ * per-task cost over the Table V templates and whole-iteration
  * simulation.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <memory>
+#include <vector>
 
 #include "core/api.hh"
 #include "sim/calendar_queue.hh"
@@ -90,6 +95,66 @@ BM_CompileGan(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CompileGan);
+
+/**
+ * Execute-only pass over the 32 Table V templates (8 GANs x {prime,
+ * low, middle, high}): every iteration resets each point's pool and
+ * executes its frozen graph once, unrecorded (arg 0) or with an
+ * ExecRecord attached (arg 1). Templates are built and frozen before
+ * timing starts. The ns_per_task counter is the executor's per-task
+ * cost, reproducible without perfbench.
+ */
+void
+BM_ExecuteTableV(benchmark::State &state)
+{
+    struct Point {
+        std::unique_ptr<LerGanAccelerator> acc;
+        std::shared_ptr<const IterationTemplate> tmpl;
+    };
+    static const std::vector<Point> points = [] {
+        std::vector<Point> built;
+        for (const GanModel &model : allBenchmarks()) {
+            for (const AcceleratorConfig &config :
+                 {AcceleratorConfig::prime(),
+                  AcceleratorConfig::lerGan(ReplicaDegree::Low),
+                  AcceleratorConfig::lerGan(ReplicaDegree::Middle),
+                  AcceleratorConfig::lerGan(ReplicaDegree::High)}) {
+                Point point;
+                point.acc = std::make_unique<LerGanAccelerator>(model, config);
+                point.tmpl = point.acc->makeIterationTemplate();
+                built.push_back(std::move(point));
+            }
+        }
+        return built;
+    }();
+    ExecScratch scratch;
+    ExecRecord record;
+    ExecRecord *const run = state.range(0) != 0 ? &record : nullptr;
+    std::size_t tasks = 0;
+    for (const Point &point : points) {
+        tasks += point.tmpl->graph.size();
+        // Freeze and size the scratch and record outside the timing.
+        point.tmpl->graph.execute(point.acc->machine().pool(), &scratch,
+                                  run);
+    }
+    std::chrono::nanoseconds executing{0};
+    for (auto _ : state) {
+        for (const Point &point : points) {
+            ResourcePool &pool = point.acc->machine().pool();
+            pool.resetAll();
+            const auto begin = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(
+                point.tmpl->graph.execute(pool, &scratch, run));
+            executing += std::chrono::steady_clock::now() - begin;
+        }
+    }
+    const double executed =
+        static_cast<double>(state.iterations()) * static_cast<double>(tasks);
+    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+    state.counters["ns_per_task"] =
+        static_cast<double>(executing.count()) / executed;
+}
+BENCHMARK(BM_ExecuteTableV)->ArgName("recorded")->Arg(0)->Arg(1);
 
 void
 BM_TrainIteration(benchmark::State &state)
