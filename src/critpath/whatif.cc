@@ -92,7 +92,6 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
     for (TaskId id = 0; id < n; ++id)
         unmet[id] = graph.dependencyCount(id);
     sim::CalendarQueue<TaskEvent> queue;
-    std::vector<PicoSeconds> ready(n, 0);
     for (TaskId id = 0; id < n; ++id)
         if (unmet[id] == 0)
             queue.scheduleAt(0, TaskEvent{id, false});
@@ -134,11 +133,12 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
         } else {
             makespan = std::max(makespan, now);
             ++completed;
+            // Completions pop in time order, so a task fires the
+            // instant its last dependency completes.
             for (const TaskId succ : graph.successors(id)) {
-                ready[succ] = std::max(ready[succ], now);
                 LERGAN_ASSERT(unmet[succ] > 0, "dependency underflow");
                 if (--unmet[succ] == 0)
-                    queue.scheduleAt(ready[succ], TaskEvent{succ, false});
+                    queue.scheduleAt(now, TaskEvent{succ, false});
             }
         }
     }
