@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <string>
 
 #include "core/validate.hh"
 #include "critpath/whatif.hh"
@@ -97,14 +98,17 @@ recordingOverheadPct(lergan::ExperimentSweep &sweep)
              {AcceleratorConfig::prime(),
               AcceleratorConfig::lerGan(ReplicaDegree::Low),
               AcceleratorConfig::lerGan(ReplicaDegree::High)}) {
+            const std::string key = pairFingerprint(model, config);
+            const auto compile = [&] {
+                return std::make_shared<const CompiledGan>(
+                    compileGanValidated(model, config));
+            };
             Probe probe;
             probe.acc = std::make_unique<LerGanAccelerator>(
-                model, config,
-                sweep.cache().get(model, config, compileGanValidated),
+                model, config, sweep.cache().get(key, compile),
                 LerGanAccelerator::Prevalidated{});
             probe.tmpl = sweep.templates().get(
-                pairFingerprint(model, config),
-                [&] { return probe.acc->makeIterationTemplate(); });
+                key, [&] { return probe.acc->makeIterationTemplate(); });
             probes.push_back(std::move(probe));
         }
     }

@@ -23,11 +23,19 @@ preparePoint(const GanModel &model, const AcceleratorConfig &config,
     // validateMapping, with full diagnostics on failure
     // (core/validate.hh), so the accelerator skips re-validating it.
     PreparedPoint point;
+    // One key for both caches: the fingerprint is ~1 KB of text, so it
+    // is built once per point.
+    const std::string key = pairFingerprint(model, config);
     std::shared_ptr<const CompiledGan> compiled;
     {
         Span span("compile");
-        compiled = cache.get(model, config, compileGanValidated,
-                             &point.cacheHit);
+        compiled = cache.get(
+            key,
+            [&] {
+                return std::make_shared<const CompiledGan>(
+                    compileGanValidated(model, config));
+            },
+            &point.cacheHit);
         span.attr("cache_hit", point.cacheHit);
     }
     point.accelerator = std::make_unique<LerGanAccelerator>(
@@ -38,7 +46,7 @@ preparePoint(const GanModel &model, const AcceleratorConfig &config,
     // once per pair, replay it for every later run of the pair.
     {
         Span span("template");
-        point.tmpl = templates.get(pairFingerprint(model, config), [&] {
+        point.tmpl = templates.get(key, [&] {
             return point.accelerator->makeIterationTemplate();
         });
     }
@@ -203,9 +211,8 @@ ExperimentSweep::run(const RunOptions &options) const
     // One executor scratch per worker lane, reused across every point
     // that lane runs (and across the pruning path's two batches): the
     // calendar and counter buffers grow to the largest graph once, then
-    // steady-state points allocate none. Lanes never run two bodies
-    // concurrently (ThreadPool::forEach), so indexing by lane is
-    // race-free.
+    // steady-state points allocate none. Each lane is one thread
+    // (parallelFor), so indexing by lane is race-free.
     const unsigned workerCount =
         options.threads == 0 ? defaultThreadCount()
                              : static_cast<unsigned>(options.threads);

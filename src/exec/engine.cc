@@ -17,10 +17,11 @@ runPoints(std::size_t count, unsigned threads, const PointBodyFn &body,
     if (count == 0)
         return statuses;
 
-    ThreadPool pool(threads);
+    if (threads == 0)
+        threads = defaultThreadCount();
     if (recorder)
-        recorder->prepareLanes(pool.threadCount());
-    // Queue wait is measured from here: by the time the pool starts
+        recorder->prepareLanes(threads);
+    // Queue wait is measured from here: by the time the lanes start
     // claiming, every point is conceptually enqueued.
     const std::uint64_t enqueueNs = recorder ? traceNowNs() : 0;
 
@@ -31,7 +32,7 @@ runPoints(std::size_t count, unsigned threads, const PointBodyFn &body,
     std::mutex progressMutex;
     std::size_t done = 0;
 
-    pool.forEach(count, [&](std::size_t i, std::size_t lane) {
+    parallelFor(count, threads, [&](std::size_t i, std::size_t lane) {
         PointStatus &st = statuses[i];
         const auto guarded = [&] {
             try {
@@ -75,7 +76,7 @@ runPoints(std::size_t count, unsigned threads, const PointBodyFn &body,
     });
     if (metrics) {
         metrics->gauge("host.pool.threads")
-            .set(static_cast<double>(pool.threadCount()));
+            .set(static_cast<double>(threads));
     }
     return statuses;
 }

@@ -2,9 +2,9 @@
  * @file
  * Parallel point-grid execution engine.
  *
- * Runs N independent point bodies on a worker pool with slot-indexed
- * (therefore completion-order-independent) results, per-point error
- * capture and serialized progress reporting. The experiment-sweep
+ * Runs N independent point bodies on fork-join worker lanes with
+ * slot-indexed (therefore completion-order-independent) results,
+ * per-point error capture and serialized progress reporting. The experiment-sweep
  * runner and any future batch driver build on this layer; the engine
  * itself knows nothing about accelerators or sweeps.
  */
@@ -70,9 +70,9 @@ struct PointStatus {
 };
 
 /** Point body: called as (point index, worker lane). The lane is a
- *  dense id in [0, pool width), stable for the body's whole run and
- *  never shared by two concurrent bodies — index per-worker scratch
- *  arenas with it. */
+ *  dense id in [0, min(workers, points)), stable for the body's whole
+ *  run and never shared by two concurrent bodies — index per-worker
+ *  scratch arenas with it. */
 using PointBodyFn = std::function<void(std::size_t, std::size_t)>;
 
 /**
@@ -87,9 +87,9 @@ using PointTraceIdFn = std::function<TraceId(std::size_t)>;
 /**
  * Execute @p body(i, lane) for every i in [0, count) on @p threads
  * workers (0 = defaultThreadCount()) and block until all points
- * finished. Points are claimed in chunks off a shared cursor (see
- * ThreadPool::forEach), so the pool's queue lock is touched O(threads)
- * times regardless of the point count.
+ * finished. The lanes are started for this call and joined before it
+ * returns (parallelFor); they claim points in chunks off one atomic
+ * cursor, so nothing is locked per point.
  *
  * A body that throws marks its own PointStatus failed with the
  * exception message; the other points are unaffected. Statuses are
@@ -100,9 +100,10 @@ using PointTraceIdFn = std::function<TraceId(std::size_t)>;
  * without a sink the per-point epilogue takes no lock and touches no
  * shared counter.
  *
- * When @p metrics is given, the pool's worker count is recorded after
- * the drain as the "host.pool.threads" gauge — a fact about the host,
- * never part of goldens.
+ * When @p metrics is given, the requested worker count (0 resolved to
+ * defaultThreadCount()) is recorded after the join as the
+ * "host.pool.threads" gauge — a fact about the host, never part of
+ * goldens.
  *
  * When @p recorder is given, every point runs under a root "point"
  * span on its lane's flight-recorder ring: the lane is bound before

@@ -2,26 +2,23 @@
  * @file
  * Generic once-per-key memoization cache for expensive pure builds.
  *
- * Extracted from the compiled-model cache so other pure, structurally
- * keyed artifacts (compiled GAN mappings, per-iteration task-DAG
- * templates) share one concurrency story:
+ * One concurrency story for every pure, structurally keyed artifact
+ * (compiled GAN mappings, per-iteration task-DAG templates):
  *
  *  - get() may be called concurrently; two threads racing on the same
- *    key build exactly once — the loser blocks on the winner's future.
- *  - Hit/miss counters are exact (a blocked racer counts as a hit),
+ *    key build exactly once — the loser waits on the winner's future.
+ *  - Hit/miss counters are exact (a waiting racer counts as a hit),
  *    which the tests use to assert build-once behavior.
- *  - If the build throws, every blocked caller rethrows and the entry
+ *  - If the build throws, every waiting caller rethrows and the entry
  *    is dropped, so a later request can retry.
  *
- * The store is striped for scalability: keys hash onto kStripes
- * independent stripes, and within a stripe the *hit* path is lock-free
- * — it reads an immutable published map through an atomic shared_ptr
- * and bumps a padded atomic hit counter, so a steady-state sweep (all
- * compiles warm) takes no lock on any thread. Only a miss touches the
- * stripe mutex, which implements the single-flight build: the builder
- * parks a shared future in the stripe's in-flight table, builds outside
- * the lock, then publishes a copy-on-write successor map. Racers that
- * arrive mid-build block on the future (and count as hits).
+ * One mutex guards one map from key to shared future. A sweep point
+ * makes two lookups (compiled model, template) against builds that
+ * take tens of microseconds to milliseconds, so the lock is held only
+ * for a map probe and is never the bottleneck. A hit copies the future
+ * under the lock and waits on it outside; a miss parks its promise's
+ * future in the map and builds outside the lock, so different keys
+ * build in parallel.
  *
  * Values are handed out as shared immutable pointers: a cached value
  * may be used concurrently from many worker threads, so Value must be
@@ -31,8 +28,6 @@
 #ifndef LERGAN_EXEC_MEMO_CACHE_HH
 #define LERGAN_EXEC_MEMO_CACHE_HH
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -50,173 +45,94 @@ class MemoCache
   public:
     using BuildFn = std::function<std::shared_ptr<const Value>()>;
 
-    MemoCache()
-    {
-        for (Stripe &stripe : stripes_)
-            stripe.published.store(std::make_shared<const Map>(),
-                                   std::memory_order_relaxed);
-    }
-
     /**
      * Return the value of @p key, invoking @p build on the first
      * request. Concurrent first requests build once; the other callers
-     * block until the result is ready.
+     * wait until the result is ready.
      *
      * @param was_hit when non-null, set to whether this request was
-     *        served from the cache (racers blocked on an in-flight
+     *        served from the cache (racers waiting on an in-flight
      *        build count as hits, matching the counters).
      */
     std::shared_ptr<const Value>
     get(const std::string &key, const BuildFn &build,
         bool *was_hit = nullptr)
     {
-        Stripe &stripe = stripeFor(key);
-        {
-            // Lock-free fast path: published maps are immutable, so a
-            // hit needs only the atomic pointer load (acquire pairs
-            // with the publishing store) and a counter bump.
-            const std::shared_ptr<const Map> published =
-                stripe.published.load(std::memory_order_acquire);
-            if (auto it = published->find(key); it != published->end()) {
-                stripe.hits.fetch_add(1, std::memory_order_relaxed);
-                if (was_hit)
-                    *was_hit = true;
-                return it->second;
-            }
-        }
-
         std::promise<std::shared_ptr<const Value>> promise;
         {
-            std::unique_lock lock(stripe.mutex);
-            // Re-check under the stripe lock: the key may have been
-            // published — or its build may be in flight — since the
-            // fast-path miss.
-            const std::shared_ptr<const Map> published =
-                stripe.published.load(std::memory_order_acquire);
-            if (auto it = published->find(key); it != published->end()) {
-                stripe.hits.fetch_add(1, std::memory_order_relaxed);
-                if (was_hit)
-                    *was_hit = true;
-                return it->second;
-            }
-            if (auto it = stripe.inflight.find(key);
-                it != stripe.inflight.end()) {
-                stripe.hits.fetch_add(1, std::memory_order_relaxed);
+            std::unique_lock lock(mutex_);
+            if (auto it = entries_.find(key); it != entries_.end()) {
+                ++hits_;
                 if (was_hit)
                     *was_hit = true;
                 Future future = it->second;
                 lock.unlock();
                 return future.get(); // rethrows a racing build's failure
             }
-            stripe.misses.fetch_add(1, std::memory_order_relaxed);
+            ++misses_;
             if (was_hit)
                 *was_hit = false;
-            stripe.inflight.emplace(key, promise.get_future().share());
+            entries_.emplace(key, promise.get_future().share());
         }
 
-        // Build outside the lock: different keys build in parallel;
-        // racers on this key block on the shared future above.
+        std::shared_ptr<const Value> value;
         try {
-            std::shared_ptr<const Value> value = build();
-            {
-                std::lock_guard lock(stripe.mutex);
-                // Copy-on-write publish: successor map replaces the
-                // published pointer, then the in-flight entry goes away
-                // (same critical section, so every racer sees the key
-                // in exactly one of the two tables).
-                auto next = std::make_shared<Map>(*stripe.published.load(
-                    std::memory_order_relaxed));
-                (*next)[key] = value;
-                stripe.published.store(
-                    std::shared_ptr<const Map>(std::move(next)),
-                    std::memory_order_release);
-                stripe.inflight.erase(key);
-            }
-            promise.set_value(value);
-            return value;
+            value = build();
         } catch (...) {
+            // Drop the entry before waking the waiters, so none of
+            // them (nor a later request) can find the failed future.
+            {
+                std::lock_guard lock(mutex_);
+                entries_.erase(key);
+            }
             promise.set_exception(std::current_exception());
-            std::lock_guard lock(stripe.mutex);
-            stripe.inflight.erase(key);
             throw;
         }
+        promise.set_value(value);
+        return value;
     }
 
     /** Requests served from the cache (exact). */
     std::uint64_t
     hits() const
     {
-        std::uint64_t total = 0;
-        for (const Stripe &stripe : stripes_)
-            total += stripe.hits.load(std::memory_order_relaxed);
-        return total;
+        std::lock_guard lock(mutex_);
+        return hits_;
     }
 
     /** Requests that had to build (exact). */
     std::uint64_t
     misses() const
     {
-        std::uint64_t total = 0;
-        for (const Stripe &stripe : stripes_)
-            total += stripe.misses.load(std::memory_order_relaxed);
-        return total;
+        std::lock_guard lock(mutex_);
+        return misses_;
     }
 
-    /** Distinct values currently held (published + building). */
+    /** Distinct values currently held (built + building). */
     std::size_t
     size() const
     {
-        std::size_t total = 0;
-        for (const Stripe &stripe : stripes_) {
-            std::lock_guard lock(stripe.mutex);
-            total += stripe.published.load(std::memory_order_relaxed)
-                         ->size() +
-                     stripe.inflight.size();
-        }
-        return total;
+        std::lock_guard lock(mutex_);
+        return entries_.size();
     }
 
     /** Drop every entry and reset the counters. */
     void
     clear()
     {
-        for (Stripe &stripe : stripes_) {
-            std::lock_guard lock(stripe.mutex);
-            stripe.published.store(std::make_shared<const Map>(),
-                                   std::memory_order_release);
-            stripe.inflight.clear();
-            stripe.hits.store(0, std::memory_order_relaxed);
-            stripe.misses.store(0, std::memory_order_relaxed);
-        }
+        std::lock_guard lock(mutex_);
+        entries_.clear();
+        hits_ = 0;
+        misses_ = 0;
     }
 
   private:
-    using Map = std::map<std::string, std::shared_ptr<const Value>>;
     using Future = std::shared_future<std::shared_ptr<const Value>>;
 
-    /** Stripe count: a power of two well above the worker counts in
-     *  use, so concurrent misses on different keys rarely collide. */
-    static constexpr std::size_t kStripes = 16;
-
-    struct alignas(64) Stripe {
-        /** Immutable snapshot of this stripe's completed entries; the
-         *  hit path reads it without the mutex. */
-        std::atomic<std::shared_ptr<const Map>> published;
-        mutable std::mutex mutex;
-        /** Single-flight table of builds in progress (guarded by
-         *  mutex). */
-        std::map<std::string, Future> inflight;
-        std::atomic<std::uint64_t> hits{0};
-        std::atomic<std::uint64_t> misses{0};
-    };
-
-    Stripe &
-    stripeFor(const std::string &key)
-    {
-        return stripes_[std::hash<std::string>{}(key) % kStripes];
-    }
-
-    std::array<Stripe, kStripes> stripes_;
+    mutable std::mutex mutex_;
+    std::map<std::string, Future> entries_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
 
 } // namespace lergan

@@ -76,18 +76,4 @@ pairFingerprint(const GanModel &model, const AcceleratorConfig &config)
     return modelFingerprint(model) + "##" + configFingerprint(config);
 }
 
-std::shared_ptr<const CompiledGan>
-CompiledModelCache::get(const GanModel &model,
-                        const AcceleratorConfig &config,
-                        const CompileFn &compile, bool *was_hit)
-{
-    return cache_.get(
-        pairFingerprint(model, config),
-        [&] {
-            return std::make_shared<const CompiledGan>(
-                compile(model, config));
-        },
-        was_hit);
-}
-
 } // namespace lergan

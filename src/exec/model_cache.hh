@@ -1,32 +1,27 @@
 /**
  * @file
- * Memoized (model, config) compilation.
+ * Fingerprints of (model, config) pairs and the compiled-model cache.
  *
  * Compiling a GAN (ZFDM analysis, duplication fitting, placement) is
  * pure: the same model under the same configuration always produces the
- * same mapping. This cache keys on a structural fingerprint of both —
- * every layer field and every configuration knob including the ReRAM
- * device parameters — and hands out shared immutable CompiledGan
- * instances, so repeated runs (sessions, repeated sweeps, baselines
- * recompiled per figure) stop paying the compile cost per use.
+ * same mapping. pairFingerprint keys on a structural fingerprint of
+ * both — every layer field and every configuration knob including the
+ * ReRAM device parameters — so repeated runs (sessions, repeated
+ * sweeps, baselines recompiled per figure) stop paying the compile cost
+ * per use.
  *
- * The concurrency machinery (build-once futures, exact hit/miss
- * counters, retry after a failed build) lives in the generic
- * MemoCache (exec/memo_cache.hh); this wrapper contributes the
- * fingerprint keys. The same fingerprints key the per-iteration DAG
- * templates (core/sweep.hh), so everything derived from a (model,
- * config) pair shares one identity.
- *
- * The compile step is injected as a callback so this module stays below
- * core in the library stack (exec does not link the compiler).
+ * CompiledModelCache is the generic MemoCache (exec/memo_cache.hh) over
+ * CompiledGan; the caller computes the key once per point and uses it
+ * for the per-iteration DAG templates (core/sweep.hh) too, so
+ * everything derived from a (model, config) pair shares one identity.
+ * The compile step is the caller's build callback, which keeps this
+ * module below core in the library stack (exec does not link the
+ * compiler).
  */
 
 #ifndef LERGAN_EXEC_MODEL_CACHE_HH
 #define LERGAN_EXEC_MODEL_CACHE_HH
 
-#include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "core/compiler.hh"
@@ -44,45 +39,9 @@ std::string configFingerprint(const AcceleratorConfig &config);
 std::string pairFingerprint(const GanModel &model,
                             const AcceleratorConfig &config);
 
-/** Shared store of compiled (model, config) mappings. */
-class CompiledModelCache
-{
-  public:
-    using CompileFn =
-        std::function<CompiledGan(const GanModel &,
-                                  const AcceleratorConfig &)>;
-
-    /**
-     * Return the compiled form of (@p model, @p config), invoking
-     * @p compile on the first request for the pair. Concurrent first
-     * requests compile once; the other callers block until the result
-     * is ready. If the compile throws, every blocked caller rethrows
-     * and the entry is dropped so a later request can retry.
-     *
-     * @param was_hit when non-null, set to whether this request was
-     *        served from the cache (racers blocked on an in-flight
-     *        compile count as hits, matching the counters).
-     */
-    std::shared_ptr<const CompiledGan> get(const GanModel &model,
-                                           const AcceleratorConfig &config,
-                                           const CompileFn &compile,
-                                           bool *was_hit = nullptr);
-
-    /** Requests served from the cache (exact). */
-    std::uint64_t hits() const { return cache_.hits(); }
-
-    /** Requests that had to compile (exact). */
-    std::uint64_t misses() const { return cache_.misses(); }
-
-    /** Distinct compiled mappings currently held. */
-    std::size_t size() const { return cache_.size(); }
-
-    /** Drop every entry and reset the counters. */
-    void clear() { cache_.clear(); }
-
-  private:
-    MemoCache<CompiledGan> cache_;
-};
+/** Shared store of compiled (model, config) mappings, keyed by
+ *  pairFingerprint. */
+using CompiledModelCache = MemoCache<CompiledGan>;
 
 } // namespace lergan
 

@@ -7,42 +7,29 @@
 
 namespace lergan {
 
-namespace telemetry_detail {
-
-std::size_t
-assignShard()
+void
+Histogram::fold(std::uint64_t count, std::uint64_t sum, std::uint64_t low,
+                 std::uint64_t high)
 {
-    // Round-robin: the first kShards recording threads land on
-    // distinct slots (a worker pool of <= kShards threads is fully
-    // contention-free); later threads wrap around.
-    static std::atomic<std::size_t> next{0};
-    return next.fetch_add(1, std::memory_order_relaxed) % kShards;
+    count_.fetch_add(count, std::memory_order_relaxed);
+    sum_.fetch_add(sum, std::memory_order_relaxed);
+    std::uint64_t seen = min_.load(std::memory_order_relaxed);
+    while (low < seen &&
+           !min_.compare_exchange_weak(seen, low,
+                                       std::memory_order_relaxed)) {
+    }
+    seen = max_.load(std::memory_order_relaxed);
+    while (high > seen &&
+           !max_.compare_exchange_weak(seen, high,
+                                       std::memory_order_relaxed)) {
+    }
 }
-
-} // namespace telemetry_detail
 
 void
 Histogram::observe(std::uint64_t sample)
 {
-    // One shard per recording thread: every store below lands on the
-    // calling thread's own padded slot, and the min/max CAS loops can
-    // only ever race with the same thread's earlier stores (they are
-    // still atomic because readers merge concurrently).
-    Shard &shard = shards_[telemetry_detail::shardIndex()];
-    shard.buckets[bucketOf(sample)].fetch_add(1,
-                                              std::memory_order_relaxed);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(sample, std::memory_order_relaxed);
-    std::uint64_t seen = shard.min.load(std::memory_order_relaxed);
-    while (sample < seen &&
-           !shard.min.compare_exchange_weak(seen, sample,
-                                            std::memory_order_relaxed)) {
-    }
-    seen = shard.max.load(std::memory_order_relaxed);
-    while (sample > seen &&
-           !shard.max.compare_exchange_weak(seen, sample,
-                                            std::memory_order_relaxed)) {
-    }
+    buckets_[bucketOf(sample)].fetch_add(1, std::memory_order_relaxed);
+    fold(1, sample, sample, sample);
 }
 
 void
@@ -50,81 +37,19 @@ Histogram::add(const HistogramBins &bins)
 {
     if (bins.count == 0)
         return;
-    Shard &shard = shards_[telemetry_detail::shardIndex()];
     for (int b = 0; b < kBuckets; ++b) {
         if (bins.buckets[b] != 0)
-            shard.buckets[b].fetch_add(bins.buckets[b],
-                                       std::memory_order_relaxed);
+            buckets_[b].fetch_add(bins.buckets[b],
+                                  std::memory_order_relaxed);
     }
-    shard.count.fetch_add(bins.count, std::memory_order_relaxed);
-    shard.sum.fetch_add(bins.sum, std::memory_order_relaxed);
-    std::uint64_t seen = shard.min.load(std::memory_order_relaxed);
-    while (bins.min < seen &&
-           !shard.min.compare_exchange_weak(seen, bins.min,
-                                            std::memory_order_relaxed)) {
-    }
-    seen = shard.max.load(std::memory_order_relaxed);
-    while (bins.max > seen &&
-           !shard.max.compare_exchange_weak(seen, bins.max,
-                                            std::memory_order_relaxed)) {
-    }
-}
-
-std::uint64_t
-Histogram::count() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.count.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::uint64_t
-Histogram::sum() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.sum.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::uint64_t
-Histogram::bucketCount(int bucket) const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.buckets[bucket].load(std::memory_order_relaxed);
-    return total;
+    fold(bins.count, bins.sum, bins.min, bins.max);
 }
 
 std::uint64_t
 Histogram::min() const
 {
-    // Empty shards keep the UINT64_MAX sentinel and never win the
-    // reduction against a shard that observed anything.
-    std::uint64_t lowest = UINT64_MAX;
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_) {
-        total += shard.count.load(std::memory_order_relaxed);
-        const std::uint64_t seen =
-            shard.min.load(std::memory_order_relaxed);
-        if (seen < lowest)
-            lowest = seen;
-    }
-    return total == 0 ? 0 : lowest;
-}
-
-std::uint64_t
-Histogram::max() const
-{
-    std::uint64_t highest = 0;
-    for (const Shard &shard : shards_) {
-        const std::uint64_t seen =
-            shard.max.load(std::memory_order_relaxed);
-        if (seen > highest)
-            highest = seen;
-    }
-    return highest;
+    // An empty histogram still holds the UINT64_MAX sentinel.
+    return count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -133,51 +58,6 @@ Histogram::bucketUpperBound(int bucket)
     if (bucket >= kBuckets - 1)
         return UINT64_MAX;
     return (std::uint64_t{1} << bucket) - 1;
-}
-
-MetricsSnapshot
-MetricsSnapshot::delta(const MetricsSnapshot &earlier) const
-{
-    MetricsSnapshot out = *this;
-    for (auto &[name, value] : out.counters) {
-        auto it = earlier.counters.find(name);
-        if (it != earlier.counters.end())
-            value -= it->second;
-    }
-    for (auto &[name, hist] : out.histograms) {
-        auto it = earlier.histograms.find(name);
-        if (it == earlier.histograms.end())
-            continue;
-        hist.count -= it->second.count;
-        hist.sum -= it->second.sum;
-        // Bucket-wise subtraction; buckets that cancel out disappear.
-        std::vector<std::pair<int, std::uint64_t>> buckets;
-        for (auto [bucket, count] : hist.buckets) {
-            for (auto [old_bucket, old_count] : it->second.buckets)
-                if (old_bucket == bucket)
-                    count -= old_count;
-            if (count != 0)
-                buckets.emplace_back(bucket, count);
-        }
-        hist.buckets = std::move(buckets);
-    }
-    return out;
-}
-
-MetricsSnapshot
-MetricsSnapshot::withoutPrefix(const std::string &prefix) const
-{
-    MetricsSnapshot out;
-    for (const auto &[name, value] : counters)
-        if (name.rfind(prefix, 0) != 0)
-            out.counters.emplace(name, value);
-    for (const auto &[name, value] : gauges)
-        if (name.rfind(prefix, 0) != 0)
-            out.gauges.emplace(name, value);
-    for (const auto &[name, hist] : histograms)
-        if (name.rfind(prefix, 0) != 0)
-            out.histograms.emplace(name, hist);
-    return out;
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the telemetry subsystem: registry create-or-get semantics,
- * histogram bucketing, snapshot/delta/prefix-filter algebra, the three
- * exporters, and a worker-pool hammer that the TSan stage of
- * scripts/check.sh re-runs (label "telemetry").
+ * histogram bucketing, the three exporters, and a multi-threaded
+ * hammer that the TSan stage of scripts/check.sh re-runs (label
+ * "telemetry").
  */
 
 #include <gtest/gtest.h>
@@ -102,44 +102,6 @@ TEST(Histogram, BulkAddMatchesObservingEachSample)
         EXPECT_EQ(added.bucketCount(b), observed.bucketCount(b)) << b;
 }
 
-TEST(MetricsSnapshot, DeltaSubtractsAccumulativeFields)
-{
-    MetricsRegistry registry;
-    registry.counter("sim.graph.runs").add(2);
-    registry.gauge("cache.model.size").set(1.0);
-    registry.histogram("sim.queue.depth").observe(4);
-    const MetricsSnapshot before = registry.snapshot();
-
-    registry.counter("sim.graph.runs").add(3);
-    registry.gauge("cache.model.size").set(5.0);
-    registry.histogram("sim.queue.depth").observe(4);
-    registry.counter("ic.bus.flits").add(9); // absent from `before`
-    const MetricsSnapshot after = registry.snapshot();
-
-    const MetricsSnapshot delta = after.delta(before);
-    EXPECT_EQ(delta.counters.at("sim.graph.runs"), 3u);
-    EXPECT_EQ(delta.counters.at("ic.bus.flits"), 9u);
-    // Gauges are not accumulative: delta keeps the later value.
-    EXPECT_DOUBLE_EQ(delta.gauges.at("cache.model.size"), 5.0);
-    EXPECT_EQ(delta.histograms.at("sim.queue.depth").count, 1u);
-    EXPECT_EQ(delta.histograms.at("sim.queue.depth").sum, 4u);
-}
-
-TEST(MetricsSnapshot, WithoutPrefixStripsHostMetrics)
-{
-    MetricsRegistry registry;
-    registry.counter("sim.graph.runs").add(1);
-    registry.gauge("host.pool.threads").set(4.0);
-    registry.counter("host.pool.tasks.run").add(10);
-    const MetricsSnapshot full = registry.snapshot();
-    const MetricsSnapshot sim = full.withoutPrefix("host.");
-    EXPECT_EQ(sim.counters.size(), 1u);
-    EXPECT_EQ(sim.counters.count("sim.graph.runs"), 1u);
-    EXPECT_TRUE(sim.gauges.empty());
-    // The source snapshot is untouched.
-    EXPECT_EQ(full.counters.size(), 2u);
-}
-
 MetricsSnapshot
 exampleSnapshot()
 {
@@ -209,34 +171,27 @@ TEST(MetricsSnapshot, EqualContentsSerializeByteIdentically)
 
 TEST(MetricsRegistry, ConcurrentRecordingFromWorkerPool)
 {
-    // The registry's whole job is lock-free recording from sweep
-    // workers; hammer one registry from every worker and check the
-    // integer totals are exact. scripts/check.sh re-runs this under
-    // -fsanitize=thread (ctest -L telemetry).
+    // Sweep workers record into one registry at once; hammer it from
+    // several threads and check the integer totals are exact.
+    // scripts/check.sh re-runs this under -fsanitize=thread
+    // (ctest -L telemetry).
     MetricsRegistry registry;
-    constexpr int kTasks = 64;
+    constexpr std::size_t kTasks = 64;
     constexpr int kOpsPerTask = 1000;
-    {
-        ThreadPool pool(4);
-        for (int t = 0; t < kTasks; ++t) {
-            pool.submit([&registry, t] {
-                // Mix instrument *creation* (mutex path) with hot-path
-                // recording (atomics) across many dotted names.
-                Counter &flits = registry.counter("ic.bus.flits");
-                Histogram &depth =
-                    registry.histogram("sim.queue.depth");
-                Counter &mine = registry.counter(
-                    "sim.task." + std::to_string(t % 8));
-                for (int i = 0; i < kOpsPerTask; ++i) {
-                    flits.add(1);
-                    depth.observe(static_cast<std::uint64_t>(i));
-                    mine.add(1);
-                }
-                registry.gauge("cache.model.size").set(1.0);
-            });
+    parallelFor(kTasks, 4, [&registry](std::size_t t, std::size_t) {
+        // Mix instrument *creation* (mutex path) with recording
+        // (atomics) across many dotted names.
+        Counter &flits = registry.counter("ic.bus.flits");
+        Histogram &depth = registry.histogram("sim.queue.depth");
+        Counter &mine =
+            registry.counter("sim.task." + std::to_string(t % 8));
+        for (int i = 0; i < kOpsPerTask; ++i) {
+            flits.add(1);
+            depth.observe(static_cast<std::uint64_t>(i));
+            mine.add(1);
         }
-        pool.drain();
-    }
+        registry.gauge("cache.model.size").set(1.0);
+    });
     const MetricsSnapshot snapshot = registry.snapshot();
     EXPECT_EQ(snapshot.counters.at("ic.bus.flits"),
               static_cast<std::uint64_t>(kTasks) * kOpsPerTask);
@@ -254,32 +209,26 @@ TEST(MetricsRegistry, ConcurrentRecordingFromWorkerPool)
               static_cast<std::uint64_t>(kTasks) * kOpsPerTask);
 }
 
-TEST(MetricsRegistry, ShardedSnapshotsMatchSingleThreadedReference)
+TEST(MetricsRegistry, ConcurrentSnapshotsMatchSingleThreadedReference)
 {
-    // The per-worker shards are an implementation detail: after the
-    // snapshot merge, a registry hammered from 8 threads must
-    // serialize byte-identically to one fed the same observations on a
-    // single thread. This is the contract the determinism goldens rest
-    // on; scripts/check.sh re-runs it under -fsanitize=thread.
+    // A registry hammered from 8 threads must serialize
+    // byte-identically to one fed the same observations on a single
+    // thread. This is the contract the determinism goldens rest on;
+    // scripts/check.sh re-runs it under -fsanitize=thread.
     constexpr int kThreads = 8;
     constexpr int kOpsPerThread = 2000;
 
-    MetricsRegistry sharded;
-    {
-        ThreadPool pool(kThreads);
-        for (int t = 0; t < kThreads; ++t) {
-            pool.submit([&sharded] {
-                Counter &runs = sharded.counter("sim.graph.runs");
-                Histogram &lat = sharded.histogram("sim.task.latency");
-                for (int i = 0; i < kOpsPerThread; ++i) {
-                    runs.add(2);
-                    lat.observe(static_cast<std::uint64_t>(i * 3));
-                }
-            });
+    MetricsRegistry concurrent;
+    parallelFor(kThreads, kThreads, [&concurrent](std::size_t,
+                                                  std::size_t) {
+        Counter &runs = concurrent.counter("sim.graph.runs");
+        Histogram &lat = concurrent.histogram("sim.task.latency");
+        for (int i = 0; i < kOpsPerThread; ++i) {
+            runs.add(2);
+            lat.observe(static_cast<std::uint64_t>(i * 3));
         }
-        pool.drain();
-    }
-    sharded.gauge("cache.model.size").set(7.0);
+    });
+    concurrent.gauge("cache.model.size").set(7.0);
 
     MetricsRegistry reference;
     {
@@ -294,12 +243,12 @@ TEST(MetricsRegistry, ShardedSnapshotsMatchSingleThreadedReference)
     }
 
     std::ostringstream got, want;
-    sharded.snapshot().writePrometheus(got);
+    concurrent.snapshot().writePrometheus(got);
     reference.snapshot().writePrometheus(want);
     EXPECT_EQ(got.str(), want.str());
 
-    // The merged extrema are exact, not bucket-rounded.
-    const MetricsSnapshot snap = sharded.snapshot();
+    // The extrema are exact, not bucket-rounded.
+    const MetricsSnapshot snap = concurrent.snapshot();
     const HistogramSnapshot &lat =
         snap.histograms.at("sim.task.latency");
     EXPECT_EQ(lat.min, 0u);
