@@ -52,7 +52,7 @@ exportCounterTrace(const std::string &path,
     accelerator.trainIterations(1, &tracer, nullptr, tmpl.get(),
                                 &record);
     std::vector<std::string> names = accelerator.resourceNames();
-    addSpanOccupancyTrack(tracer, "xfer:", "ic.xfer.active");
+    addSpanOccupancyTrack(tracer, TaskKind::Transfer, "ic.xfer.active");
     const std::size_t wire = busiestLane(tracer, names, ".wire");
     if (wire != SIZE_MAX)
         addLaneOccupancyTrack(tracer, wire, names[wire] + ".busy");

@@ -73,7 +73,7 @@ main(int argc, char **argv)
     // Derived counter tracks: how many transfers are in flight at each
     // instant, and the busiest wire's own busy/idle square wave.
     const std::vector<std::string> names = accelerator.resourceNames();
-    addSpanOccupancyTrack(tracer, "xfer:", "ic.xfer.active");
+    addSpanOccupancyTrack(tracer, TaskKind::Transfer, "ic.xfer.active");
     const std::size_t wire = busiestLane(tracer, names, ".wire");
     if (wire != SIZE_MAX)
         addLaneOccupancyTrack(tracer, wire, names[wire] + ".busy");

@@ -59,7 +59,8 @@ Machine::Machine(const AcceleratorConfig &config) : config_(config)
         for (int t = 0; t < params.tilesPerBank; ++t) {
             tileCompute_[b].push_back(pool_.create(
                 "b" + std::to_string(b) + ".t" + std::to_string(t) +
-                ".compute"));
+                    ".compute",
+                ResourceCategory::Compute));
         }
     }
 }

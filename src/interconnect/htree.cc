@@ -44,7 +44,8 @@ buildHTreeBank(Topology &topo, ResourcePool &pool, const ReRamParams &params,
         node.index = index;
         node.name = prefix + ".d" + std::to_string(depth) + ".n" +
                     std::to_string(index);
-        node.switchRes = pool.create(node.name + ".switch");
+        node.switchRes =
+            pool.create(node.name + ".switch", ResourceCategory::Switch);
         return topo.addNode(node);
     };
 
@@ -76,7 +77,8 @@ buildHTreeBank(Topology &topo, ResourcePool &pool, const ReRamParams &params,
         link.pjPerByte = hopPjPerByte(params);
         link.resources.push_back(
             pool.create(prefix + ".wire.d" + std::to_string(child_depth) +
-                        "." + std::to_string(topo.node(child).index)));
+                            "." + std::to_string(topo.node(child).index),
+                        ResourceCategory::Wire));
         topo.addLink(link);
     };
 

@@ -50,7 +50,8 @@ build3dcu(Topology &topo, ResourcePool &pool, const ReRamParams &params,
     auto second_switch = [&](int node_id) {
         if (middle_second_switch[node_id] == SIZE_MAX) {
             middle_second_switch[node_id] =
-                pool.create(topo.node(node_id).name + ".switch2");
+                pool.create(topo.node(node_id).name + ".switch2",
+                            ResourceCategory::Switch);
             ++cu.addedSwitches;
         }
         return middle_second_switch[node_id];
@@ -68,7 +69,8 @@ build3dcu(Topology &topo, ResourcePool &pool, const ReRamParams &params,
         link.resources.push_back(
             pool.create(topo.node(a).name + (kind == LinkKind::Horizontal
                                                  ? ".hwire"
-                                                 : ".vwire")));
+                                                 : ".vwire"),
+                        ResourceCategory::Wire));
         link.resources.push_back(switch_a);
         link.resources.push_back(switch_b);
         topo.addLink(link);
@@ -134,7 +136,8 @@ addBypassLink(Topology &topo, ResourcePool &pool, const ReRamParams &params,
     link.pjPerByte = params.hopPjPerByte;
     link.resources.push_back(pool.create(
         "bypass." + std::to_string(a.bankId) + "-" +
-        std::to_string(b.bankId)));
+            std::to_string(b.bankId),
+        ResourceCategory::Other));
     topo.addLink(link);
 }
 
@@ -152,7 +155,8 @@ addBusLink(Topology &topo, ResourcePool &pool, const ReRamParams &params,
     link.bytesPerNs = params.linkBytesPerNs;
     link.pjPerByte = params.busPjPerByte;
     link.resources.push_back(
-        pool.create("buslink.b" + std::to_string(bank.bankId)));
+        pool.create("buslink.b" + std::to_string(bank.bankId),
+                    ResourceCategory::Bus));
     topo.addLink(link);
 }
 

@@ -22,26 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "common/phase.hh"
 #include "nn/conv_pattern.hh"
 #include "nn/model.hh"
 
 namespace lergan {
-
-/** The six training phases. */
-enum class Phase {
-    GFwd,       ///< generator forward propagation
-    DFwd,       ///< discriminator forward propagation
-    DBwdErr,    ///< discriminator error transfer
-    DBwdWeight, ///< discriminator nabla-weight calculation
-    GBwdErr,    ///< generator error transfer
-    GBwdWeight, ///< generator nabla-weight calculation
-};
-
-/** All phases, in dataflow order. */
-extern const Phase kAllPhases[6];
-
-/** @return printable phase name ("G.fwd", "D.bwd_w", ...). */
-const char *phaseName(Phase phase);
 
 /** Computation pattern of one layer in one phase. */
 enum class OpPattern {

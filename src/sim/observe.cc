@@ -19,7 +19,7 @@ deriveObservers(const TaskGraph &graph, const ExecRecord &record,
 
     TrackId depthTrack = 0, readyTrack = 0, inflightTrack = 0;
     if (tracer) {
-        tracer->bindTaskLabels(graph.labels());
+        tracer->bindTasks(graph.identity());
         tracer->reserve(n, 6 * n);
         depthTrack = tracer->track("sim.queue.depth");
         readyTrack = tracer->track("sim.ready.tasks");

@@ -6,8 +6,8 @@
  * deriveObservers replays the record's pop order against the graph's
  * successor CSR in one pass and produces what in-loop observers would
  * have seen, sample for sample:
- *  - the Tracer's task events, in fire order, labelled by TaskId from
- *    the graph's shared label column;
+ *  - the Tracer's task events, in fire order, identified by TaskId in
+ *    the graph's shared identity table;
  *  - its sim.queue.depth / sim.ready.tasks / sim.inflight.tasks counter
  *    samples, one triple per popped event, at the pop's instant;
  *  - the same three sim.* histograms plus the sim.graph.runs,

@@ -9,26 +9,13 @@
 namespace lergan {
 
 void
-Tracer::record(std::string label, PicoSeconds start, PicoSeconds end,
-               std::size_t lane)
+Tracer::bindTasks(std::shared_ptr<const TaskIdentity> tasks)
 {
-    events_.push_back(TraceEvent{
-        start, end, lane, static_cast<std::uint32_t>(ownedLabels_.size()),
-        true});
-    ownedLabels_.push_back(std::move(label));
-}
-
-void
-Tracer::bindTaskLabels(LabelColumn labels)
-{
-    if (labels == taskLabels_)
+    if (tasks == tasks_)
         return;
-    LERGAN_ASSERT(std::none_of(events_.begin(), events_.end(),
-                               [](const TraceEvent &event) {
-                                   return !event.ownedLabel;
-                               }),
+    LERGAN_ASSERT(events_.empty(),
                   "tracer already holds task events of another graph");
-    taskLabels_ = std::move(labels);
+    tasks_ = std::move(tasks);
 }
 
 TrackId
@@ -53,8 +40,7 @@ Tracer::clear()
 {
     events_.clear();
     counters_.clear();
-    taskLabels_.reset();
-    ownedLabels_.clear();
+    tasks_.reset();
 }
 
 void

@@ -39,12 +39,12 @@ recordOccupancy(Tracer &tracer,
 } // namespace
 
 std::size_t
-addSpanOccupancyTrack(Tracer &tracer, const std::string &label_prefix,
+addSpanOccupancyTrack(Tracer &tracer, TaskKind kind,
                       const std::string &track)
 {
     std::vector<std::pair<PicoSeconds, PicoSeconds>> intervals;
     for (const TraceEvent &event : tracer.events())
-        if (tracer.label(event).starts_with(label_prefix))
+        if (tracer.kind(event) == kind)
             intervals.emplace_back(event.start, event.end);
     return recordOccupancy(tracer, intervals, track);
 }

@@ -20,13 +20,12 @@
 namespace lergan {
 
 /**
- * Record a counter track named @p track sampling how many spans whose
- * label starts with @p label_prefix are concurrently active.
+ * Record a counter track named @p track sampling how many spans of
+ * tasks of kind @p kind are concurrently active.
  *
  * @return the number of samples recorded.
  */
-std::size_t addSpanOccupancyTrack(Tracer &tracer,
-                                  const std::string &label_prefix,
+std::size_t addSpanOccupancyTrack(Tracer &tracer, TaskKind kind,
                                   const std::string &track);
 
 /**

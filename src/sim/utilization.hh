@@ -4,7 +4,9 @@
  *
  * Reads the FIFO resources' busy times and turns them into the
  * utilization tables the examples and ablation benches print (which
- * wires saturate under H-tree, how evenly tiles are loaded, ...).
+ * wires saturate under H-tree, how evenly tiles are loaded, ...), and
+ * folds the contention totals into metrics by the category each
+ * resource was created with.
  */
 
 #ifndef LERGAN_SIM_UTILIZATION_HH
@@ -37,34 +39,16 @@ std::vector<ResourceUsage> topBusyResources(const ResourcePool &pool,
                                             PicoSeconds makespan,
                                             std::size_t top_k);
 
-/**
- * Aggregate utilization of all resources whose name contains
- * @p name_fragment (e.g. ".compute", "wire", "buslink").
- *
- * @return average utilization across matching resources (0 if none).
- */
-double utilizationOf(const ResourcePool &pool, PicoSeconds makespan,
-                     const std::string &name_fragment);
-
 /** Print a "name busy util" table for the top @p top_k resources. */
 void printUtilization(std::ostream &os, const ResourcePool &pool,
                       PicoSeconds makespan, std::size_t top_k);
 
 /**
- * Coarse category of a resource, derived from its diagnostic name:
- * "compute", "wire", "switch", "bus", "cpu" or "other". The same
- * buckets recordPoolMetrics rolls contention up under; the
- * critical-path engine reuses them for its per-resource rollups and
- * what-if category transforms.
- */
-const char *resourceCategoryOf(const std::string &name);
-
-/**
  * Fold every resource's busy/wait/reservation totals into @p registry
  * as sim.resource.{busy_ps,wait_ps,reservations}.<category> counters,
- * where the category is derived from the resource name (compute, wire,
- * switch, bus, cpu, other). Counters only, so concurrent runs from a
- * worker pool accumulate worker-count-independent totals.
+ * where the category is the pool's (compute, wire, switch, bus, cpu,
+ * other). Counters only, so concurrent runs from a worker pool
+ * accumulate worker-count-independent totals.
  */
 void recordPoolMetrics(const ResourcePool &pool,
                        MetricsRegistry &registry);

@@ -151,9 +151,9 @@ TEST(Audit, TamperedMakespanIsCaught)
 TEST(Audit, BogusTraceEventIsCaught)
 {
     SimRun run = makeRun();
-    // An event past the makespan, and now one more event than tasks.
-    run.trace.record("bogus@phantom", 0,
-                     run.report.iterationTime + 999, 0);
+    // A second run of task 0, past the makespan: one more event than
+    // tasks.
+    run.trace.recordTask(0, 0, run.report.iterationTime + 999, 0);
 
     const AuditVerdict verdict = AuditContext().run(run.input());
     ASSERT_FALSE(verdict.ok());

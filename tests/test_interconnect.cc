@@ -32,7 +32,7 @@ TEST(Topology, RouteFindsShortestByLatency)
         l.latencyNs = lat;
         l.bytesPerNs = 1.0;
         l.pjPerByte = 1.0;
-        l.resources.push_back(pool.create("w"));
+        l.resources.push_back(pool.create("w", ResourceCategory::Other));
         topo.addLink(l);
     };
     link(a, b, 10);
@@ -56,7 +56,7 @@ TEST(Topology, RouteRespectsFilter)
     l.kind = LinkKind::Vertical;
     l.latencyNs = 1;
     l.bytesPerNs = 1;
-    l.resources.push_back(pool.create("v"));
+    l.resources.push_back(pool.create("v", ResourceCategory::Other));
     topo.addLink(l);
     const auto htree_only = [](const TopoLink &link) {
         return link.kind == LinkKind::HTree;
@@ -108,7 +108,7 @@ TEST(Topology, ChargeTransferChargesEveryLinkOfTheRoute)
         l.latencyNs = 1;
         l.bytesPerNs = 1;
         l.pjPerByte = chain[i].second;
-        l.resources.push_back(pool.create("w"));
+        l.resources.push_back(pool.create("w", ResourceCategory::Other));
         topo.addLink(l);
     }
     const Route route = topo.route(nodes.front(), nodes.back());

@@ -21,6 +21,7 @@
 #include "sim/calendar_queue.hh"
 #include "sim/observe.hh"
 #include "sim/task_graph.hh"
+#include "task_helpers.hh"
 #include "workloads/zoo.hh"
 
 namespace lergan {
@@ -42,7 +43,7 @@ makeRandomDag(std::uint64_t seed)
     Rng rng(seed);
     const int num_resources = 2 + static_cast<int>(rng.nextBounded(6));
     for (int r = 0; r < num_resources; ++r)
-        dag.pool.create("res" + std::to_string(r));
+        dag.pool.create("res" + std::to_string(r), ResourceCategory::Other);
 
     const int num_layers = 2 + static_cast<int>(rng.nextBounded(5));
     for (int layer = 0; layer < num_layers; ++layer) {
@@ -58,7 +59,7 @@ makeRandomDag(std::uint64_t seed)
             if (!resources.empty() && dag.durations.size() % 3 == 0)
                 resources.push_back((resources[0] + 1) % num_resources);
             const TaskId id =
-                dag.graph.addTask({"t", resources, duration});
+                addNamedTask(dag.graph, "t", resources, duration);
             dag.durations.push_back(duration);
             dag.deps.emplace_back();
             if (layer > 0) {

@@ -16,6 +16,7 @@
 #include "common/json.hh"
 #include "core/sweep_io.hh"
 #include "sim/trace.hh"
+#include "task_helpers.hh"
 
 namespace lergan {
 namespace {
@@ -178,9 +179,10 @@ TEST(JsonWriter, NonFiniteBecomesNull)
 TEST(ChromeTrace, ExportIsStructurallyValidJson)
 {
     Tracer tracer;
-    tracer.record("mmv:G.l2.tconv@trainG", 0, 150, 0);
-    tracer.record("xfer:\"quoted\"\nlabel", 150, 300, 1);
-    tracer.record("update:D.l1.conv@trainD", 300, 450, 2);
+    TaskGraph graph;
+    recordNamedTask(tracer, graph, "mmv:G.l2.tconv@trainG", 0, 150, 0);
+    recordNamedTask(tracer, graph, "xfer:\"quoted\"\nlabel", 150, 300, 1);
+    recordNamedTask(tracer, graph, "update:D.l1.conv@trainD", 300, 450, 2);
 
     std::ostringstream oss;
     tracer.exportChromeTrace(oss, {"lane a", "lane b", "lane c"});

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the utilization reporting over finished runs: fragment
- * matching, the empty pool, the deterministic busy/name tie-break, the
+ * Tests for the utilization reporting over finished runs: the empty
+ * pool, the deterministic busy/name tie-break, the
  * per-category metric rollup, and Resource wait-time accounting.
  */
 
@@ -14,6 +14,7 @@
 #include "sim/resource.hh"
 #include "sim/task_graph.hh"
 #include "sim/utilization.hh"
+#include "task_helpers.hh"
 #include "telemetry/metrics.hh"
 
 namespace lergan {
@@ -27,7 +28,7 @@ occupy(ResourcePool &pool,
 {
     TaskGraph graph;
     for (const auto &[rid, duration] : slots)
-        graph.addTask({"t", {rid}, duration});
+        addNamedTask(graph, "t", {rid}, duration);
     graph.execute(pool);
 }
 
@@ -36,33 +37,20 @@ ResourcePool
 examplePool()
 {
     ResourcePool pool;
-    const std::size_t wire_a = pool.create("link.h.wire.0");
-    const std::size_t wire_b = pool.create("link.v.wire.1");
-    const std::size_t tile = pool.create("bank0.tile3.compute");
-    pool.create("switch.2"); // never reserved
+    const std::size_t wire_a =
+        pool.create("link.h.wire.0", ResourceCategory::Wire);
+    const std::size_t wire_b =
+        pool.create("link.v.wire.1", ResourceCategory::Wire);
+    const std::size_t tile =
+        pool.create("bank0.tile3.compute", ResourceCategory::Compute);
+    pool.create("switch.2", ResourceCategory::Switch); // never reserved
     occupy(pool, {{wire_a, 100}, {wire_b, 300}, {tile, 400}});
     return pool;
-}
-
-TEST(Utilization, FragmentMatchingAveragesMatches)
-{
-    const ResourcePool pool = examplePool();
-    const PicoSeconds makespan = 1000;
-    // Two wires at 0.1 and 0.3 utilization average to 0.2.
-    EXPECT_DOUBLE_EQ(utilizationOf(pool, makespan, "wire"), 0.2);
-    EXPECT_DOUBLE_EQ(utilizationOf(pool, makespan, ".compute"), 0.4);
-    // The idle switch still matches (it averages in as zero).
-    EXPECT_DOUBLE_EQ(utilizationOf(pool, makespan, "switch"), 0.0);
-    // No match at all is 0, not a division by zero.
-    EXPECT_DOUBLE_EQ(utilizationOf(pool, makespan, "nonesuch"), 0.0);
-    // Zero makespan is 0, not a division by zero.
-    EXPECT_DOUBLE_EQ(utilizationOf(pool, 0, "wire"), 0.0);
 }
 
 TEST(Utilization, EmptyPool)
 {
     const ResourcePool pool;
-    EXPECT_DOUBLE_EQ(utilizationOf(pool, 1000, "wire"), 0.0);
     EXPECT_TRUE(topBusyResources(pool, 1000, 10).empty());
     std::ostringstream oss;
     printUtilization(oss, pool, 1000, 10);
@@ -72,9 +60,9 @@ TEST(Utilization, EmptyPool)
 TEST(Utilization, TopBusySortsByBusyThenName)
 {
     ResourcePool pool;
-    const std::size_t b = pool.create("beta");
-    const std::size_t a = pool.create("alpha");
-    const std::size_t c = pool.create("gamma");
+    const std::size_t b = pool.create("beta", ResourceCategory::Other);
+    const std::size_t a = pool.create("alpha", ResourceCategory::Other);
+    const std::size_t c = pool.create("gamma", ResourceCategory::Other);
     occupy(pool, {{a, 100}, {b, 100}, {c, 500}}); // alpha ties with beta
 
     const auto top = topBusyResources(pool, 1000, 10);
@@ -111,11 +99,12 @@ TEST(Resource, WaitTimeMeasuresQueueing)
     // Three tasks on one resource, released at 10, 50 and 500 by
     // resource-free delay tasks.
     ResourcePool pool;
-    const std::size_t res = pool.create("bank0.tile0.compute");
+    const std::size_t res =
+        pool.create("bank0.tile0.compute", ResourceCategory::Compute);
     TaskGraph graph;
     const auto readyAt = [&](PicoSeconds ready, PicoSeconds duration) {
-        const TaskId delay = graph.addTask({"delay", {}, ready});
-        const TaskId task = graph.addTask({"task", {res}, duration});
+        const TaskId delay = addNamedTask(graph, "delay", {}, ready);
+        const TaskId task = addNamedTask(graph, "task", {res}, duration);
         graph.addDep(task, delay);
         return task;
     };
