@@ -207,8 +207,9 @@ bankForPhase(Phase phase)
       case Phase::DFwd:       return 3;
       case Phase::DBwdWeight: return 4;
       case Phase::DBwdErr:    return 5;
+      default:                break;
     }
-    return 0;
+    LERGAN_PANIC("no bank hosts ", phaseName(phase));
 }
 
 namespace {

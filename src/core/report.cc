@@ -34,22 +34,7 @@ TrainingReport::writeJson(std::ostream &os) const
     if (critpath) {
         // Present only when the run recorded — default reports keep
         // their historical shape byte-for-byte.
-        const CriticalPath &path = critpath->path;
-        json.key("critpath").beginObject();
-        json.key("makespan_ms").value(psToMs(path.makespan));
-        json.key("links").value(
-            static_cast<std::uint64_t>(path.entries.size()));
-        json.key("zero_slack_tasks").value(
-            static_cast<std::uint64_t>(path.zeroSlackTasks()));
-        json.key("by_phase").beginObject();
-        for (const auto &[name, time] : path.phaseRollup)
-            json.key(name).value(psToMs(time));
-        json.endObject();
-        json.key("by_resource").beginObject();
-        for (const auto &[name, time] : path.resourceRollup)
-            json.key(name).value(psToMs(time));
-        json.endObject();
-        json.endObject();
+        critpath->path.writeJson(json);
     }
     json.key("stats").beginObject();
     for (const auto &[name, value] : stats)

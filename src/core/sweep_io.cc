@@ -128,22 +128,7 @@ writeSweepJson(std::ostream &os, const std::vector<SweepResult> &results,
         if (result.report.critpath) {
             // Only points that recorded carry the object, so default
             // sweeps export the exact historical shape.
-            const CriticalPath &path = result.report.critpath->path;
-            json.key("critpath").beginObject();
-            json.key("makespan_ms").value(psToMs(path.makespan));
-            json.key("links").value(
-                static_cast<std::uint64_t>(path.entries.size()));
-            json.key("zero_slack_tasks").value(
-                static_cast<std::uint64_t>(path.zeroSlackTasks()));
-            json.key("by_phase").beginObject();
-            for (const auto &[name, time] : path.phaseRollup)
-                json.key(name).value(psToMs(time));
-            json.endObject();
-            json.key("by_resource").beginObject();
-            for (const auto &[name, time] : path.resourceRollup)
-                json.key(name).value(psToMs(time));
-            json.endObject();
-            json.endObject();
+            result.report.critpath->path.writeJson(json);
         }
         json.key("stats").beginObject();
         for (const auto &[name, value] : result.report.stats)
