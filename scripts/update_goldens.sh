@@ -15,7 +15,8 @@ mkdir -p "$out"
 
 for bench in fig16_zfdr_phases fig17_3d_vs_htree fig18_zfdr_vs_nr \
     fig19_lergan_vs_prime fig20_energy_vs_prime fig21_perf_fpga_gpu \
-    fig22_energy_fpga_gpu fig23_energy_breakdown fig24_tile_breakdown
+    fig22_energy_fpga_gpu fig23_energy_breakdown fig24_tile_breakdown \
+    phase_breakdown
 do
     echo "golden: $bench"
     "$build/bench/$bench" > "$out/$bench.txt"

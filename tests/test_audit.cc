@@ -321,6 +321,43 @@ TEST(Audit, UnauditedSweepLeavesVerdictEmpty)
     EXPECT_EQ(json.str().find("\"audit\""), std::string::npos);
 }
 
+/**
+ * The verdict of every Table V GAN on PRIME and on LerGAN-low, and of
+ * one run with killed tiles: all clean, with the fault check counted
+ * only where tiles were killed.
+ */
+TEST(Audit, TableVVerdictsArePinned)
+{
+    const auto verdictOf = [](const GanModel &model,
+                              const AcceleratorConfig &config) {
+        LerGanAccelerator accelerator(model, config);
+        Tracer trace;
+        const TrainingReport report = accelerator.trainIterations(1, &trace);
+        return AuditContext().run({&model, &config, &accelerator.compiled(),
+                                   &report, &trace});
+    };
+    const std::vector<std::string> names = benchmarkNames();
+    ASSERT_EQ(names.size(), 8u);
+    for (const std::string &name : names) {
+        const GanModel model = makeBenchmark(name);
+        for (const AcceleratorConfig &config :
+             {AcceleratorConfig::prime(),
+              AcceleratorConfig::lerGan(ReplicaDegree::Low)}) {
+            SCOPED_TRACE(name + "/" + config.label());
+            const AuditVerdict verdict = verdictOf(model, config);
+            EXPECT_EQ(verdict.checksRun, 4u);
+            EXPECT_EQ(verdict.summary(), "ok (4 checks)");
+        }
+    }
+    AcceleratorConfig faulty = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    faulty.faults.seed = 11;
+    faulty.faults.tileKillRate = 0.15;
+    const AuditVerdict verdict =
+        verdictOf(makeBenchmark("DCGAN"), faulty);
+    EXPECT_EQ(verdict.checksRun, 5u);
+    EXPECT_EQ(verdict.summary(), "ok (5 checks)");
+}
+
 TEST(Audit, ValidatedCompileAcceptsAndRejects)
 {
     const GanModel model = makeBenchmark("MAGAN-MNIST");
