@@ -26,11 +26,12 @@ main()
           {"PRIME", AcceleratorConfig::prime()}}) {
         const GanModel model = makeBenchmark("DCGAN");
         LerGanAccelerator accelerator(model, config);
-        Tracer tracer;
-        const TrainingReport report =
-            accelerator.trainIterations(1, &tracer);
+        const auto tmpl = accelerator.makeIterationTemplate();
+        ExecRecord record;
+        const TrainingReport report = accelerator.trainIterations(
+            1, nullptr, nullptr, tmpl.get(), &record);
         std::cout << name << " (" << report.timeMs() << " ms/iter):\n";
-        printPhaseTimes(std::cout, tracer, report.iterationTime);
+        printPhaseTimes(std::cout, tmpl->graph, record);
         std::cout << '\n';
     }
     return 0;

@@ -14,9 +14,9 @@
  *    statistic, and the prefix-summed total must match the snapshot the
  *    accelerator took when the run finished (catches post-run mutation
  *    and scaling bugs in `total.*` aggregates);
- *  - timing:  the traced task intervals must partition into phases
+ *  - timing:  the recorded task intervals must partition into phases
  *    whose union reaches exactly the event-queue makespan, with one
- *    trace event per simulated task;
+ *    recorded interval per simulated task;
  *  - zeros:   the paper's closed-form ZFDR class counts (Eq. 11-13)
  *    must match direct window enumeration for every reshaped op of the
  *    compiled model;
@@ -26,16 +26,16 @@
  *    and killed tiles must hold zero bank usage. Skipped on healthy
  *    runs — the verdict of a fault-free simulation is unchanged.
  *
- * Checks run after a simulation, over its immutable outputs; they never
- * mutate anything. Wire-up: SimulationSession::auditWith() /
- * ExperimentSweep::auditWith() run a context after every point and
- * surface the verdict (core/api.hh, core/sweep.hh).
+ * The checks are a fixed list, run in that order after a simulation,
+ * over its immutable outputs; they never mutate anything. Wire-up:
+ * SimulationSession::auditWith() / ExperimentSweep::auditWith() run a
+ * context after every point and surface the verdict (core/api.hh,
+ * core/sweep.hh).
  */
 
 #ifndef LERGAN_AUDIT_AUDIT_HH
 #define LERGAN_AUDIT_AUDIT_HH
 
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,30 +44,19 @@
 namespace lergan {
 
 class AcceleratorConfig;
+class TaskGraph;
 class Tracer;
 struct CompiledGan;
+struct ExecRecord;
 struct GanModel;
 struct TrainingReport;
 
-/** Which invariants to audit, and how strictly. */
+/** Whether to audit. */
 struct AuditOptions {
     /** Master switch: disabled contexts audit nothing. */
     bool enabled = false;
-    /** (a) energy conservation across component families. */
-    bool energy = true;
-    /** (b) phase/makespan consistency of the traced run. */
-    bool timing = true;
-    /** (c) ZFDR closed forms vs. direct enumeration. */
-    bool zeros = true;
-    /** (d) validateMapping() on the compiled mapping. */
-    bool mapping = true;
-    /** (e) degraded runs never touch unusable tiles (skipped when the
-     *  run is healthy: no fault map and no manual failed tiles). */
-    bool faults = true;
-    /** Relative tolerance for floating-point sum comparisons. */
-    double relTolerance = 1e-9;
 
-    /** Everything on. */
+    /** Auditing on. */
     static AuditOptions
     full()
     {
@@ -89,7 +78,8 @@ struct AuditFinding {
 struct AuditVerdict {
     /** True once a context actually ran (default-constructed = not). */
     bool ran = false;
-    /** Checks that executed (a trace-less timing check is skipped). */
+    /** Checks that executed (the timing check is skipped without a
+     *  record, the fault check on a healthy run). */
     std::size_t checksRun = 0;
     /** Every violated invariant, in check order. */
     std::vector<AuditFinding> failures;
@@ -113,8 +103,14 @@ struct AuditInput {
     const AcceleratorConfig *config = nullptr;
     const CompiledGan *compiled = nullptr;
     const TrainingReport *report = nullptr;
-    /** Trace of the simulated iteration; null skips the timing check. */
+    /** Trace of the simulated iteration, read only without a graph and
+     *  record (see the trace adapter in audit.cc). */
     const Tracer *trace = nullptr;
+    /** The simulated graph and the record of its execution. Without
+     *  them (and without a trace) the timing check is skipped and the
+     *  fault check scans no tasks. */
+    const TaskGraph *graph = nullptr;
+    const ExecRecord *record = nullptr;
 };
 
 /** Thrown by audited session runs when a check fails. */
@@ -130,41 +126,24 @@ class AuditError : public std::runtime_error
 };
 
 /**
- * A registry of invariant checks, run over a simulation's outputs.
- *
- * Construction registers the standard checks selected by the options;
- * registerCheck() appends custom invariants, which run after the
- * standard ones in registration order. A context is immutable once
- * built and may audit many runs (also concurrently).
+ * Runs the five checks — energy, timing, zeros, mapping, faults, in
+ * that order — over a simulation's outputs. A context is immutable and
+ * may audit many runs, also concurrently.
  */
 class AuditContext
 {
   public:
-    /**
-     * One invariant. Inspects the input, appends failures to the
-     * verdict, and returns whether it actually ran (false = skipped,
-     * e.g. the timing check without a trace).
-     */
-    using CheckFn = std::function<bool(const AuditInput &,
-                                       const AuditOptions &,
-                                       AuditVerdict &)>;
+    explicit AuditContext(AuditOptions options = AuditOptions::full())
+        : enabled_(options.enabled)
+    {
+    }
 
-    explicit AuditContext(AuditOptions options = AuditOptions::full());
-
-    /** Append a custom invariant check. */
-    void registerCheck(std::string name, CheckFn check);
-
-    /** Run every registered check over @p input. */
+    /** Audit @p input; a disabled context returns a verdict that has
+     *  not run. */
     AuditVerdict run(const AuditInput &input) const;
 
-    const AuditOptions &options() const { return options_; }
-
-    /** Registered checks (standard + custom). */
-    std::size_t checkCount() const { return checks_.size(); }
-
   private:
-    AuditOptions options_;
-    std::vector<std::pair<std::string, CheckFn>> checks_;
+    bool enabled_;
 };
 
 } // namespace lergan

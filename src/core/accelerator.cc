@@ -616,18 +616,15 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
     // The executor writes only the record; the trace and the sim.*
     // occupancy metrics are derived from it after the run, so a caller
     // that wants only those records into the scratch's reusable one.
-    ExecScratch &scratch = externalScratch_ ? *externalScratch_ : scratch_;
     ExecRecord *run = record;
     if (!run && (tracer || metrics))
-        run = &scratch.observerRecord();
+        run = &scratch().observerRecord();
     const PicoSeconds makespan =
-        tmpl->graph.execute(machine_.pool(), &scratch, run);
+        tmpl->graph.execute(machine_.pool(), &scratch(), run);
     if (run)
         deriveObservers(tmpl->graph, *run, tracer, metrics);
     if (metrics) {
         metrics->counter("sim.iterations").add(1);
-        if (record)
-            metrics->counter("critpath.records").add(1);
         recordPoolMetrics(machine_.pool(), *metrics);
     }
     return assembleReport(*tmpl, n, makespan);

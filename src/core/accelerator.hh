@@ -94,10 +94,8 @@ class LerGanAccelerator
      * scaled by @p n in "total.*" keys. Every observer is optional:
      *
      * @param tracer  receives the simulated iteration's task intervals
-     *                and occupancy counter tracks (cleared first) —
-     *                what the audit layer uses to cross-check phase
-     *                times against the makespan, and what a Chrome
-     *                trace exports. Its events take their kind, phase
+     *                and occupancy counter tracks (cleared first), what
+     *                a Chrome trace exports. Its events take their kind, phase
      *                and label from the template graph's identity
      *                table, which the tracer keeps alive.
      * @param metrics accumulates sim-time telemetry (queue depth,
@@ -114,8 +112,8 @@ class LerGanAccelerator
      *                template and replays it once).
      * @param record  filled with the execution's record (binding
      *                predecessors, reservation and pop order —
-     *                sim/exec_record.hh) for critical-path analysis.
-     *                The tracer and the sim.* metrics are derived from
+     *                sim/exec_record.hh) for critical-path analysis and
+     *                the audit's timing check. The tracer and the sim.* metrics are derived from
      *                the record after the run (sim/observe.hh); without
      *                one, a run that has either records into the
      *                scratch's reusable record instead. Recording never
@@ -156,6 +154,12 @@ class LerGanAccelerator
      * concurrent execution.
      */
     void useScratch(ExecScratch *scratch) { externalScratch_ = scratch; }
+
+    /** The buffers runs execute on: useScratch()'s, else the own. */
+    ExecScratch &scratch()
+    {
+        return externalScratch_ ? *externalScratch_ : scratch_;
+    }
 
     const CompiledGan &compiled() const { return *compiled_; }
     const GanModel &model() const { return model_; }

@@ -22,10 +22,9 @@ SimulationSession::SimulationSession(
 }
 
 SimulationSession &
-SimulationSession::auditWith(AuditOptions options)
+SimulationSession::auditWith(AuditOptions)
 {
-    instruments_.audit = std::move(options);
-    instruments_.audit.enabled = true;
+    instruments_.audit = AuditOptions::full();
     return *this;
 }
 

@@ -79,16 +79,16 @@ class SimulationSession
     /**
      * Simulate @p iterations training iterations of @p model.
      *
-     * With auditing enabled (auditWith), the run is additionally traced
-     * and cross-checked by an AuditContext; a violated invariant throws
+     * With auditing enabled (auditWith), the run is additionally
+     * recorded and cross-checked by an AuditContext; a violated invariant throws
      * AuditError. Audit failures are simulator bugs, not user errors.
      * @p iterations below one throws std::invalid_argument.
      */
     TrainingReport run(const GanModel &model, int iterations = 1) const;
 
     /**
-     * Enable (or reconfigure) result auditing for every subsequent
-     * run() of this session. Not thread-safe against concurrent run()
+     * Enable result auditing for every subsequent run() of this
+     * session. Not thread-safe against concurrent run()
      * calls; configure before handing the session out.
      */
     SimulationSession &auditWith(AuditOptions options);
@@ -107,7 +107,7 @@ class SimulationSession
     /**
      * Simulate and audit @p model, returning the verdict instead of
      * throwing — for tooling that wants the full finding list. Always
-     * audits (every check on), regardless of auditWith(). The audited
+     * audits, regardless of auditWith(). The audited
      * report lands in @p report when non-null.
      */
     AuditVerdict audit(const GanModel &model, int iterations = 1,

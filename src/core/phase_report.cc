@@ -7,22 +7,29 @@
 namespace lergan {
 
 std::vector<PhaseTime>
-phaseTimes(const Tracer &tracer)
+phaseTimes(const TaskGraph &graph, const ExecRecord &record)
 {
-    // Events group by their task's phase, the same buckets the
-    // critical-path rollups use.
+    return phaseTimes(graph.identity()->phases, record.start, record.end);
+}
+
+std::vector<PhaseTime>
+phaseTimes(std::span<const Phase> phases_of,
+           std::span<const PicoSeconds> start,
+           std::span<const PicoSeconds> end)
+{
+    // Tasks group by their phase, the same buckets the critical-path
+    // rollups use.
     std::array<PhaseTime, kNumPhases> phases{};
-    for (const TraceEvent &event : tracer.events()) {
-        PhaseTime &phase =
-            phases[static_cast<std::size_t>(tracer.phase(event))];
+    for (std::size_t id = 0; id < start.size(); ++id) {
+        PhaseTime &phase = phases[static_cast<std::size_t>(phases_of[id])];
         if (phase.tasks == 0) {
-            phase.firstStart = event.start;
-            phase.lastEnd = event.end;
+            phase.firstStart = start[id];
+            phase.lastEnd = end[id];
         } else {
-            phase.firstStart = std::min(phase.firstStart, event.start);
-            phase.lastEnd = std::max(phase.lastEnd, event.end);
+            phase.firstStart = std::min(phase.firstStart, start[id]);
+            phase.lastEnd = std::max(phase.lastEnd, end[id]);
         }
-        phase.busy += event.end - event.start;
+        phase.busy += end[id] - start[id];
         ++phase.tasks;
     }
     std::vector<PhaseTime> result;
@@ -42,14 +49,15 @@ phaseTimes(const Tracer &tracer)
 }
 
 void
-printPhaseTimes(std::ostream &os, const Tracer &tracer,
-                PicoSeconds makespan)
+printPhaseTimes(std::ostream &os, const TaskGraph &graph,
+                const ExecRecord &record)
 {
+    const PicoSeconds makespan = record.makespan;
     os << std::left << std::setw(12) << "phase" << std::right
        << std::setw(12) << "window ms" << std::setw(12) << "busy ms"
        << std::setw(10) << "tasks" << std::setw(14) << "span/iter"
        << '\n';
-    for (const PhaseTime &phase : phaseTimes(tracer)) {
+    for (const PhaseTime &phase : phaseTimes(graph, record)) {
         os << std::left << std::setw(12) << phase.name << std::right
            << std::fixed << std::setprecision(3) << std::setw(12)
            << psToMs(phase.span()) << std::setw(12)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Per-phase timing analysis over a traced simulation run.
+ * Per-phase timing analysis over a recorded simulation run.
  *
- * Every task carries the phase it counts toward; grouping trace
- * events by phase shows where iteration time goes and how much the
- * phases overlap (the pipelined dataflows of the paper's
+ * Every task carries the phase it counts toward; grouping the
+ * recorded task intervals by phase shows where iteration time goes and
+ * how much the phases overlap (the pipelined dataflows of the paper's
  * Fig. 7/8/13: error transfer runs while forward propagation of later
  * items is still in flight).
  */
@@ -13,10 +13,12 @@
 #define LERGAN_CORE_PHASE_REPORT_HH
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "sim/trace.hh"
+#include "sim/exec_record.hh"
+#include "sim/task_graph.hh"
 
 namespace lergan {
 
@@ -38,16 +40,22 @@ struct PhaseTime {
 };
 
 /**
- * Group a run's trace events by their tasks' phases: compute
- * tasks by the phase they compute; transfers and item loads in
- * "transfers"; gradient read-out, host arithmetic and kernel rewrites
- * in "updates"; the rest in "other".
+ * Group a run's tasks by phase: compute tasks by the phase they
+ * compute; transfers and item loads in "transfers"; gradient read-out,
+ * host arithmetic and kernel rewrites in "updates"; the rest in
+ * "other". Ordered by first start, then name.
  */
-std::vector<PhaseTime> phaseTimes(const Tracer &tracer);
+std::vector<PhaseTime> phaseTimes(const TaskGraph &graph,
+                                  const ExecRecord &record);
 
-/** Print the phase table with overlap ratios (busy / span). */
-void printPhaseTimes(std::ostream &os, const Tracer &tracer,
-                     PicoSeconds makespan);
+/** The same over per-task columns (phase, start, end by TaskId). */
+std::vector<PhaseTime> phaseTimes(std::span<const Phase> phases,
+                                  std::span<const PicoSeconds> start,
+                                  std::span<const PicoSeconds> end);
+
+/** Print the phase table with each window's share of the makespan. */
+void printPhaseTimes(std::ostream &os, const TaskGraph &graph,
+                     const ExecRecord &record);
 
 } // namespace lergan
 

@@ -8,7 +8,6 @@
 #include "exec/thread_pool.hh"
 #include "critpath/critpath.hh"
 #include "critpath/whatif.hh"
-#include "sim/trace.hh"
 #include "telemetry/tracing.hh"
 
 namespace lergan {
@@ -58,33 +57,39 @@ simulatePoint(PreparedPoint &point, int iterations,
               const Instrumentation &instruments)
 {
     LerGanAccelerator &accelerator = *point.accelerator;
-    const AuditOptions &audit = instruments.audit;
-    Tracer tracer;
-    Tracer *trace = audit.enabled && audit.timing ? &tracer : nullptr;
-    ExecRecord record;
+    const bool audit = instruments.audit.enabled;
+    MetricsRegistry *metrics = instruments.telemetry.get();
+    // The audit reads the run's record: the critical path's when that
+    // is recorded, else the scratch's reusable one.
+    ExecRecord critpathRecord;
+    ExecRecord *record = instruments.critpath ? &critpathRecord
+                         : audit ? &accelerator.scratch().observerRecord()
+                                 : nullptr;
     SweepResult result;
     {
         Span span("simulate");
         result.report = accelerator.trainIterations(
-            iterations, trace, instruments.telemetry.get(),
-            point.tmpl.get(), instruments.critpath ? &record : nullptr);
+            iterations, nullptr, metrics, point.tmpl.get(), record);
     }
     if (instruments.critpath) {
         // The record is only meaningful against the graph it was taken
         // from, so the RecordedRun shares ownership of the template.
         result.report.critpath = makeRecordedRun(
             std::shared_ptr<const TaskGraph>(point.tmpl, &point.tmpl->graph),
-            accelerator.resourceNames(), std::move(record));
+            accelerator.resourceNames(), std::move(critpathRecord));
+        if (metrics)
+            metrics->counter("critpath.records").add(1);
     }
     result.crossbarsUsed = accelerator.compiled().crossbarsUsed;
     result.oversubscribed = accelerator.compiled().oversubscribedCrossbars;
-    if (audit.enabled) {
+    if (audit) {
         Span span("audit");
-        const AuditContext context(audit);
-        result.audit = context.run({&accelerator.model(),
-                                    &accelerator.config(),
-                                    &accelerator.compiled(),
-                                    &result.report, trace});
+        result.audit = AuditContext().run(
+            {&accelerator.model(), &accelerator.config(),
+             &accelerator.compiled(), &result.report, nullptr,
+             &point.tmpl->graph,
+             instruments.critpath ? &result.report.critpath->record
+                                  : record});
         span.attr("clean", result.audit.ok());
         span.attr("checks",
                   static_cast<std::int64_t>(result.audit.checksRun));
@@ -122,10 +127,9 @@ ExperimentSweep::addPoint(const GanModel &model, const std::string &label,
 }
 
 ExperimentSweep &
-ExperimentSweep::auditWith(AuditOptions options)
+ExperimentSweep::auditWith(AuditOptions)
 {
-    instruments_.audit = std::move(options);
-    instruments_.audit.enabled = true;
+    instruments_.audit = AuditOptions::full();
     return *this;
 }
 

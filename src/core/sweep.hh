@@ -124,10 +124,10 @@ PreparedPoint preparePoint(const GanModel &model,
                            ExecScratch *scratch = nullptr);
 
 /**
- * Simulate @p point for @p iterations under a "simulate" span, traced
- * when @p instruments audits timing, recorded into report.critpath
- * when it asks for the critical path, then audited under an "audit"
- * span when auditing is on. Fills report, crossbarsUsed,
+ * Simulate @p point for @p iterations under a "simulate" span,
+ * recorded into report.critpath when @p instruments asks for the
+ * critical path, then audited over the graph and the record under an
+ * "audit" span when auditing is on. Fills report, crossbarsUsed,
  * oversubscribed and audit of the returned result.
  */
 SweepResult simulatePoint(PreparedPoint &point, int iterations,
@@ -158,10 +158,9 @@ class ExperimentSweep
                               const AcceleratorConfig &config);
 
     /**
-     * Audit every point of every subsequent run() under @p options:
-     * each point simulates traced and its SweepResult::audit carries
-     * the verdict. Adds one traced re-execution's worth of bookkeeping
-     * but no extra simulation — the audited run is the measured run.
+     * Audit every point of every subsequent run(): each point records
+     * its execution and its SweepResult::audit carries the verdict. No
+     * extra simulation — the audited run is the measured run.
      */
     ExperimentSweep &auditWith(AuditOptions options);
 

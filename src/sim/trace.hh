@@ -72,15 +72,9 @@ class Tracer
         events_.push_back(TraceEvent{start, end, lane, task});
     }
 
-    TaskKind kind(const TraceEvent &event) const
-    {
-        return tasks_->kinds[event.task];
-    }
-
-    Phase phase(const TraceEvent &event) const
-    {
-        return tasks_->phases[event.task];
-    }
+    /** The bound identity table (kind, phase and label of every
+     *  event's task); null until bindTasks(). */
+    const TaskIdentity *tasks() const { return tasks_.get(); }
 
     /** Rendered label of @p event's task. */
     std::string label(const TraceEvent &event) const

@@ -44,7 +44,7 @@ addSpanOccupancyTrack(Tracer &tracer, TaskKind kind,
 {
     std::vector<std::pair<PicoSeconds, PicoSeconds>> intervals;
     for (const TraceEvent &event : tracer.events())
-        if (tracer.kind(event) == kind)
+        if (tracer.tasks()->kinds[event.task] == kind)
             intervals.emplace_back(event.start, event.end);
     return recordOccupancy(tracer, intervals, track);
 }

@@ -3,7 +3,8 @@
  * Tests for the cross-layer audit subsystem (src/audit): a clean run
  * passes every invariant, and each seeded corruption — a post-run
  * energy mutation, an orphan statistic, a tampered makespan, a bogus
- * trace event, a corrupted mapping — is caught by the matching check.
+ * recorded interval, a corrupted mapping — is caught by the matching
+ * check.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "audit/audit.hh"
 #include "core/api.hh"
+#include "core/machine.hh"
 #include "core/sweep.hh"
 #include "core/sweep_io.hh"
 #include "core/validate.hh"
@@ -30,25 +32,38 @@ struct SimRun {
     AcceleratorConfig config;
     CompiledGan compiled;
     TrainingReport report;
+    std::shared_ptr<const IterationTemplate> tmpl;
+    ExecRecord record;
+    /** The same run as a trace, for the trace adapter. */
     Tracer trace;
 
     AuditInput
     input() const
     {
+        return {&model,  &config,      &compiled, &report,
+                nullptr, &tmpl->graph, &record};
+    }
+
+    AuditInput
+    traceInput() const
+    {
         return {&model, &config, &compiled, &report, &trace};
     }
 };
 
-/** Small traced run (MAGAN-MNIST on LerGAN-low, ZFDR active). */
+/** Small recorded run (MAGAN-MNIST on LerGAN-low, ZFDR active). */
 SimRun
-makeRun()
+makeRun(AcceleratorConfig config = AcceleratorConfig::lerGan(
+            ReplicaDegree::Low))
 {
     SimRun run;
     run.model = makeBenchmark("MAGAN-MNIST");
-    run.config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    run.config = config;
     run.config.batchSize = 4;
     LerGanAccelerator accelerator(run.model, run.config);
-    run.report = accelerator.trainIterations(2, &run.trace);
+    run.tmpl = accelerator.makeIterationTemplate();
+    run.report = accelerator.trainIterations(2, &run.trace, nullptr,
+                                             run.tmpl.get(), &run.record);
     run.compiled = accelerator.compiled();
     return run;
 }
@@ -56,12 +71,9 @@ makeRun()
 TEST(Audit, CleanRunPassesEveryCheck)
 {
     const SimRun run = makeRun();
-    const AuditContext context;
-    // Five registered checks; the faults check skips on this healthy
-    // run, so four actually execute.
-    EXPECT_EQ(context.checkCount(), 5u);
-
-    const AuditVerdict verdict = context.run(run.input());
+    // Five checks; the faults check skips on this healthy run, so four
+    // actually execute.
+    const AuditVerdict verdict = AuditContext().run(run.input());
     EXPECT_TRUE(verdict.ran);
     EXPECT_EQ(verdict.checksRun, 4u);
     EXPECT_TRUE(verdict.ok()) << verdict.summary();
@@ -73,6 +85,7 @@ TEST(Audit, DefaultVerdictHasNotRun)
     const AuditVerdict verdict;
     EXPECT_FALSE(verdict.ran);
     EXPECT_TRUE(verdict.ok());
+    EXPECT_FALSE(AuditContext(AuditOptions{}).run({}).ran);
 }
 
 TEST(Audit, PostRunEnergyMutationIsCaught)
@@ -126,10 +139,9 @@ TEST(Audit, MissingSnapshotIsCaught)
     bare.iterationTime = 1;
     run.report = bare; // hand-built report, never ran on an accelerator
 
-    AuditOptions options = AuditOptions::full();
-    options.timing = options.zeros = options.mapping = false;
-    const AuditVerdict verdict = AuditContext(options).run(run.input());
+    const AuditVerdict verdict = AuditContext().run(run.input());
     ASSERT_FALSE(verdict.ok());
+    EXPECT_EQ(verdict.failures[0].check, "energy");
     EXPECT_NE(verdict.summary().find("missing audit.energy_total_pj"),
               std::string::npos)
         << verdict.summary();
@@ -148,12 +160,10 @@ TEST(Audit, TamperedMakespanIsCaught)
     EXPECT_TRUE(timing_failure) << verdict.summary();
 }
 
-TEST(Audit, BogusTraceEventIsCaught)
+TEST(Audit, RecordedEndPastTheMakespanIsCaught)
 {
     SimRun run = makeRun();
-    // A second run of task 0, past the makespan: one more event than
-    // tasks.
-    run.trace.recordTask(0, 0, run.report.iterationTime + 999, 0);
+    run.record.end[0] = run.report.iterationTime + 999;
 
     const AuditVerdict verdict = AuditContext().run(run.input());
     ASSERT_FALSE(verdict.ok());
@@ -162,15 +172,71 @@ TEST(Audit, BogusTraceEventIsCaught)
         << verdict.summary();
 }
 
-TEST(Audit, MissingTraceSkipsTheTimingCheck)
+TEST(Audit, BogusTraceEventIsCaught)
+{
+    SimRun run = makeRun();
+    // A second run of task 0, past the makespan: one more event than
+    // tasks. The trace adapter reports both.
+    run.trace.recordTask(0, 0, run.report.iterationTime + 999, 0);
+
+    const AuditVerdict verdict = AuditContext().run(run.traceInput());
+    ASSERT_FALSE(verdict.ok());
+    const std::string summary = verdict.summary();
+    EXPECT_NE(summary.find("after the makespan"), std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("events for"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("more than one trace event"), std::string::npos)
+        << summary;
+}
+
+TEST(Audit, MissingRecordSkipsTheTimingCheck)
 {
     const SimRun run = makeRun();
     AuditInput input = run.input();
-    input.trace = nullptr;
+    input.record = nullptr;
 
     const AuditVerdict verdict = AuditContext().run(input);
     EXPECT_TRUE(verdict.ok()) << verdict.summary();
     EXPECT_EQ(verdict.checksRun, 3u); // timing skipped, not failed
+}
+
+/**
+ * A task holding a killed tile's compute resource is caught in any of
+ * its resource slots, not only in the first (its display lane).
+ */
+TEST(Audit, KilledTileInANonFirstSlotIsCaught)
+{
+    AcceleratorConfig faulty = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    faulty.failedTiles = {{2, 5}};
+    const SimRun run = makeRun(faulty);
+    const Machine machine(run.config);
+    const std::size_t dead = machine.tileComputeRes(2, 5);
+    const std::vector<std::size_t> slots = {machine.tileComputeRes(0, 0),
+                                            dead};
+
+    TaskGraph graph;
+    graph.addTask({TaskKind::Compute, Phase::GFwd, graph.intern("probe"),
+                   0, slots, 10});
+    ExecRecord record;
+    record.start = {0};
+    record.end = {10};
+    AuditInput input = run.input();
+    input.graph = &graph;
+    input.record = &record;
+
+    const AuditVerdict verdict = AuditContext().run(input);
+    bool caught = false;
+    for (const AuditFinding &finding : verdict.failures) {
+        caught |= finding.check == "faults" &&
+                  finding.detail ==
+                      "probe executed on the compute resource of a "
+                      "killed tile (resource " +
+                          std::to_string(dead) + ")";
+    }
+    EXPECT_TRUE(caught) << verdict.summary();
+    // The recorded run itself routes around the killed tile.
+    EXPECT_TRUE(AuditContext().run(run.input()).ok())
+        << AuditContext().run(run.input()).summary();
 }
 
 TEST(Audit, CorruptedMappingIsCaught)
@@ -181,40 +247,6 @@ TEST(Audit, CorruptedMappingIsCaught)
     const AuditVerdict verdict = AuditContext().run(run.input());
     ASSERT_FALSE(verdict.ok());
     EXPECT_EQ(verdict.failures[0].check, "mapping");
-}
-
-TEST(Audit, DisabledChecksAreNotRegistered)
-{
-    AuditOptions options = AuditOptions::full();
-    options.zeros = false;
-    options.timing = false;
-    options.faults = false;
-    const AuditContext context(options);
-    EXPECT_EQ(context.checkCount(), 2u);
-
-    const SimRun run = makeRun();
-    const AuditVerdict verdict = context.run(run.input());
-    EXPECT_EQ(verdict.checksRun, 2u);
-    EXPECT_TRUE(verdict.ok()) << verdict.summary();
-}
-
-TEST(Audit, CustomChecksRunAfterStandardOnes)
-{
-    AuditContext context;
-    context.registerCheck(
-        "custom", [](const AuditInput &, const AuditOptions &,
-                     AuditVerdict &verdict) {
-            verdict.fail("custom", "always fails");
-            return true;
-        });
-    EXPECT_EQ(context.checkCount(), 6u);
-
-    const SimRun run = makeRun();
-    const AuditVerdict verdict = context.run(run.input());
-    // The faults check skips on this healthy run.
-    EXPECT_EQ(verdict.checksRun, 5u);
-    ASSERT_EQ(verdict.failures.size(), 1u);
-    EXPECT_EQ(verdict.failures[0].check, "custom");
 }
 
 TEST(Audit, AuditErrorCarriesTheVerdict)
@@ -324,17 +356,28 @@ TEST(Audit, UnauditedSweepLeavesVerdictEmpty)
 /**
  * The verdict of every Table V GAN on PRIME and on LerGAN-low, and of
  * one run with killed tiles: all clean, with the fault check counted
- * only where tiles were killed.
+ * only where tiles were killed. The verdict read from the graph and the
+ * record equals the one the trace adapter derives from a trace.
  */
 TEST(Audit, TableVVerdictsArePinned)
 {
     const auto verdictOf = [](const GanModel &model,
                               const AcceleratorConfig &config) {
         LerGanAccelerator accelerator(model, config);
+        const auto tmpl = accelerator.makeIterationTemplate();
         Tracer trace;
-        const TrainingReport report = accelerator.trainIterations(1, &trace);
-        return AuditContext().run({&model, &config, &accelerator.compiled(),
-                                   &report, &trace});
+        ExecRecord record;
+        const TrainingReport report = accelerator.trainIterations(
+            1, &trace, nullptr, tmpl.get(), &record);
+        const CompiledGan *compiled = &accelerator.compiled();
+        const AuditVerdict traced =
+            AuditContext().run({&model, &config, compiled, &report, &trace});
+        const AuditVerdict recorded = AuditContext().run(
+            {&model, &config, compiled, &report, nullptr, &tmpl->graph,
+             &record});
+        EXPECT_EQ(recorded.checksRun, traced.checksRun);
+        EXPECT_EQ(recorded.summary(), traced.summary());
+        return recorded;
     };
     const std::vector<std::string> names = benchmarkNames();
     ASSERT_EQ(names.size(), 8u);

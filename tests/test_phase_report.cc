@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the phase-time analysis over traced runs.
+ * Tests for the phase-time analysis over recorded runs.
  */
 
 #include <gtest/gtest.h>
@@ -27,15 +27,11 @@ TEST(PhaseReport, GroupsByLabelFamilies)
         {TaskKind::Transfer, Phase::Transfers, l1, l2, {}, 10});
     graph.addTask({TaskKind::Update, Phase::Updates, d1, 0, {}, 10});
     graph.addTask({TaskKind::Control, Phase::Other, state, 0, {}, 1});
-    Tracer tracer;
-    tracer.bindTasks(graph.identity());
-    tracer.recordTask(0, 0, 10, 0);
-    tracer.recordTask(1, 10, 30, 0);
-    tracer.recordTask(2, 5, 15, 1);
-    tracer.recordTask(3, 30, 40, 2);
-    tracer.recordTask(4, 0, 1, 3);
+    ExecRecord record;
+    record.start = {0, 10, 5, 30, 0};
+    record.end = {10, 30, 15, 40, 1};
 
-    const auto phases = phaseTimes(tracer);
+    const auto phases = phaseTimes(graph, record);
     ASSERT_EQ(phases.size(), 4u);
     auto find = [&](const std::string &name) -> const PhaseTime & {
         for (const PhaseTime &p : phases)
@@ -59,10 +55,12 @@ TEST(PhaseReport, RealRunCoversAllSixPhases)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
     LerGanAccelerator accelerator(model, config);
-    Tracer tracer;
-    const TrainingReport report = accelerator.trainIterations(1, &tracer);
+    const auto tmpl = accelerator.makeIterationTemplate();
+    ExecRecord record;
+    const TrainingReport report = accelerator.trainIterations(
+        1, nullptr, nullptr, tmpl.get(), &record);
 
-    const auto phases = phaseTimes(tracer);
+    const auto phases = phaseTimes(tmpl->graph, record);
     int named_phases = 0;
     for (const PhaseTime &phase : phases) {
         for (Phase p : kAllPhases)
@@ -83,10 +81,11 @@ TEST(PhaseReport, PhasesOverlapUnderPipelining)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 16;
     LerGanAccelerator accelerator(model, config);
-    Tracer tracer;
-    accelerator.trainIterations(1, &tracer);
+    const auto tmpl = accelerator.makeIterationTemplate();
+    ExecRecord record;
+    accelerator.trainIterations(1, nullptr, nullptr, tmpl.get(), &record);
 
-    const auto phases = phaseTimes(tracer);
+    const auto phases = phaseTimes(tmpl->graph, record);
     const PhaseTime *g_fwd = nullptr, *d_fwd = nullptr;
     for (const PhaseTime &phase : phases) {
         if (phase.name == "G.fwd")
@@ -100,12 +99,15 @@ TEST(PhaseReport, PhasesOverlapUnderPipelining)
 
 TEST(PhaseReport, PrintsTable)
 {
-    Tracer tracer;
     TaskGraph graph;
-    recordNamedTask(tracer, graph, "G.l1.fc@G.fwd", 0, nsToPs(100), 0,
-                    TaskKind::Compute, Phase::GFwd);
+    addNamedTask(graph, "G.l1.fc@G.fwd", {}, nsToPs(100),
+                 TaskKind::Compute, Phase::GFwd);
+    ExecRecord record;
+    record.start = {0};
+    record.end = {nsToPs(100)};
+    record.makespan = nsToPs(200);
     std::ostringstream oss;
-    printPhaseTimes(oss, tracer, nsToPs(200));
+    printPhaseTimes(oss, graph, record);
     EXPECT_NE(oss.str().find("G.fwd"), std::string::npos);
     EXPECT_NE(oss.str().find("50.0%"), std::string::npos);
 }
