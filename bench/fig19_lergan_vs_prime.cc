@@ -53,9 +53,11 @@ exportCounterTrace(const std::string &path,
                                 &record);
     std::vector<std::string> names = accelerator.resourceNames();
     addSpanOccupancyTrack(tracer, TaskKind::Transfer, "ic.xfer.active");
-    const std::size_t wire = busiestLane(tracer, names, ".wire");
+    const std::size_t wire =
+        busiestResource(tracer, tmpl->graph, ResourceCategory::Wire);
     if (wire != SIZE_MAX)
-        addLaneOccupancyTrack(tracer, wire, names[wire] + ".busy");
+        addResourceOccupancyTrack(tracer, tmpl->graph, wire,
+                                  names[wire] + ".busy");
     const CriticalPath critical =
         extractCriticalPath(tmpl->graph, record, names);
     appendCriticalTrack(tracer, critical, names);

@@ -58,9 +58,10 @@ main(int argc, char **argv)
     MetricsRegistry registry;
     MetricsRegistry *metrics =
         args.given("metrics") ? &registry : nullptr;
+    const auto tmpl = accelerator.makeIterationTemplate();
     Tracer tracer;
     const TrainingReport report =
-        accelerator.trainIterations(1, &tracer, metrics);
+        accelerator.trainIterations(1, &tracer, metrics, tmpl.get());
     report.print(std::cout);
 
     std::cout << "\ntimeline head:\n";
@@ -74,9 +75,11 @@ main(int argc, char **argv)
     // instant, and the busiest wire's own busy/idle square wave.
     const std::vector<std::string> names = accelerator.resourceNames();
     addSpanOccupancyTrack(tracer, TaskKind::Transfer, "ic.xfer.active");
-    const std::size_t wire = busiestLane(tracer, names, ".wire");
+    const std::size_t wire =
+        busiestResource(tracer, tmpl->graph, ResourceCategory::Wire);
     if (wire != SIZE_MAX)
-        addLaneOccupancyTrack(tracer, wire, names[wire] + ".busy");
+        addResourceOccupancyTrack(tracer, tmpl->graph, wire,
+                                  names[wire] + ".busy");
 
     const std::string path = args.get("out");
     std::ofstream out(path);

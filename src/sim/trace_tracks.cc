@@ -50,35 +50,29 @@ addSpanOccupancyTrack(Tracer &tracer, TaskKind kind,
 }
 
 std::size_t
-addLaneOccupancyTrack(Tracer &tracer, std::size_t lane,
-                      const std::string &track)
+addResourceOccupancyTrack(Tracer &tracer, const TaskGraph &graph,
+                          std::size_t resource, const std::string &track)
 {
     std::vector<std::pair<PicoSeconds, PicoSeconds>> intervals;
     for (const TraceEvent &event : tracer.events())
-        if (event.lane == lane)
+        if (std::ranges::count(graph.resources(event.task), resource))
             intervals.emplace_back(event.start, event.end);
     return recordOccupancy(tracer, intervals, track);
 }
 
 std::size_t
-busiestLane(const Tracer &tracer,
-            const std::vector<std::string> &lane_names,
-            const std::string &name_fragment)
+busiestResource(const Tracer &tracer, const TaskGraph &graph,
+                ResourceCategory category)
 {
-    std::vector<PicoSeconds> busy(lane_names.size(), 0);
+    std::vector<PicoSeconds> busy(graph.resourceBound(), 0);
     for (const TraceEvent &event : tracer.events())
-        if (event.lane < busy.size())
-            busy[event.lane] += event.end - event.start;
-    std::size_t best = SIZE_MAX;
-    for (std::size_t lane = 0; lane < lane_names.size(); ++lane) {
-        if (lane_names[lane].find(name_fragment) == std::string::npos)
-            continue;
-        if (busy[lane] == 0)
-            continue;
-        if (best == SIZE_MAX || busy[lane] > busy[best])
-            best = lane;
-    }
-    return best;
+        for (const std::uint32_t rid : graph.resources(event.task))
+            if (graph.resourceCategory(rid) == category)
+                busy[rid] += event.end - event.start;
+    const auto best = std::max_element(busy.begin(), busy.end());
+    return best == busy.end() || *best == 0
+               ? SIZE_MAX
+               : static_cast<std::size_t>(best - busy.begin());
 }
 
 } // namespace lergan

@@ -29,25 +29,27 @@ std::size_t addSpanOccupancyTrack(Tracer &tracer, TaskKind kind,
                                   const std::string &track);
 
 /**
- * Record a counter track named @p track sampling how many spans
- * recorded on display lane @p lane are concurrently active (for a FIFO
- * resource this is its 0/1 busy curve).
+ * Record a counter track named @p track sampling how many traced tasks
+ * holding resource @p resource, in any slot of their resource list in
+ * @p graph (the graph the events come from), are active at once: for a
+ * FIFO resource, its 0/1 busy curve.
  *
  * @return the number of samples recorded.
  */
-std::size_t addLaneOccupancyTrack(Tracer &tracer, std::size_t lane,
-                                  const std::string &track);
+std::size_t addResourceOccupancyTrack(Tracer &tracer,
+                                      const TaskGraph &graph,
+                                      std::size_t resource,
+                                      const std::string &track);
 
 /**
- * The lane with the largest summed span time among lanes whose
- * resource name (in @p lane_names, indexed by lane id) contains
- * @p name_fragment.
+ * The resource of category @p category with the largest summed time of
+ * the traced tasks holding it (any slot, as above); ties go to the
+ * lowest id.
  *
- * @return the lane id, or SIZE_MAX when no lane matches.
+ * @return the resource id, or SIZE_MAX when no such resource was busy.
  */
-std::size_t busiestLane(const Tracer &tracer,
-                        const std::vector<std::string> &lane_names,
-                        const std::string &name_fragment);
+std::size_t busiestResource(const Tracer &tracer, const TaskGraph &graph,
+                            ResourceCategory category);
 
 } // namespace lergan
 

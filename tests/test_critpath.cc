@@ -327,7 +327,7 @@ fnv1a(const std::string &text)
  * one stream, as the bench prints them), the critpath object and
  * columns of one recorded sweep point's JSON and CSV export, and the
  * Chrome export of fig19's --trace point (transfer occupancy, busiest
- * wire lane, critical lane). None of it is in a figure golden.
+ * wire, critical lane). None of it is in a figure golden.
  */
 TEST(CritPathGolden, Fig19ReportIsPinned)
 {
@@ -430,17 +430,20 @@ what-if (DCGAN/low, recorded 75.847 ms):
     accelerator.trainIterations(1, &tracer, nullptr, tmpl.get(), &record);
     std::vector<std::string> names = accelerator.resourceNames();
     addSpanOccupancyTrack(tracer, TaskKind::Transfer, "ic.xfer.active");
-    const std::size_t wire = busiestLane(tracer, names, ".wire");
+    const std::size_t wire =
+        busiestResource(tracer, tmpl->graph, ResourceCategory::Wire);
     ASSERT_NE(wire, SIZE_MAX);
-    addLaneOccupancyTrack(tracer, wire, names[wire] + ".busy");
+    EXPECT_EQ(names[wire], "b3.d4.n0.vwire");
+    addResourceOccupancyTrack(tracer, tmpl->graph, wire,
+                                  names[wire] + ".busy");
     appendCriticalTrack(tracer,
                         extractCriticalPath(tmpl->graph, record, names),
                         names);
     std::ostringstream chrome;
     tracer.exportChromeTrace(chrome, names);
     const std::string trace = chrome.str();
-    EXPECT_EQ(trace.size(), 6522424u) << trace.substr(0, 2000);
-    EXPECT_EQ(fnv1a(trace), 0x6d45dd94d339632eull) << std::hex << fnv1a(trace) << "\n"
+    EXPECT_EQ(trace.size(), 6521569u) << trace.substr(0, 2000);
+    EXPECT_EQ(fnv1a(trace), 0xf4610e6f4e324b51ull) << std::hex << fnv1a(trace) << "\n"
                                     << trace.substr(trace.size() - 2000);
 }
 

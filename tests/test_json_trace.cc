@@ -339,18 +339,26 @@ TEST(Trace, OccupancySampleSequenceIsExact)
 
 TEST(TraceTracks, SpanOccupancyAndBusiestLane)
 {
-    // Two overlapping transfers and one compute span on another lane.
+    // Two overlapping transfers and one compute span. The second
+    // transfer holds wire 1 only in its second slot (its lane is the
+    // compute resource 2).
     TaskGraph graph;
     const std::uint32_t a = graph.intern("a");
     const std::uint32_t b = graph.intern("b");
     const std::uint32_t c = graph.intern("c");
-    graph.addTask({TaskKind::Transfer, Phase::Transfers, a, b, {}, 10});
-    graph.addTask({TaskKind::Transfer, Phase::Transfers, b, c, {}, 20});
-    addNamedTask(graph, "mmv", {}, 100, TaskKind::Compute);
+    const std::vector<std::size_t> wire0 = {0}, compute_wire1 = {2, 1},
+                                   compute = {2};
+    graph.addTask({TaskKind::Transfer, Phase::Transfers, a, b, wire0, 10});
+    graph.addTask(
+        {TaskKind::Transfer, Phase::Transfers, b, c, compute_wire1, 20});
+    addNamedTask(graph, "mmv", compute, 100, TaskKind::Compute);
+    graph.setResourceCategories({ResourceCategory::Wire,
+                                 ResourceCategory::Wire,
+                                 ResourceCategory::Compute});
     Tracer tracer;
     tracer.bindTasks(graph.identity());
     tracer.recordTask(0, 0, 10, 0);
-    tracer.recordTask(1, 5, 25, 1);
+    tracer.recordTask(1, 5, 25, 2);
     tracer.recordTask(2, 0, 100, 2);
     EXPECT_EQ(tracer.label(tracer.events()[1]), "xfer:b->c");
 
@@ -368,15 +376,23 @@ TEST(TraceTracks, SpanOccupancyAndBusiestLane)
     EXPECT_DOUBLE_EQ(peak, 2.0);
     EXPECT_DOUBLE_EQ(last, 0.0);
 
-    const std::vector<std::string> names = {"wire.0", "wire.1",
-                                            "tile.compute"};
-    EXPECT_EQ(busiestLane(tracer, names, "wire"), 1u);
-    EXPECT_EQ(busiestLane(tracer, names, ".compute"), 2u);
-    EXPECT_EQ(busiestLane(tracer, names, "nonesuch"), SIZE_MAX);
+    // Wire 1 (20 ps, second slot) beats wire 0 (10 ps, first slot).
+    EXPECT_EQ(busiestResource(tracer, graph, ResourceCategory::Wire), 1u);
+    EXPECT_EQ(busiestResource(tracer, graph, ResourceCategory::Compute),
+              2u);
+    EXPECT_EQ(busiestResource(tracer, graph, ResourceCategory::Switch),
+              SIZE_MAX);
 
-    const std::size_t lane_samples =
-        addLaneOccupancyTrack(tracer, 2, "tile.busy");
-    EXPECT_GT(lane_samples, 0u);
+    // Wire 1's busy curve: 1 in [5,25), then 0.
+    const std::size_t first = tracer.counterSamples().size();
+    EXPECT_EQ(addResourceOccupancyTrack(tracer, graph, 1, "wire1.busy"),
+              2u);
+    const auto &samples_after = tracer.counterSamples();
+    ASSERT_EQ(samples_after.size(), first + 2);
+    EXPECT_EQ(samples_after[first].time, 5u);
+    EXPECT_DOUBLE_EQ(samples_after[first].value, 1.0);
+    EXPECT_EQ(samples_after[first + 1].time, 25u);
+    EXPECT_DOUBLE_EQ(samples_after[first + 1].value, 0.0);
 }
 
 TEST(Trace, TimelinePrintsAndTruncates)
