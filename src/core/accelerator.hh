@@ -95,9 +95,9 @@ class LerGanAccelerator
      *
      * @param tracer  receives the simulated iteration's task intervals
      *                and occupancy counter tracks (cleared first), what
-     *                a Chrome trace exports. Its events take their kind, phase
-     *                and label from the template graph's identity
-     *                table, which the tracer keeps alive.
+     *                a Chrome trace exports. Its events take their
+     *                kind, phase and label from the template graph's
+     *                identity table, which the tracer keeps alive.
      * @param metrics accumulates sim-time telemetry (queue depth,
      *                per-link flit traffic, controller transitions,
      *                resource contention); only integer instruments are
@@ -113,11 +113,12 @@ class LerGanAccelerator
      * @param record  filled with the execution's record (binding
      *                predecessors, reservation and pop order —
      *                sim/exec_record.hh) for critical-path analysis and
-     *                the audit's timing check. The tracer and the sim.* metrics are derived from
-     *                the record after the run (sim/observe.hh); without
-     *                one, a run that has either records into the
-     *                scratch's reusable record instead. Recording never
-     *                changes results, traces or metrics.
+     *                the audit. The tracer and the sim.* metrics are
+     *                derived from the record after the run
+     *                (sim/observe.hh); without one, a run that has
+     *                either records into the scratch's reusable record
+     *                instead. Recording never changes results, traces or
+     *                metrics.
      */
     TrainingReport trainIterations(int n = 1, Tracer *tracer = nullptr,
                                    MetricsRegistry *metrics = nullptr,

@@ -12,10 +12,12 @@
  * per-resource reservation order (resPrev) additionally fixes the full
  * timing graph the what-if estimator replays.
  *
- * The record is the only thing the executor writes. Its pop-order
- * column (the interleaved fire and completion events, as popped) lets
- * every observer be derived after the run, sample for sample: the
- * Tracer's task events and occupancy counter tracks and the sim.*
+ * The record is the only thing the executor writes. The audit and the
+ * phase report read its start/end columns directly, next to the graph
+ * (audit/audit.hh, core/phase_report.hh). Its pop-order column (the
+ * interleaved fire and completion events, as popped) lets every other
+ * observer be derived after the run, sample for sample: the Chrome
+ * export's Tracer events and occupancy counter tracks and the sim.*
  * histograms (deriveObservers, sim/observe.hh).
  *
  * The record is pure output: recording never changes event order or

@@ -6,8 +6,9 @@
  * deriveObservers replays the record's pop order against the graph's
  * successor CSR in one pass and produces what in-loop observers would
  * have seen, sample for sample:
- *  - the Tracer's task events, in fire order, identified by TaskId in
- *    the graph's shared identity table;
+ *  - a Tracer's task events for a Chrome export, in fire order,
+ *    identified by TaskId in the graph's shared identity table (the
+ *    audit and the phase report read the record itself);
  *  - its sim.queue.depth / sim.ready.tasks / sim.inflight.tasks counter
  *    samples, one triple per popped event, at the pop's instant;
  *  - the same three sim.* histograms plus the sim.graph.runs,
