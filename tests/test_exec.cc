@@ -622,6 +622,28 @@ TEST(SweepExec, CacheHitCountIsExactForTheBenchmarkMajorGrid)
     EXPECT_EQ(sweep.cache().hits(), 4u);
 }
 
+/**
+ * Audited points of one (model, config) pair on four workers read the
+ * same cached template graph at once, with and without the critical
+ * path: every verdict is clean.
+ */
+TEST(SweepExec, ConcurrentAuditsShareOneTemplate)
+{
+    const GanModel model = makeBenchmark("cGAN");
+    for (const bool critpath : {false, true}) {
+        ExperimentSweep sweep;
+        for (int i = 0; i < 8; ++i)
+            sweep.addPoint(model, "prime", smallPrime());
+        sweep.auditWith(AuditOptions::full()).withCriticalPath(critpath);
+        RunOptions options;
+        options.threads = 4;
+        for (const SweepResult &result : sweep.run(options)) {
+            ASSERT_FALSE(result.failed) << result.error;
+            EXPECT_EQ(result.audit.summary(), "ok (4 checks)");
+        }
+    }
+}
+
 TEST(SweepExec, ParallelRunIsByteIdenticalToSequential)
 {
     const ExperimentSweep sweep = smallSweep();
