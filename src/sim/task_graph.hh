@@ -126,8 +126,8 @@ class ExecScratch
     ExecScratch() = default;
 
     /** A record reused by runs that need one only to derive their
-     *  observers from (the caller asked for a trace or metrics, not
-     *  for the record itself). */
+     *  observers from or to audit (the caller asked for a trace,
+     *  metrics or an audit, not for the record itself). */
     ExecRecord &observerRecord() { return observerRecord_; }
 
   private:
