@@ -76,7 +76,8 @@ simulatePoint(PreparedPoint &point, int iterations,
         // from, so the RecordedRun shares ownership of the template.
         result.report.critpath = makeRecordedRun(
             std::shared_ptr<const TaskGraph>(point.tmpl, &point.tmpl->graph),
-            accelerator.resourceNames(), std::move(critpathRecord));
+            accelerator.resourceNames(), std::move(critpathRecord),
+            &accelerator.scratch());
         if (metrics)
             metrics->counter("critpath.records").add(1);
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iomanip>
+#include <span>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -67,36 +68,47 @@ sortedRollup(const std::vector<CritEntry> &entries,
  * task (and, by induction, every binding chain into it) gets zero.
  */
 std::vector<PicoSeconds>
-computeSlack(const TaskGraph &graph, const ExecRecord &record)
+computeSlack(const TaskGraph &graph, const ExecRecord &record,
+             ExecScratch::Analysis &buffers)
 {
     const std::size_t n = graph.size();
+    const SuccessorCsr successors = graph.successorCsr();
+    const std::span<const PicoSeconds> duration = graph.durations();
 
     // Backward pass in reverse completion order (a reverse topological
     // order of the timing graph): the latest a task may end without
-    // pushing any successor past its own latest end — or the makespan,
-    // for sinks. Dependency successors are pulled from the graph's CSR;
-    // reservation edges are recorded predecessor-side (resPrev), so each
-    // task pushes its latest start to its previous holders instead.
-    // The completions of the pop-order column, walked backward, are
-    // that order reversed; no order vector is built.
-    std::vector<PicoSeconds> lateEnd(n, record.makespan);
+    // pushing any successor past its own latest start — or the
+    // makespan, for sinks. Dependency successors are pulled from the
+    // graph's CSR; a task's latest end is final once it is visited, so
+    // its latest start is stored then and each successor costs one
+    // read. Reservation edges are recorded predecessor-side (resPrev),
+    // so each task pushes its latest start to its previous holders
+    // instead; consecutive slots naming the same holder push the same
+    // value, so only the first of such a run is applied. The
+    // completions of the pop-order column, walked backward, are that
+    // order reversed; no order vector is built.
+    std::vector<PicoSeconds> &lateEnd = buffers.lateEnd;
+    std::vector<PicoSeconds> &lateStart = buffers.lateStart;
+    lateEnd.assign(n, record.makespan);
+    lateStart.resize(n);
     std::vector<PicoSeconds> slack(n, 0);
     for (std::size_t i = record.popOrder.size(); i-- > 0;) {
         if (!ExecRecord::popIsCompletion(record.popOrder[i]))
             continue;
         const TaskId id = ExecRecord::popTask(record.popOrder[i]);
         PicoSeconds late = lateEnd[id];
-        for (const TaskId succ : graph.successors(id))
-            late = std::min(late, lateEnd[succ] - graph.duration(succ));
-        lateEnd[id] = late;
+        for (const std::uint32_t succ : successors.of(id))
+            late = std::min(late, lateStart[succ]);
         slack[id] = late - record.end[id];
-        const PicoSeconds lateStart = late - graph.duration(id);
-        const std::size_t first = graph.resourceOffset(id);
-        for (std::size_t slot = first;
-             slot < first + graph.resources(id).size(); ++slot) {
+        const PicoSeconds start = late - duration[id];
+        lateStart[id] = start;
+        std::uint32_t pushed = ExecRecord::kNoTask32;
+        for (std::size_t slot = graph.resourceOffset(id);
+             slot < graph.resourceOffset(id + 1); ++slot) {
             const std::uint32_t prev = record.resPrev[slot];
-            if (prev != ExecRecord::kNoTask32)
-                lateEnd[prev] = std::min(lateEnd[prev], lateStart);
+            if (prev != pushed && prev != ExecRecord::kNoTask32)
+                lateEnd[prev] = std::min(lateEnd[prev], start);
+            pushed = prev;
         }
     }
     return slack;
@@ -106,7 +118,8 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record)
 
 CriticalPath
 extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
-                    const std::vector<std::string> &resource_names)
+                    const std::vector<std::string> &resource_names,
+                    ExecScratch *scratch)
 {
     CriticalPath path;
     if (record.empty() || record.lastTask == kNoTask)
@@ -119,18 +132,11 @@ extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
     // Walk binding predecessors back from the makespan task. Every hop
     // satisfies start(task) == end(pred), and predecessors fired
     // strictly earlier, so the walk terminates at a task that started
-    // at time zero.
-    std::vector<TaskId> chain;
-    for (TaskId id = record.lastTask; id != kNoTask;
-         id = record.bindingPred[id]) {
-        chain.push_back(id);
-        LERGAN_ASSERT(chain.size() <= graph.size(),
+    // at time zero. The entries are collected backward, then reversed.
+    for (std::uint32_t id = static_cast<std::uint32_t>(record.lastTask);
+         id != ExecRecord::kNoTask32; id = record.bindingPred[id]) {
+        LERGAN_ASSERT(path.entries.size() < graph.size(),
                       "binding-predecessor cycle");
-    }
-    std::reverse(chain.begin(), chain.end());
-
-    path.entries.reserve(chain.size());
-    for (TaskId id : chain) {
         const auto resources = graph.resources(id);
         CritEntry entry;
         entry.task = id;
@@ -145,6 +151,7 @@ extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
         entry.duration = graph.duration(id);
         path.entries.push_back(entry);
     }
+    std::reverse(path.entries.begin(), path.entries.end());
     path.tasks = graph.identity();
     path.resourceNames = resource_names;
     path.phaseRollup = sortedRollup(path.entries, kPhaseNames,
@@ -152,7 +159,9 @@ extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
     path.resourceRollup =
         sortedRollup(path.entries, kResourceCategoryNames,
                      [](const CritEntry &e) { return e.category; });
-    path.slack = computeSlack(graph, record);
+    ExecScratch::Analysis local;
+    path.slack =
+        computeSlack(graph, record, scratch ? scratch->analysis() : local);
     return path;
 }
 
@@ -230,14 +239,14 @@ CriticalPath::writeJson(JsonWriter &json) const
 
 std::shared_ptr<const RecordedRun>
 makeRecordedRun(std::shared_ptr<const TaskGraph> graph,
-                const std::vector<std::string> &resource_names,
-                ExecRecord record)
+                std::vector<std::string> resource_names, ExecRecord record,
+                ExecScratch *scratch)
 {
     auto run = std::make_shared<RecordedRun>();
     run->graph = std::move(graph);
     run->record = std::move(record);
-    run->path =
-        extractCriticalPath(*run->graph, run->record, resource_names);
+    run->path = extractCriticalPath(*run->graph, run->record, {}, scratch);
+    run->path.resourceNames = std::move(resource_names);
     return run;
 }
 

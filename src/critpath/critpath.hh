@@ -104,10 +104,14 @@ struct CriticalPath {
  * @param resource_names pool resource names indexed by resource id
  *                       (for binding-resource names). Categories come
  *                       from the graph (TaskGraph::resourceCategory).
+ * @param scratch        optional buffers for the slack pass
+ *                       (ExecScratch::analysis), reused across calls;
+ *                       without one the pass allocates its own.
  */
 CriticalPath extractCriticalPath(
     const TaskGraph &graph, const ExecRecord &record,
-    const std::vector<std::string> &resource_names);
+    const std::vector<std::string> &resource_names,
+    ExecScratch *scratch = nullptr);
 
 /**
  * Everything needed to analyse a run after the fact: the graph (shared
@@ -125,14 +129,15 @@ struct RecordedRun {
 
 /**
  * Bundle a finished recording into a shareable RecordedRun: stores the
- * pieces and extracts the critical path. @p graph must be the graph
- * @p record came from (use the aliasing shared_ptr constructor to
- * share an owning template).
+ * pieces (moving @p resource_names into the path) and extracts the
+ * critical path (with @p scratch's buffers, when given). @p graph must
+ * be the graph @p record came from (use the aliasing shared_ptr
+ * constructor to share an owning template).
  */
 std::shared_ptr<const RecordedRun>
 makeRecordedRun(std::shared_ptr<const TaskGraph> graph,
-                const std::vector<std::string> &resource_names,
-                ExecRecord record);
+                std::vector<std::string> resource_names, ExecRecord record,
+                ExecScratch *scratch = nullptr);
 
 /**
  * Append the critical chain to @p tracer as a dedicated display lane

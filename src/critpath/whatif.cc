@@ -76,12 +76,13 @@ lowerBound(const TaskGraph &graph, std::span<const PicoSeconds> durations,
     const std::size_t n = graph.size();
     // Forward relaxation along the CSR: in topological order every
     // task's ready time is final before the task itself is visited.
+    const SuccessorCsr successors = graph.successorCsr();
     std::vector<PicoSeconds> ready(n, 0);
     PicoSeconds longest = 0;
     for (TaskId id : order) {
         const PicoSeconds end = ready[id] + durations[id];
         longest = std::max(longest, end);
-        for (const TaskId succ : graph.successors(id))
+        for (const TaskId succ : successors.of(id))
             ready[succ] = std::max(ready[succ], end);
     }
 
@@ -115,6 +116,7 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
              std::size_t resource_count, std::vector<TaskId> *fire_order)
 {
     const std::size_t n = graph.size();
+    const SuccessorCsr successors = graph.successorCsr();
     std::vector<std::uint32_t> unmet(n);
     for (TaskId id = 0; id < n; ++id)
         unmet[id] = graph.dependencyCount(id);
@@ -162,7 +164,7 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
             ++completed;
             // Completions pop in time order, so a task fires the
             // instant its last dependency completes.
-            for (const TaskId succ : graph.successors(id)) {
+            for (const TaskId succ : successors.of(id)) {
                 LERGAN_ASSERT(unmet[succ] > 0, "dependency underflow");
                 if (--unmet[succ] == 0)
                     queue.scheduleAt(now, TaskEvent{succ, false});
@@ -280,6 +282,7 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
     // reservation waits for the c-th most recent grant instead of the
     // latest one.
     const std::vector<std::size_t> order = record.completionOrder();
+    const SuccessorCsr successors = graph.successorCsr();
     std::vector<PicoSeconds> ready(n, 0);
     std::vector<std::vector<PicoSeconds>> grants(resource_count);
     for (TaskId id : order) {
@@ -293,7 +296,7 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
         const PicoSeconds end = start + durations[id];
         for (const std::uint32_t rid : graph.resources(id))
             grants[rid].push_back(end);
-        for (const TaskId succ : graph.successors(id))
+        for (const TaskId succ : successors.of(id))
             ready[succ] = std::max(ready[succ], end);
         estimate.makespan = std::max(estimate.makespan, end);
     }

@@ -22,9 +22,9 @@
  *
  * The record is pure output: recording never changes event order or
  * results, and a null record costs one predictable branch per event.
- * Its per-slot column (resPrev) and the pop-order column hold 4-byte
- * task ids, which the executor's cap of UINT32_MAX / 2 recorded tasks
- * keeps exact; the per-task columns keep TaskId width.
+ * Its task-id columns (bindingPred, the per-slot resPrev and the
+ * pop-order column) hold 4-byte ids, which the executor's cap of
+ * UINT32_MAX / 2 recorded tasks keeps exact.
  */
 
 #ifndef LERGAN_SIM_EXEC_RECORD_HH
@@ -71,14 +71,16 @@ struct ExecRecord {
     /** Sentinel resource id: the task held no resources. */
     static constexpr std::uint32_t kNoResource =
         std::numeric_limits<std::uint32_t>::max();
-    /** Sentinel of the 4-byte task columns (resPrev): no task. */
+    /** Sentinel of the 4-byte task columns (bindingPred, resPrev):
+     *  no task. */
     static constexpr std::uint32_t kNoTask32 =
         std::numeric_limits<std::uint32_t>::max();
 
     std::vector<PicoSeconds> start;
     std::vector<PicoSeconds> end;
-    /** Binding predecessor task (kNoTask-style SIZE_MAX when None). */
-    std::vector<std::size_t> bindingPred;
+    /** Binding predecessor task (kNoTask32 when None, or when the
+     *  binding resource came in occupied from an earlier run). */
+    std::vector<std::uint32_t> bindingPred;
     std::vector<BindingKind> bindingKind;
     /** Resource the task queued on when bindingKind == Resource. */
     std::vector<std::uint32_t> bindingRes;

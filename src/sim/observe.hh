@@ -12,8 +12,12 @@
  *  - its sim.queue.depth / sim.ready.tasks / sim.inflight.tasks counter
  *    samples, one triple per popped event, at the pop's instant;
  *  - the same three sim.* histograms plus the sim.graph.runs,
- *    sim.tasks.executed and sim.makespan_ps metrics, binned locally and
- *    merged into the registry once.
+ *    sim.tasks.executed and sim.makespan_ps metrics, merged into the
+ *    registry once. Each pop only counts itself at its depth, ready and
+ *    in-flight values (all at most n); after the replay each count
+ *    array folds into HistogramBins once, one step per distinct value,
+ *    with exactly the buckets, count, sum, min and max one observe()
+ *    per pop would have given.
  *
  * The replay needs no event queue. A task is ready from the pop of the
  * completion that released it (or from the start, for a source) until
@@ -36,10 +40,13 @@ namespace lergan {
 
 /**
  * Fill @p tracer and @p metrics (either may be null) from @p record,
- * which TaskGraph::execute wrote for a run of @p graph.
+ * which TaskGraph::execute wrote for a run of @p graph. The replay's
+ * buffers come from @p scratch (ExecScratch::analysis) when given, so a
+ * lane's replays stop allocating; without one they are local.
  */
 void deriveObservers(const TaskGraph &graph, const ExecRecord &record,
-                     Tracer *tracer, MetricsRegistry *metrics);
+                     Tracer *tracer, MetricsRegistry *metrics,
+                     ExecScratch *scratch = nullptr);
 
 } // namespace lergan
 

@@ -195,11 +195,9 @@ TaskGraph::execute(ResourcePool &pool, ExecScratch *scratch,
                 record->start[id] = start;
                 if (bind_slot != ExecRecord::kNoResource) {
                     record->bindingKind[id] = BindingKind::Resource;
-                    // No previous holder this run: the pool came in
-                    // occupied from an earlier run.
-                    const std::uint32_t prev = record->resPrev[bind_slot];
-                    record->bindingPred[id] =
-                        prev == ExecRecord::kNoTask32 ? kNoTask : prev;
+                    // No previous holder this run (kNoTask32): the pool
+                    // came in occupied from an earlier run.
+                    record->bindingPred[id] = record->resPrev[bind_slot];
                     record->bindingRes[id] = resIds_[bind_slot];
                 } else if (s.bindingDep[id] != ExecRecord::kNoTask32) {
                     record->bindingKind[id] = BindingKind::Dependency;
@@ -207,7 +205,7 @@ TaskGraph::execute(ResourcePool &pool, ExecScratch *scratch,
                     record->bindingRes[id] = ExecRecord::kNoResource;
                 } else {
                     record->bindingKind[id] = BindingKind::None;
-                    record->bindingPred[id] = kNoTask;
+                    record->bindingPred[id] = ExecRecord::kNoTask32;
                     record->bindingRes[id] = ExecRecord::kNoResource;
                 }
             }

@@ -118,7 +118,10 @@ struct TaskEvent {
  * Optional: execute() allocates its own when none is given. Passing the
  * same scratch to repeated executions (of any graphs) reuses the event
  * calendar and counter buffers, eliminating steady-state allocation.
- * A scratch must not be shared between concurrent executions.
+ * The post-run passes over a record (the observer replay, the slack
+ * pass) take their buffers from it too (analysis()). A sweep keeps one
+ * scratch per worker lane; a scratch must not be shared between
+ * concurrent executions or passes.
  */
 class ExecScratch
 {
@@ -129,6 +132,25 @@ class ExecScratch
      *  observers from or to audit (the caller asked for a trace,
      *  metrics or an audit, not for the record itself). */
     ExecRecord &observerRecord() { return observerRecord_; }
+
+    /**
+     * Buffers of the post-run passes over a record: the observer
+     * replay (deriveObservers) and the critical path's slack pass.
+     * Each pass sizes them to its graph and leaves them for the next,
+     * so a lane's passes allocate only when a larger graph comes along.
+     */
+    struct Analysis {
+        /** Replay: dependencies each task still waits on. */
+        std::vector<std::uint32_t> unmet;
+        /** Replay: pops seen at each queue depth, ready count and
+         *  in-flight count (index = the value, at most the task
+         *  count). All zero between passes: the fold clears what the
+         *  replay counted. */
+        std::vector<std::uint32_t> depthPops, readyPops, inflightPops;
+        /** Slack pass: each task's latest end and latest start. */
+        std::vector<PicoSeconds> lateEnd, lateStart;
+    };
+    Analysis &analysis() { return analysis_; }
 
   private:
     friend class TaskGraph;
@@ -149,6 +171,22 @@ class ExecScratch
     std::vector<std::uint32_t> lastHolder; ///< last reserver per resource
     ///@}
     ExecRecord observerRecord_;
+    Analysis analysis_;
+};
+
+/**
+ * A graph's frozen successor CSR: the successors of task t are
+ * ids[start[t]] .. ids[start[t + 1] - 1], in addDep order.
+ */
+struct SuccessorCsr {
+    std::span<const std::uint32_t> start; ///< size N+1
+    std::span<const std::uint32_t> ids;
+
+    std::span<const std::uint32_t>
+    of(std::size_t id) const
+    {
+        return ids.subspan(start[id], start[id + 1] - start[id]);
+    }
 };
 
 /**
@@ -251,16 +289,24 @@ class TaskGraph
                         ExecRecord *record = nullptr) const;
 
     /**
-     * Tasks that depend on @p id, in addDep order — a view of the
-     * frozen CSR (post-run analysis walks the full edge set, not just
-     * each task's binding predecessor). Freezes the graph.
+     * The frozen successor CSR (post-run analysis walks the full edge
+     * set, not just each task's binding predecessor). Freezes the
+     * graph; a pass over many tasks takes the view once rather than
+     * paying the freeze check per task through successors().
      */
+    SuccessorCsr
+    successorCsr() const
+    {
+        const Frozen &f = freeze();
+        return {f.succStart, f.succIds};
+    }
+
+    /** Tasks that depend on @p id, in addDep order — one task's slice
+     *  of successorCsr(). Freezes the graph. */
     std::span<const std::uint32_t>
     successors(TaskId id) const
     {
-        const Frozen &f = freeze();
-        return {f.succIds.data() + f.succStart[id],
-                f.succIds.data() + f.succStart[id + 1]};
+        return successorCsr().of(id);
     }
 
     /** Number of addDep calls naming @p id as the dependent task. */

@@ -256,8 +256,9 @@ TEST_P(RandomDagProperty, PoolTotalsMatchTheRecord)
         // A task queued behind the previous run's reservations has no
         // holder in this run to bind to.
         for (TaskId id = 0; id < dag.durations.size(); ++id) {
-            const TaskId pred = record.bindingPred[id];
-            EXPECT_TRUE(pred == kNoTask || pred < dag.durations.size())
+            const std::uint32_t pred = record.bindingPred[id];
+            EXPECT_TRUE(pred == ExecRecord::kNoTask32 ||
+                        pred < dag.durations.size())
                 << "task " << id;
         }
     }
