@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the simulator substrate: event
  * queue bulk load, routing, reshape enumeration, the executor's
- * per-task cost over the Table V templates and whole-iteration
+ * per-task cost over the Table V templates, the post-run metrics replay
+ * and critical-path pass over their records, and whole-iteration
  * simulation.
  */
 
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "core/api.hh"
+#include "critpath/critpath.hh"
 #include "sim/calendar_queue.hh"
+#include "sim/observe.hh"
 #include "zfdr/reshape.hh"
 
 namespace {
@@ -96,30 +99,25 @@ BM_CompileGan(benchmark::State &state)
 }
 BENCHMARK(BM_CompileGan);
 
-/**
- * Execute-only pass over the 32 Table V templates (8 GANs x {prime,
- * low, middle, high}): every iteration resets each point's pool and
- * executes its frozen graph once, unrecorded (arg 0) or with an
- * ExecRecord attached (arg 1). Templates are built and frozen before
- * timing starts. The ns_per_task counter is the executor's per-task
- * cost, reproducible without perfbench.
- */
-void
-BM_ExecuteTableV(benchmark::State &state)
+/** A Table V point with its template built and frozen. */
+struct TableVPoint {
+    std::unique_ptr<LerGanAccelerator> acc;
+    std::shared_ptr<const IterationTemplate> tmpl;
+};
+
+/** The 32 Table V points: 8 GANs x {prime, low, middle, high}. */
+const std::vector<TableVPoint> &
+tableVPoints()
 {
-    struct Point {
-        std::unique_ptr<LerGanAccelerator> acc;
-        std::shared_ptr<const IterationTemplate> tmpl;
-    };
-    static const std::vector<Point> points = [] {
-        std::vector<Point> built;
+    static const std::vector<TableVPoint> points = [] {
+        std::vector<TableVPoint> built;
         for (const GanModel &model : allBenchmarks()) {
             for (const AcceleratorConfig &config :
                  {AcceleratorConfig::prime(),
                   AcceleratorConfig::lerGan(ReplicaDegree::Low),
                   AcceleratorConfig::lerGan(ReplicaDegree::Middle),
                   AcceleratorConfig::lerGan(ReplicaDegree::High)}) {
-                Point point;
+                TableVPoint point;
                 point.acc = std::make_unique<LerGanAccelerator>(model, config);
                 point.tmpl = point.acc->makeIterationTemplate();
                 built.push_back(std::move(point));
@@ -127,11 +125,25 @@ BM_ExecuteTableV(benchmark::State &state)
         }
         return built;
     }();
+    return points;
+}
+
+/**
+ * Execute-only pass over the 32 Table V templates: every iteration
+ * resets each point's pool and executes its frozen graph once,
+ * unrecorded (arg 0) or with an ExecRecord attached (arg 1). Templates
+ * are built and frozen before timing starts. The ns_per_task counter is
+ * the executor's per-task cost, reproducible without perfbench.
+ */
+void
+BM_ExecuteTableV(benchmark::State &state)
+{
+    const std::vector<TableVPoint> &points = tableVPoints();
     ExecScratch scratch;
     ExecRecord record;
     ExecRecord *const run = state.range(0) != 0 ? &record : nullptr;
     std::size_t tasks = 0;
-    for (const Point &point : points) {
+    for (const TableVPoint &point : points) {
         tasks += point.tmpl->graph.size();
         // Freeze and size the scratch and record outside the timing.
         point.tmpl->graph.execute(point.acc->machine().pool(), &scratch,
@@ -139,7 +151,7 @@ BM_ExecuteTableV(benchmark::State &state)
     }
     std::chrono::nanoseconds executing{0};
     for (auto _ : state) {
-        for (const Point &point : points) {
+        for (const TableVPoint &point : points) {
             ResourcePool &pool = point.acc->machine().pool();
             pool.resetAll();
             const auto begin = std::chrono::steady_clock::now();
@@ -155,6 +167,49 @@ BM_ExecuteTableV(benchmark::State &state)
         static_cast<double>(executing.count()) / executed;
 }
 BENCHMARK(BM_ExecuteTableV)->ArgName("recorded")->Arg(0)->Arg(1);
+
+/**
+ * The two post-run passes of an observed sweep point over the 32 Table
+ * V records, taken once before timing: the sim.* metrics replay
+ * (deriveObservers, arg 0) and critical-path extraction with its slack
+ * pass (arg 1), both on one reused scratch as a sweep lane runs them.
+ * The us_per_point counter is one pass over one point.
+ */
+void
+BM_AnalyzeTableV(benchmark::State &state)
+{
+    struct Recorded {
+        const TaskGraph *graph;
+        std::vector<std::string> names;
+        ExecRecord record;
+    };
+    std::vector<Recorded> recorded;
+    for (const TableVPoint &point : tableVPoints()) {
+        ResourcePool &pool = point.acc->machine().pool();
+        pool.resetAll();
+        Recorded run{&point.tmpl->graph, point.acc->resourceNames(), {}};
+        run.graph->execute(pool, nullptr, &run.record);
+        recorded.push_back(std::move(run));
+    }
+    ExecScratch scratch;
+    MetricsRegistry metrics;
+    for (auto _ : state) {
+        for (const Recorded &run : recorded) {
+            if (state.range(0) == 0) {
+                deriveObservers(*run.graph, run.record, nullptr, &metrics,
+                                &scratch);
+            } else {
+                benchmark::DoNotOptimize(extractCriticalPath(
+                    *run.graph, run.record, run.names, &scratch));
+            }
+        }
+    }
+    state.counters["us_per_point"] = benchmark::Counter(
+        1e-6 * static_cast<double>(recorded.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AnalyzeTableV)->ArgName("critpath")->Arg(0)->Arg(1);
 
 void
 BM_TrainIteration(benchmark::State &state)
