@@ -15,7 +15,9 @@
  *     makespan exactly and every chain task has zero slack. Off the
  *     chain slack is strictly positive except on the DiscoGAN models,
  *     whose structurally symmetric GAN pairs produce a handful of
- *     co-critical tasks.
+ *     co-critical tasks. The slack kernel equals the plain pass it
+ *     replaced (kept here as an oracle) task for task, on Table V and
+ *     on seeded graphs with multi-slot reservations.
  *   - What-if soundness against real resimulation: the identity
  *     transform is bit-exact, and under arbitrary duration transforms
  *     the [lower, upper] bounds bracket the truth — upper is the
@@ -154,6 +156,59 @@ TEST(CritPathGolden, SlackIsZeroOnChainAndPositiveOffChain)
                 EXPECT_EQ(coCritical, 0u);
             }
             EXPECT_GE(path.zeroSlackTasks(), path.entries.size());
+        }
+    }
+}
+
+/**
+ * The slack pass as first written, kept as the oracle of the kernel
+ * extractCriticalPath runs: each successor's latest start recomputed
+ * from its latest end and duration, and every reservation slot pushed
+ * to its previous holder, with no deduplication.
+ */
+std::vector<PicoSeconds>
+oracleSlack(const TaskGraph &graph, const ExecRecord &record)
+{
+    const std::size_t n = graph.size();
+    std::vector<PicoSeconds> lateEnd(n, record.makespan);
+    std::vector<PicoSeconds> slack(n, 0);
+    for (std::size_t i = record.popOrder.size(); i-- > 0;) {
+        if (!ExecRecord::popIsCompletion(record.popOrder[i]))
+            continue;
+        const TaskId id = ExecRecord::popTask(record.popOrder[i]);
+        PicoSeconds late = lateEnd[id];
+        for (const TaskId succ : graph.successors(id))
+            late = std::min(late, lateEnd[succ] - graph.duration(succ));
+        lateEnd[id] = late;
+        slack[id] = late - record.end[id];
+        const PicoSeconds lateStart = late - graph.duration(id);
+        const std::size_t first = graph.resourceOffset(id);
+        for (std::size_t slot = first;
+             slot < first + graph.resources(id).size(); ++slot) {
+            const std::uint32_t prev = record.resPrev[slot];
+            if (prev != ExecRecord::kNoTask32)
+                lateEnd[prev] = std::min(lateEnd[prev], lateStart);
+        }
+    }
+    return slack;
+}
+
+TEST(CritPathGolden, SlackMatchesTheOracleOnTableV)
+{
+    // One scratch across every point, as a sweep lane reuses it.
+    ExecScratch scratch;
+    for (const GanModel &model : allBenchmarks()) {
+        for (const auto &[label, config] :
+             {std::pair{"prime", AcceleratorConfig::prime()},
+              std::pair{"low",
+                        AcceleratorConfig::lerGan(ReplicaDegree::Low)}}) {
+            const Recorded recorded = recordPoint(model, config);
+            SCOPED_TRACE(model.name + "/" + label);
+            const CriticalPath path = extractCriticalPath(
+                recorded.tmpl->graph, recorded.record,
+                recorded.resourceNames, &scratch);
+            EXPECT_EQ(path.slack,
+                      oracleSlack(recorded.tmpl->graph, recorded.record));
         }
     }
 }
@@ -617,6 +672,79 @@ TEST(CritPathRandom, RecordSlotsFollowTheGraphResourceCsr)
     }
 }
 
+/**
+ * A seeded DAG whose tasks hold 1-4 distinct resources out of
+ * @p resources. About half the tasks hold the previous task's set, so
+ * consecutive reservation slots often name one previous holder; the
+ * rest draw a fresh set, so they often do not. Some durations are zero.
+ */
+TaskGraph
+makeMultiSlotGraph(std::uint32_t seed, std::size_t resources)
+{
+    std::mt19937 rng(seed);
+    TaskGraph graph;
+    const std::size_t n = 60 + rng() % 200;
+    std::vector<std::size_t> held;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (held.empty() || rng() % 2 == 0) {
+            held.clear();
+            const std::size_t k = 1 + rng() % 4;
+            while (held.size() < k) {
+                const std::size_t r = rng() % resources;
+                if (std::find(held.begin(), held.end(), r) == held.end())
+                    held.push_back(r);
+            }
+        }
+        addNamedTask(graph, "t", held, rng() % 500, TaskKind::Compute);
+    }
+    for (TaskId task = 1; task < n; ++task) {
+        const unsigned deps = rng() % 3;
+        for (unsigned d = 0; d < deps; ++d)
+            graph.addDep(task, rng() % task);
+    }
+    return graph;
+}
+
+TEST(CritPathRandom, SlackMatchesTheOracleOnMultiSlotGraphs)
+{
+    constexpr std::size_t kResources = 6;
+    std::vector<std::string> names;
+    ResourcePool pool;
+    for (std::size_t r = 0; r < kResources; ++r) {
+        names.push_back("r" + std::to_string(r));
+        pool.create(names.back(), ResourceCategory::Compute);
+    }
+    // One scratch across graphs of different sizes.
+    ExecScratch scratch;
+    std::size_t sharedHolder = 0, distinctHolders = 0;
+    for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+        const TaskGraph graph = makeMultiSlotGraph(seed, kResources);
+        pool.resetAll();
+        ExecRecord record;
+        graph.execute(pool, nullptr, &record);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const CriticalPath path =
+            extractCriticalPath(graph, record, names, &scratch);
+        EXPECT_EQ(path.slack, oracleSlack(graph, record));
+        EXPECT_EQ(path.criticalDuration(), record.makespan);
+        for (TaskId id = 0; id < graph.size(); ++id) {
+            const std::size_t first = graph.resourceOffset(id);
+            for (std::size_t slot = first + 1;
+                 slot < first + graph.resources(id).size(); ++slot) {
+                const std::uint32_t a = record.resPrev[slot - 1];
+                const std::uint32_t b = record.resPrev[slot];
+                if (a == ExecRecord::kNoTask32 ||
+                    b == ExecRecord::kNoTask32)
+                    continue;
+                ++(a == b ? sharedHolder : distinctHolders);
+            }
+        }
+    }
+    // Both sides of the deduplication were exercised.
+    EXPECT_GT(sharedHolder, 100u);
+    EXPECT_GT(distinctHolders, 100u);
+}
+
 TEST(CritPathRandom, BoundsBracketResimulationUnderDurationTransforms)
 {
     for (std::uint32_t seed = 1; seed <= 20; ++seed) {
@@ -780,6 +908,45 @@ TEST(CritPathSweep, RecordingSweepAttachesRunsAndCountsThem)
     }
     EXPECT_EQ(registry->counter("critpath.records").value(),
               static_cast<double>(results.size()));
+}
+
+TEST(CritPathSweep, ObservedPointsReuseTheLaneScratch)
+{
+    // The sweep's point pipeline on one lane scratch: after the first
+    // observed point has sized the analysis buffers, a second point of
+    // the same pair reuses them and reports the same path.
+    const GanModel model = makeBenchmark("DCGAN");
+    const AcceleratorConfig config =
+        AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    CompiledModelCache cache;
+    MemoCache<IterationTemplate> templates;
+    ExecScratch scratch;
+    Instrumentation instruments;
+    instruments.telemetry = std::make_shared<MetricsRegistry>();
+    instruments.critpath = true;
+    const auto simulate = [&] {
+        PreparedPoint point =
+            preparePoint(model, config, cache, templates, &scratch);
+        return simulatePoint(point, 1, instruments);
+    };
+    const auto buffers = [&] {
+        ExecScratch::Analysis &a = scratch.analysis();
+        return std::vector<const void *>{
+            a.unmet.data(),     a.depthPops.data(), a.readyPops.data(),
+            a.inflightPops.data(), a.lateEnd.data(), a.lateStart.data()};
+    };
+    const SweepResult first = simulate();
+    const std::vector<const void *> sized = buffers();
+    for (const void *buffer : sized)
+        EXPECT_NE(buffer, nullptr);
+    const SweepResult second = simulate();
+    EXPECT_EQ(buffers(), sized);
+    ASSERT_NE(first.report.critpath, nullptr);
+    ASSERT_NE(second.report.critpath, nullptr);
+    EXPECT_EQ(second.report.critpath->path.slack,
+              first.report.critpath->path.slack);
+    EXPECT_EQ(instruments.telemetry->counter("critpath.records").value(),
+              2.0);
 }
 
 } // namespace

@@ -644,6 +644,52 @@ TEST(SweepExec, ConcurrentAuditsShareOneTemplate)
     }
 }
 
+TEST(SweepExec, ConcurrentObservedPointsMatchOneWorker)
+{
+    // Telemetry and critical path on 4 workers: every lane replays its
+    // points' records and runs their slack passes on its own scratch
+    // buffers, concurrently with the other lanes. Graphs of different
+    // sizes alternate, so a lane's buffers also change size.
+    const GanModel cgan = makeBenchmark("cGAN");
+    const GanModel magan = makeBenchmark("MAGAN-MNIST");
+    const auto observe = [&](int threads) {
+        ExperimentSweep sweep;
+        for (int i = 0; i < 4; ++i) {
+            sweep.addPoint(i % 2 ? cgan : magan, "prime", smallPrime());
+            sweep.addPoint(i % 2 ? magan : cgan, "lergan", smallLerGan());
+        }
+        const auto registry = std::make_shared<MetricsRegistry>();
+        sweep.withTelemetry(registry).withCriticalPath();
+        RunOptions options;
+        options.threads = threads;
+        std::vector<std::size_t> zeroSlack;
+        for (const SweepResult &result : sweep.run(options)) {
+            EXPECT_FALSE(result.failed) << result.error;
+            EXPECT_NE(result.report.critpath, nullptr);
+            if (result.report.critpath)
+                zeroSlack.push_back(
+                    result.report.critpath->path.zeroSlackTasks());
+        }
+        std::ostringstream histograms;
+        for (const auto &[name, hist] : registry->snapshot().histograms) {
+            if (name.rfind("sim.", 0) != 0)
+                continue;
+            histograms << name << ' ' << hist.count << ' ' << hist.sum
+                       << ' ' << hist.min << ' ' << hist.max;
+            for (const auto &[bucket, count] : hist.buckets)
+                histograms << ' ' << bucket << ':' << count;
+            histograms << '\n';
+        }
+        return std::pair{zeroSlack, histograms.str()};
+    };
+    const auto [oneSlack, oneHistograms] = observe(1);
+    const auto [fourSlack, fourHistograms] = observe(4);
+    ASSERT_EQ(oneSlack.size(), 8u);
+    EXPECT_EQ(fourSlack, oneSlack);
+    EXPECT_NE(oneHistograms.find("sim.queue.depth "), std::string::npos);
+    EXPECT_EQ(fourHistograms, oneHistograms);
+}
+
 TEST(SweepExec, ParallelRunIsByteIdenticalToSequential)
 {
     const ExperimentSweep sweep = smallSweep();

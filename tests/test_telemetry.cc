@@ -1,21 +1,28 @@
 /**
  * @file
  * Tests for the telemetry subsystem: registry create-or-get semantics,
- * histogram bucketing, the three exporters, and a multi-threaded
+ * histogram bucketing, the sim.* histograms the observer replay folds
+ * from per-value counts, the three exporters, and a multi-threaded
  * hammer that the TSan stage of scripts/check.sh re-runs (label
  * "telemetry").
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "core/accelerator.hh"
 #include "exec/thread_pool.hh"
+#include "sim/observe.hh"
+#include "task_helpers.hh"
 #include "telemetry/metrics.hh"
+#include "workloads/zoo.hh"
 
 namespace lergan {
 namespace {
@@ -100,6 +107,102 @@ TEST(Histogram, BulkAddMatchesObservingEachSample)
     EXPECT_EQ(added.max(), 9000u);
     for (int b = 0; b < Histogram::kBuckets; ++b)
         EXPECT_EQ(added.bucketCount(b), observed.bucketCount(b)) << b;
+}
+
+/**
+ * Per-sample oracle of deriveObservers' sim.* histograms: the replay of
+ * @p record's pops, one HistogramBins::observe per pop of the queue
+ * depth, ready count and in-flight count (in that order).
+ */
+std::array<HistogramBins, 3>
+observeEveryPop(const TaskGraph &graph, const ExecRecord &record)
+{
+    std::vector<std::uint32_t> unmet(graph.size());
+    std::size_t ready = 0, inflight = 0;
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        unmet[id] = graph.dependencyCount(id);
+        ready += unmet[id] == 0;
+    }
+    std::array<HistogramBins, 3> bins;
+    for (const std::uint32_t entry : record.popOrder) {
+        if (!ExecRecord::popIsCompletion(entry)) {
+            --ready;
+            ++inflight;
+        } else {
+            --inflight;
+            for (const TaskId succ :
+                 graph.successors(ExecRecord::popTask(entry)))
+                ready += --unmet[succ] == 0;
+        }
+        bins[0].observe(ready + inflight);
+        bins[1].observe(ready);
+        bins[2].observe(inflight);
+    }
+    return bins;
+}
+
+void
+expectHistogramHolds(const Histogram &hist, const HistogramBins &bins)
+{
+    EXPECT_EQ(hist.count(), bins.count);
+    EXPECT_EQ(hist.sum(), bins.sum);
+    EXPECT_EQ(hist.min(), bins.min);
+    EXPECT_EQ(hist.max(), bins.max);
+    for (int b = 0; b < Histogram::kBuckets; ++b)
+        EXPECT_EQ(hist.bucketCount(b), bins.buckets[b]) << "bucket " << b;
+}
+
+TEST(DeriveObservers, HistogramsEqualObservingEveryPop)
+{
+    // A Table V template, then an all-sources graph (every task ready
+    // at the start, so the depth reaches n) and a 1-task graph, on one
+    // scratch: each replay starts from the counts the last one left.
+    LerGanAccelerator accelerator(
+        makeBenchmark("DCGAN"), AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    const auto tmpl = accelerator.makeIterationTemplate();
+    TaskGraph sources;
+    constexpr std::size_t kSources = 40;
+    for (std::size_t i = 0; i < kSources; ++i)
+        addNamedTask(sources, "s", {i % 3}, 10 + i % 7);
+    TaskGraph single;
+    addNamedTask(single, "only", {0}, 5);
+
+    ExecScratch scratch;
+    for (const TaskGraph *graph : std::array<const TaskGraph *, 3>{
+             &tmpl->graph, &sources, &single}) {
+        ResourcePool small;
+        for (int r = 0; r < 3; ++r)
+            small.create("r" + std::to_string(r), ResourceCategory::Other);
+        ResourcePool &pool = graph == &tmpl->graph
+                                 ? accelerator.machine().pool()
+                                 : small;
+        pool.resetAll();
+        ExecRecord record;
+        graph->execute(pool, nullptr, &record);
+        SCOPED_TRACE(std::to_string(graph->size()) + " tasks");
+        const std::array<HistogramBins, 3> want =
+            observeEveryPop(*graph, record);
+        for (ExecScratch *buffers :
+             {&scratch, static_cast<ExecScratch *>(nullptr)}) {
+            MetricsRegistry metrics;
+            deriveObservers(*graph, record, nullptr, &metrics, buffers);
+            expectHistogramHolds(metrics.histogram("sim.queue.depth"),
+                                 want[0]);
+            expectHistogramHolds(metrics.histogram("sim.ready.tasks"),
+                                 want[1]);
+            expectHistogramHolds(metrics.histogram("sim.inflight.tasks"),
+                                 want[2]);
+        }
+        if (graph == &sources) {
+            EXPECT_EQ(want[0].max, kSources);
+        }
+        // The fold leaves the scratch's count arrays zeroed.
+        const ExecScratch::Analysis &a = scratch.analysis();
+        for (const auto *pops : {&a.depthPops, &a.readyPops,
+                                 &a.inflightPops})
+            EXPECT_EQ(std::count(pops->begin(), pops->end(), 0u),
+                      static_cast<std::ptrdiff_t>(pops->size()));
+    }
 }
 
 MetricsSnapshot
