@@ -24,6 +24,19 @@ label=$1
 tree=$(CDPATH= cd -- "${2:-$root}" && pwd)
 seed=${3:-7}
 seconds=${4:-35}
+# perfbench/run.py reuses TREE/.bench_build once it is configured, so a
+# build tree copied from another checkout would silently measure that
+# checkout's sources.
+cache="$tree/.bench_build/perfbench/CMakeCache.txt"
+if [ -f "$cache" ]; then
+    home=$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$cache")
+    built=$(CDPATH= cd -- "$home" 2>/dev/null && pwd -P || echo "$home")
+    if [ "$built" != "$(CDPATH= cd -- "$tree/perfbench" && pwd -P)" ]; then
+        echo "$0: $cache builds $home, not $tree/perfbench;" \
+            "remove $tree/.bench_build and rerun" >&2
+        exit 2
+    fi
+fi
 commit=$(git -C "$tree" rev-parse --short HEAD 2>/dev/null || echo unknown)
 workloads=$(python3 -c 'import json, sys
 for w in json.load(open(sys.argv[1]))["workloads"]:
