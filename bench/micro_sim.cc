@@ -203,6 +203,7 @@ BM_AnalyzeTableV(benchmark::State &state)
                     *run.graph, run.record, run.names, &scratch));
             }
         }
+        benchmark::ClobberMemory();
     }
     state.counters["us_per_point"] = benchmark::Counter(
         1e-6 * static_cast<double>(recorded.size()),

@@ -106,10 +106,12 @@ deriveObservers(const TaskGraph &graph, const ExecRecord &record,
     ExecScratch::Analysis &buffers = scratch ? scratch->analysis() : local;
     // Every count is at most n, so n + 1 slots hold each histogram's
     // samples by value; slots past the previous size start at zero.
-    for (auto *pops : {&buffers.depthPops, &buffers.readyPops,
-                       &buffers.inflightPops})
-        if (metrics && pops->size() <= n)
-            pops->resize(n + 1);
+    if (metrics) {
+        for (auto *pops : {&buffers.depthPops, &buffers.readyPops,
+                           &buffers.inflightPops})
+            if (pops->size() <= n)
+                pops->resize(n + 1);
+    }
     PopCounts counts{buffers.depthPops.data(), buffers.readyPops.data(),
                      buffers.inflightPops.data()};
 
