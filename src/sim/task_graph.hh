@@ -289,24 +289,17 @@ class TaskGraph
                         ExecRecord *record = nullptr) const;
 
     /**
-     * The frozen successor CSR (post-run analysis walks the full edge
+     * The frozen successor CSR: of(id) lists the tasks that depend on
+     * @p id, in addDep order (post-run analysis walks the full edge
      * set, not just each task's binding predecessor). Freezes the
-     * graph; a pass over many tasks takes the view once rather than
-     * paying the freeze check per task through successors().
+     * graph; a pass over many tasks takes the view once, so it pays the
+     * freeze check once.
      */
     SuccessorCsr
     successorCsr() const
     {
         const Frozen &f = freeze();
         return {f.succStart, f.succIds};
-    }
-
-    /** Tasks that depend on @p id, in addDep order — one task's slice
-     *  of successorCsr(). Freezes the graph. */
-    std::span<const std::uint32_t>
-    successors(TaskId id) const
-    {
-        return successorCsr().of(id);
     }
 
     /** Number of addDep calls naming @p id as the dependent task. */

@@ -177,7 +177,7 @@ oracleSlack(const TaskGraph &graph, const ExecRecord &record)
             continue;
         const TaskId id = ExecRecord::popTask(record.popOrder[i]);
         PicoSeconds late = lateEnd[id];
-        for (const TaskId succ : graph.successors(id))
+        for (const TaskId succ : graph.successorCsr().of(id))
             late = std::min(late, lateEnd[succ] - graph.duration(succ));
         lateEnd[id] = late;
         slack[id] = late - record.end[id];
@@ -579,7 +579,7 @@ resimulate(const RandomModel &model,
                      model.graph->phase(id));
     }
     for (TaskId dep = 0; dep < model.graph->size(); ++dep)
-        for (const TaskId task : model.graph->successors(dep))
+        for (const TaskId task : model.graph->successorCsr().of(dep))
             graph.addDep(task, dep);
     ResourcePool pool = makePool(model);
     return graph.execute(pool, nullptr, record);

@@ -361,7 +361,7 @@ TEST(TaskGraph, SuccessorsKeepAddDepOrder)
         ++count[task];
     }
     for (TaskId id = 0; id < graph.size(); ++id) {
-        const auto succ = graph.successors(id);
+        const auto succ = graph.successorCsr().of(id);
         EXPECT_EQ(std::vector<TaskId>(succ.begin(), succ.end()),
                   expect[id])
             << "task " << id;
@@ -388,7 +388,7 @@ TEST(TaskGraph, RebuiltFromSuccessorsExecutesIdentically)
                      graph.duration(id));
     }
     for (TaskId dep = 0; dep < graph.size(); ++dep)
-        for (const TaskId task : graph.successors(dep))
+        for (const TaskId task : graph.successorCsr().of(dep))
             rebuilt.addDep(task, dep);
     pool.resetAll();
     ExecRecord copy;

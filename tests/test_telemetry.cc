@@ -131,7 +131,7 @@ observeEveryPop(const TaskGraph &graph, const ExecRecord &record)
         } else {
             --inflight;
             for (const TaskId succ :
-                 graph.successors(ExecRecord::popTask(entry)))
+                 graph.successorCsr().of(ExecRecord::popTask(entry)))
                 ready += --unmet[succ] == 0;
         }
         bins[0].observe(ready + inflight);
