@@ -197,7 +197,7 @@ BM_AnalyzeTableV(benchmark::State &state)
         for (const Recorded &run : recorded) {
             if (state.range(0) == 0) {
                 deriveObservers(*run.graph, run.record, nullptr, &metrics,
-                                &scratch);
+                                scratch);
             } else {
                 benchmark::DoNotOptimize(extractCriticalPath(
                     *run.graph, run.record, run.names, &scratch));

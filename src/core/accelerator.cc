@@ -622,7 +622,7 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
     const PicoSeconds makespan =
         tmpl->graph.execute(machine_.pool(), &scratch(), run);
     if (run)
-        deriveObservers(tmpl->graph, *run, tracer, metrics, &scratch());
+        deriveObservers(tmpl->graph, *run, tracer, metrics, scratch());
     if (metrics) {
         metrics->counter("sim.iterations").add(1);
         recordPoolMetrics(machine_.pool(), *metrics);

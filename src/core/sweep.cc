@@ -77,7 +77,7 @@ simulatePoint(PreparedPoint &point, int iterations,
         result.report.critpath = makeRecordedRun(
             std::shared_ptr<const TaskGraph>(point.tmpl, &point.tmpl->graph),
             accelerator.resourceNames(), std::move(critpathRecord),
-            &accelerator.scratch());
+            accelerator.scratch());
         if (metrics)
             metrics->counter("critpath.records").add(1);
     }

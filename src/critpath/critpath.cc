@@ -118,7 +118,7 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record,
 
 CriticalPath
 extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
-                    const std::vector<std::string> &resource_names,
+                    std::vector<std::string> resource_names,
                     ExecScratch *scratch)
 {
     CriticalPath path;
@@ -153,7 +153,7 @@ extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
     }
     std::reverse(path.entries.begin(), path.entries.end());
     path.tasks = graph.identity();
-    path.resourceNames = resource_names;
+    path.resourceNames = std::move(resource_names);
     path.phaseRollup = sortedRollup(path.entries, kPhaseNames,
                                     [](const CritEntry &e) { return e.phase; });
     path.resourceRollup =
@@ -240,13 +240,13 @@ CriticalPath::writeJson(JsonWriter &json) const
 std::shared_ptr<const RecordedRun>
 makeRecordedRun(std::shared_ptr<const TaskGraph> graph,
                 std::vector<std::string> resource_names, ExecRecord record,
-                ExecScratch *scratch)
+                ExecScratch &scratch)
 {
     auto run = std::make_shared<RecordedRun>();
     run->graph = std::move(graph);
     run->record = std::move(record);
-    run->path = extractCriticalPath(*run->graph, run->record, {}, scratch);
-    run->path.resourceNames = std::move(resource_names);
+    run->path = extractCriticalPath(*run->graph, run->record,
+                                    std::move(resource_names), &scratch);
     return run;
 }
 

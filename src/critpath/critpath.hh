@@ -102,15 +102,16 @@ struct CriticalPath {
  * @param graph          the graph that was executed.
  * @param record         the record execute() filled for that run.
  * @param resource_names pool resource names indexed by resource id
- *                       (for binding-resource names). Categories come
- *                       from the graph (TaskGraph::resourceCategory).
+ *                       (for binding-resource names), moved into the
+ *                       path. Categories come from the graph
+ *                       (TaskGraph::resourceCategory).
  * @param scratch        optional buffers for the slack pass
  *                       (ExecScratch::analysis), reused across calls;
  *                       without one the pass allocates its own.
  */
 CriticalPath extractCriticalPath(
     const TaskGraph &graph, const ExecRecord &record,
-    const std::vector<std::string> &resource_names,
+    std::vector<std::string> resource_names,
     ExecScratch *scratch = nullptr);
 
 /**
@@ -130,14 +131,14 @@ struct RecordedRun {
 /**
  * Bundle a finished recording into a shareable RecordedRun: stores the
  * pieces (moving @p resource_names into the path) and extracts the
- * critical path (with @p scratch's buffers, when given). @p graph must
+ * critical path with @p scratch's buffers. @p graph must
  * be the graph @p record came from (use the aliasing shared_ptr
  * constructor to share an owning template).
  */
 std::shared_ptr<const RecordedRun>
 makeRecordedRun(std::shared_ptr<const TaskGraph> graph,
                 std::vector<std::string> resource_names, ExecRecord record,
-                ExecScratch *scratch = nullptr);
+                ExecScratch &scratch);
 
 /**
  * Append the critical chain to @p tracer as a dedicated display lane

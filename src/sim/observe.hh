@@ -41,12 +41,12 @@ namespace lergan {
 /**
  * Fill @p tracer and @p metrics (either may be null) from @p record,
  * which TaskGraph::execute wrote for a run of @p graph. The replay's
- * buffers come from @p scratch (ExecScratch::analysis) when given, so a
- * lane's replays stop allocating; without one they are local.
+ * buffers come from @p scratch (ExecScratch::analysis), so a lane's
+ * replays allocate only when a larger graph comes along.
  */
 void deriveObservers(const TaskGraph &graph, const ExecRecord &record,
                      Tracer *tracer, MetricsRegistry *metrics,
-                     ExecScratch *scratch = nullptr);
+                     ExecScratch &scratch);
 
 } // namespace lergan
 

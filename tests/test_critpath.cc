@@ -89,9 +89,10 @@ toRun(Recorded recorded)
 {
     std::shared_ptr<const TaskGraph> graph(recorded.tmpl,
                                            &recorded.tmpl->graph);
+    ExecScratch scratch;
     return makeRecordedRun(std::move(graph),
                            std::move(recorded.resourceNames),
-                           std::move(recorded.record));
+                           std::move(recorded.record), scratch);
 }
 
 TEST(CritPathGolden, ChainSumsToMakespanOnEveryGridPoint)
@@ -619,9 +620,10 @@ TEST(CritPathRandom, ChainAndIdentityHoldOnSeededGraphs)
 
         ExecRecord copy;
         resimulate(model, model.durations, &copy);
+        ExecScratch scratch;
         const auto run = makeRecordedRun(model.graph,
                                          model.resourceNames,
-                                         std::move(copy));
+                                         std::move(copy), scratch);
         const WhatIfEstimate identity =
             whatIf(*run, identityTransform(*run));
         EXPECT_EQ(identity.makespan, makespan);
@@ -751,9 +753,10 @@ TEST(CritPathRandom, BoundsBracketResimulationUnderDurationTransforms)
         const RandomModel model = makeRandomModel(seed);
         ExecRecord record;
         resimulate(model, model.durations, &record);
+        ExecScratch scratch;
         const auto run = makeRecordedRun(model.graph,
                                          model.resourceNames,
-                                         std::move(record));
+                                         std::move(record), scratch);
         std::mt19937 rng(seed * 977);
         for (int k = 0; k < 4; ++k) {
             WhatIfTransform transform;

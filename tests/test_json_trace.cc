@@ -84,7 +84,8 @@ traceRun(const TaskGraph &graph, ResourcePool &pool, Tracer &tracer)
 {
     ExecRecord record;
     const PicoSeconds makespan = graph.execute(pool, nullptr, &record);
-    deriveObservers(graph, record, &tracer, nullptr);
+    ExecScratch scratch;
+    deriveObservers(graph, record, &tracer, nullptr, scratch);
     return makespan;
 }
 

@@ -133,7 +133,8 @@ TEST_P(RandomDagProperty, OccupancyCountersAreConsistent)
     dag.graph.execute(dag.pool, nullptr, &record);
     Tracer tracer;
     MetricsRegistry metrics;
-    deriveObservers(dag.graph, record, &tracer, &metrics);
+    ExecScratch scratch;
+    deriveObservers(dag.graph, record, &tracer, &metrics, scratch);
 
     // Oracle from the prerequisite lists, independent of the successor
     // CSR the derivation walks: each task's fire and completion

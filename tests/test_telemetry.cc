@@ -155,8 +155,9 @@ expectHistogramHolds(const Histogram &hist, const HistogramBins &bins)
 TEST(DeriveObservers, HistogramsEqualObservingEveryPop)
 {
     // A Table V template, then an all-sources graph (every task ready
-    // at the start, so the depth reaches n) and a 1-task graph, on one
-    // scratch: each replay starts from the counts the last one left.
+    // at the start, so the depth reaches n) and a 1-task graph, each on
+    // a fresh scratch and on one shared scratch, whose replays start
+    // from the counts the last one left.
     LerGanAccelerator accelerator(
         makeBenchmark("DCGAN"), AcceleratorConfig::lerGan(ReplicaDegree::Low));
     const auto tmpl = accelerator.makeIterationTemplate();
@@ -182,10 +183,10 @@ TEST(DeriveObservers, HistogramsEqualObservingEveryPop)
         SCOPED_TRACE(std::to_string(graph->size()) + " tasks");
         const std::array<HistogramBins, 3> want =
             observeEveryPop(*graph, record);
-        for (ExecScratch *buffers :
-             {&scratch, static_cast<ExecScratch *>(nullptr)}) {
+        ExecScratch fresh;
+        for (ExecScratch *buffers : {&scratch, &fresh}) {
             MetricsRegistry metrics;
-            deriveObservers(*graph, record, nullptr, &metrics, buffers);
+            deriveObservers(*graph, record, nullptr, &metrics, *buffers);
             expectHistogramHolds(metrics.histogram("sim.queue.depth"),
                                  want[0]);
             expectHistogramHolds(metrics.histogram("sim.ready.tasks"),
