@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks for the simulator substrate: event
  * queue bulk load, routing, reshape enumeration, the executor's
  * per-task cost over the Table V templates, the post-run metrics replay
- * and critical-path pass over their records, and whole-iteration
- * simulation.
+ * and critical-path pass over their records, one warm sweep point, and
+ * whole-iteration simulation.
  */
 
 #include <benchmark/benchmark.h>
@@ -99,64 +99,58 @@ BM_CompileGan(benchmark::State &state)
 }
 BENCHMARK(BM_CompileGan);
 
-/** A Table V point with its template built and frozen. */
-struct TableVPoint {
-    std::unique_ptr<LerGanAccelerator> acc;
-    std::shared_ptr<const IterationTemplate> tmpl;
-};
-
-/** The 32 Table V points: 8 GANs x {prime, low, middle, high}. */
-const std::vector<TableVPoint> &
-tableVPoints()
+/** The Table V configs: prime, low, middle, high. */
+std::vector<AcceleratorConfig>
+tableVConfigs()
 {
-    static const std::vector<TableVPoint> points = [] {
-        std::vector<TableVPoint> built;
+    return {AcceleratorConfig::prime(),
+            AcceleratorConfig::lerGan(ReplicaDegree::Low),
+            AcceleratorConfig::lerGan(ReplicaDegree::Middle),
+            AcceleratorConfig::lerGan(ReplicaDegree::High)};
+}
+
+/** The 32 Table V templates, built and frozen: 8 GANs x
+ *  {prime, low, middle, high}. */
+const std::vector<std::shared_ptr<const IterationTemplate>> &
+tableVTemplates()
+{
+    static const auto templates = [] {
+        std::vector<std::shared_ptr<const IterationTemplate>> built;
         for (const GanModel &model : allBenchmarks()) {
-            for (const AcceleratorConfig &config :
-                 {AcceleratorConfig::prime(),
-                  AcceleratorConfig::lerGan(ReplicaDegree::Low),
-                  AcceleratorConfig::lerGan(ReplicaDegree::Middle),
-                  AcceleratorConfig::lerGan(ReplicaDegree::High)}) {
-                TableVPoint point;
-                point.acc = std::make_unique<LerGanAccelerator>(model, config);
-                point.tmpl = point.acc->makeIterationTemplate();
-                built.push_back(std::move(point));
-            }
+            for (const AcceleratorConfig &config : tableVConfigs())
+                built.push_back(LerGanAccelerator(model, config)
+                                    .makeIterationTemplate());
         }
         return built;
     }();
-    return points;
+    return templates;
 }
 
 /**
  * Execute-only pass over the 32 Table V templates: every iteration
- * resets each point's pool and executes its frozen graph once,
- * unrecorded (arg 0) or with an ExecRecord attached (arg 1). Templates
+ * executes each frozen graph once on one scratch, unrecorded (arg 0)
+ * or with an ExecRecord attached (arg 1). Templates
  * are built and frozen before timing starts. The ns_per_task counter is
  * the executor's per-task cost, reproducible without perfbench.
  */
 void
 BM_ExecuteTableV(benchmark::State &state)
 {
-    const std::vector<TableVPoint> &points = tableVPoints();
+    const auto &templates = tableVTemplates();
     ExecScratch scratch;
     ExecRecord record;
     ExecRecord *const run = state.range(0) != 0 ? &record : nullptr;
     std::size_t tasks = 0;
-    for (const TableVPoint &point : points) {
-        tasks += point.tmpl->graph.size();
+    for (const auto &tmpl : templates) {
+        tasks += tmpl->graph.size();
         // Freeze and size the scratch and record outside the timing.
-        point.tmpl->graph.execute(point.acc->machine().pool(), &scratch,
-                                  run);
+        tmpl->graph.execute(&scratch, run);
     }
     std::chrono::nanoseconds executing{0};
     for (auto _ : state) {
-        for (const TableVPoint &point : points) {
-            ResourcePool &pool = point.acc->machine().pool();
-            pool.resetAll();
+        for (const auto &tmpl : templates) {
             const auto begin = std::chrono::steady_clock::now();
-            benchmark::DoNotOptimize(
-                point.tmpl->graph.execute(pool, &scratch, run));
+            benchmark::DoNotOptimize(tmpl->graph.execute(&scratch, run));
             executing += std::chrono::steady_clock::now() - begin;
         }
     }
@@ -184,11 +178,9 @@ BM_AnalyzeTableV(benchmark::State &state)
         ExecRecord record;
     };
     std::vector<Recorded> recorded;
-    for (const TableVPoint &point : tableVPoints()) {
-        ResourcePool &pool = point.acc->machine().pool();
-        pool.resetAll();
-        Recorded run{&point.tmpl->graph, point.acc->resourceNames(), {}};
-        run.graph->execute(pool, nullptr, &run.record);
+    for (const auto &tmpl : tableVTemplates()) {
+        Recorded run{&tmpl->graph, *tmpl->resourceNames, {}};
+        run.graph->execute(nullptr, &run.record);
         recorded.push_back(std::move(run));
     }
     ExecScratch scratch;
@@ -211,6 +203,53 @@ BM_AnalyzeTableV(benchmark::State &state)
             benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_AnalyzeTableV)->ArgName("critpath")->Arg(0)->Arg(1);
+
+/**
+ * One warm sweep point, as a sweep lane runs it: preparePoint (both
+ * caches hit) then simulatePoint on the lane's scratch, unobserved,
+ * over the 16 points Table V x {prime, low}. Keys are formatted and
+ * both caches filled before timing starts. The us_per_point counter is
+ * the whole point: cache lookups, execution and report.
+ */
+void
+BM_WarmPointTableV(benchmark::State &state)
+{
+    struct Point {
+        GanModel model;
+        AcceleratorConfig config;
+        std::string key;
+    };
+    std::vector<Point> points;
+    for (const GanModel &model : allBenchmarks()) {
+        for (const AcceleratorConfig &config :
+             {AcceleratorConfig::prime(),
+              AcceleratorConfig::lerGan(ReplicaDegree::Low)})
+            points.push_back({model, config, pairFingerprint(model, config)});
+    }
+    CompiledModelCache cache;
+    MemoCache<IterationTemplate> templates;
+    ExecScratch scratch;
+    const Instrumentation unobserved;
+    const auto runAll = [&] {
+        for (const Point &point : points) {
+            const PreparedPoint prepared = preparePoint(
+                point.model, point.config, point.key, cache, templates);
+            benchmark::DoNotOptimize(
+                simulatePoint(prepared, scratch, 10, unobserved)
+                    .report.iterationTime);
+        }
+    };
+    runAll();
+    for (auto _ : state)
+        runAll();
+    if (templates.misses() != points.size())
+        state.SkipWithError("a timed point missed the template cache");
+    state.counters["us_per_point"] = benchmark::Counter(
+        1e-6 * static_cast<double>(points.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WarmPointTableV);
 
 void
 BM_TrainIteration(benchmark::State &state)

@@ -68,12 +68,12 @@ main(int argc, char **argv)
     tracer.printTimeline(std::cout, args.getInt("timeline"));
 
     std::cout << "\nbusiest resources:\n";
-    printUtilization(std::cout, accelerator.machine().pool(),
-                     report.iterationTime, 10);
+    const std::vector<std::string> &names = *tmpl->resourceNames;
+    printUtilization(std::cout, tmpl->graph, names, report.iterationTime,
+                     10);
 
     // Derived counter tracks: how many transfers are in flight at each
     // instant, and the busiest wire's own busy/idle square wave.
-    const std::vector<std::string> names = accelerator.resourceNames();
     addSpanOccupancyTrack(tracer, TaskKind::Transfer, "ic.xfer.active");
     const std::size_t wire =
         busiestResource(tracer, tmpl->graph, ResourceCategory::Wire);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <initializer_list>
+#include <mutex>
 #include <span>
 
 #include "common/logging.hh"
@@ -15,6 +16,28 @@
 namespace lergan {
 
 namespace {
+
+/**
+ * The one live copy of the name list equal to @p names. Machines built
+ * from configs that differ only in mapping knobs name their resources
+ * alike (the 40 Fig. 19 templates hold two distinct lists), so the
+ * templates share their lists instead of holding a copy each.
+ */
+std::shared_ptr<const std::vector<std::string>>
+sharedNames(const std::vector<std::string> &names)
+{
+    static std::mutex mutex;
+    static std::vector<std::weak_ptr<const std::vector<std::string>>> lists;
+    const std::lock_guard lock(mutex);
+    std::erase_if(lists, [](const auto &list) { return list.expired(); });
+    for (const auto &list : lists) {
+        if (auto live = list.lock(); *live == names)
+            return live;
+    }
+    auto list = std::make_shared<const std::vector<std::string>>(names);
+    lists.push_back(list);
+    return list;
+}
 
 /** Host-CPU time per weight for the SGD update arithmetic (Sec. V:
  *  "some calculations in CPU"; vectorized on a Xeon E5520-class host). */
@@ -207,7 +230,6 @@ class IterationBuilder
     TaskId
     advanceController(TaskId dep)
     {
-        ++out.controllerAdvances;
         const auto switches = controller_.advance();
         ledger.add(Quantity::CtrlTransitions, 1);
         ledger.add(ctrlEnterQuantity(controller_.state()), 1);
@@ -559,13 +581,7 @@ LerGanAccelerator::LerGanAccelerator(
 std::vector<std::string>
 LerGanAccelerator::resourceNames() const
 {
-    const ResourcePool &pool =
-        static_cast<const Machine &>(machine_).pool();
-    std::vector<std::string> names;
-    names.reserve(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i)
-        names.push_back(pool.name(i));
-    return names;
+    return static_cast<const Machine &>(machine_).pool().names();
 }
 
 std::shared_ptr<const IterationTemplate>
@@ -577,6 +593,7 @@ LerGanAccelerator::makeIterationTemplate()
                              controller_, tileModel_, cpuRes_);
     builder.build();
     builder.graph.setResourceCategories(machine_.pool().categories());
+    builder.out.resourceNames = sharedNames(machine_.pool().names());
     return std::make_shared<const IterationTemplate>(std::move(builder.out));
 }
 
@@ -587,8 +604,6 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
                                    ExecRecord *record)
 {
     LERGAN_ASSERT(n > 0, "need at least one iteration");
-    if (tracer)
-        tracer->clear();
     // The rebuild path is replay of a just-built template, so both
     // paths produce byte-identical results by construction.
     std::shared_ptr<const IterationTemplate> own;
@@ -596,20 +611,23 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
         own = makeIterationTemplate();
         tmpl = own.get();
     }
+    const PicoSeconds makespan =
+        runIteration(*tmpl, scratch_, tracer, metrics, record);
+    return assembleReport(model_, config_, *compiled_, *tmpl, n, makespan);
+}
 
-    machine_.resetResources();
-    // Replay the controller FSM (energy and counters of the switches
-    // are already in the ledger) so the accelerator ends an iteration in
-    // the same state regardless of which path ran it.
-    controller_.reset();
-    for (int i = 0; i < tmpl->controllerAdvances; ++i)
-        controller_.advance();
+PicoSeconds
+runIteration(const IterationTemplate &tmpl, ExecScratch &scratch,
+             Tracer *tracer, MetricsRegistry *metrics, ExecRecord *record)
+{
+    if (tracer)
+        tracer->clear();
     if (metrics) {
         for (std::size_t i = kFirstCounter; i < kNumQuantities; ++i) {
             const auto q = static_cast<Quantity>(i);
-            if (tmpl->ledger.has(q))
+            if (tmpl.ledger.has(q))
                 metrics->counter(quantityName(q))
-                    .add(static_cast<std::uint64_t>(tmpl->ledger.value(q)));
+                    .add(static_cast<std::uint64_t>(tmpl.ledger.value(q)));
         }
     }
 
@@ -618,25 +636,26 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
     // that wants only those records into the scratch's reusable one.
     ExecRecord *run = record;
     if (!run && (tracer || metrics))
-        run = &scratch().observerRecord();
-    const PicoSeconds makespan =
-        tmpl->graph.execute(machine_.pool(), &scratch(), run);
+        run = &scratch.observerRecord();
+    const PicoSeconds makespan = tmpl.graph.execute(&scratch, run);
     if (run)
-        deriveObservers(tmpl->graph, *run, tracer, metrics, scratch());
+        deriveObservers(tmpl.graph, *run, tracer, metrics, scratch);
     if (metrics) {
         metrics->counter("sim.iterations").add(1);
-        recordPoolMetrics(machine_.pool(), *metrics);
+        recordPoolMetrics(tmpl.graph, scratch, *metrics);
     }
-    return assembleReport(*tmpl, n, makespan);
+    return makespan;
 }
 
 TrainingReport
-LerGanAccelerator::assembleReport(const IterationTemplate &tmpl, int n,
-                                  PicoSeconds iteration_time) const
+assembleReport(const GanModel &model, const AcceleratorConfig &config,
+               const CompiledGan &compiled, const IterationTemplate &tmpl,
+               int n, PicoSeconds iteration_time)
 {
+    LERGAN_ASSERT(n > 0, "need at least one iteration");
     TrainingReport report;
-    report.benchmark = model_.name;
-    report.config = config_.label();
+    report.benchmark = model.name;
+    report.config = config.label();
     report.iterationTime = iteration_time;
     tmpl.ledger.foldInto(report.stats);
     report.stats.set("sim.tasks", static_cast<double>(tmpl.graph.size()));
@@ -645,15 +664,15 @@ LerGanAccelerator::assembleReport(const IterationTemplate &tmpl, int n,
     // post-run mutation of any component (audit/audit.hh).
     report.stats.set("audit.energy_total_pj",
                      report.stats.sumPrefix("energy."));
-    report.crossbarsUsed = compiled_->crossbarsUsed;
-    report.compileMs = compiled_->compileMs;
-    report.compileMsTraditional = compiled_->compileMsTraditional;
-    if (compiled_->faultImpact.active) {
+    report.crossbarsUsed = compiled.crossbarsUsed;
+    report.compileMs = compiled.compileMs;
+    report.compileMsTraditional = compiled.compileMsTraditional;
+    if (compiled.faultImpact.active) {
         // Degradation accounting rides the normal stats channel so the
         // sweep exporters and the Monte Carlo aggregator see it without
         // a side channel. Healthy runs emit nothing (byte-identical
         // reports with the fault-unaware simulator).
-        const FaultImpact &impact = compiled_->faultImpact;
+        const FaultImpact &impact = compiled.faultImpact;
         report.stats.set("fault.killed_tiles",
                          static_cast<double>(impact.killedTiles));
         report.stats.set("fault.dead_crossbars",
@@ -672,18 +691,14 @@ LerGanAccelerator::assembleReport(const IterationTemplate &tmpl, int n,
 }
 
 TrainingReport
-LerGanAccelerator::estimateIterations(int n, const IterationTemplate *tmpl,
-                                      PicoSeconds per_iteration)
+estimateReport(const GanModel &model, const AcceleratorConfig &config,
+               const CompiledGan &compiled, const IterationTemplate &tmpl,
+               int n, PicoSeconds per_iteration)
 {
-    LERGAN_ASSERT(n > 0, "need at least one iteration");
-    std::shared_ptr<const IterationTemplate> own;
-    if (!tmpl) {
-        own = makeIterationTemplate();
-        tmpl = own.get();
-    }
     // Everything but the makespan is a build-time fact of the template;
     // only the timing channel carries the analytic estimate.
-    TrainingReport report = assembleReport(*tmpl, n, per_iteration);
+    TrainingReport report =
+        assembleReport(model, config, compiled, tmpl, n, per_iteration);
     report.stats.set("critpath.estimated", 1.0);
     return report;
 }

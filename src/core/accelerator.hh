@@ -3,9 +3,12 @@
  * The LerGAN accelerator model (paper Sec. V, evaluated in Sec. VI).
  *
  * Combines the compiled mapping, the machine (CU pair + resources) and
- * the memory-controller FSM, lowers one full training iteration
- * (discriminator step then generator step, Fig. 13a/13b) into a task DAG
- * and executes it on the event simulator.
+ * the memory-controller FSM and lowers one full training iteration
+ * (discriminator step then generator step, Fig. 13a/13b) into a task DAG,
+ * the IterationTemplate. The machine is needed only for that lowering:
+ * runIteration() executes a template on the event simulator with
+ * nothing but a scratch, so a sweep builds an accelerator only when its
+ * template cache misses.
  *
  * The same class simulates every PIM configuration of the evaluation:
  * LerGAN is (3D, ZFDR); the PRIME baseline is (H-tree, normal reshape);
@@ -39,21 +42,81 @@ namespace lergan {
  * metric counters) of one iteration are a pure function of (model,
  * config): build them once, replay them for every run of that pair.
  * The frozen graph is immutable and safe to execute concurrently; the
- * per-run mutable state lives in the executing accelerator.
+ * per-run mutable state lives in the scratch each run executes on.
  *
- * Resource ids inside the graph index into the machine's pool, which is
- * constructed deterministically from the configuration — a template
- * built by one accelerator is valid for any accelerator of the same
- * (model, config) pair, which is what makes a shared cache sound
- * (keyed by pairFingerprint, see core/sweep.hh).
+ * Resource ids inside the graph index into the pool of the machine that
+ * built it, which is constructed deterministically from the
+ * configuration; the template keeps that pool's names and (in the
+ * graph) its categories, so nothing of the machine is needed to run,
+ * analyse or report it. This is what makes a shared cache sound (keyed
+ * by pairFingerprint, see core/sweep.hh).
  */
 struct IterationTemplate {
     TaskGraph graph;
     /** Build-time energies, traffic and metric counters. */
     BuildLedger ledger;
-    /** Controller advances per iteration (replayed for FSM fidelity). */
-    int controllerAdvances = 0;
+    /** The building machine's resource names, indexed by resource id
+     *  (critical-path recording names binding resources by them). One
+     *  list is shared by every template whose machine names its
+     *  resources alike. */
+    std::shared_ptr<const std::vector<std::string>> resourceNames;
 };
+
+/**
+ * Run one iteration of @p tmpl on @p scratch: the one run path of sweep
+ * points, sessions and LerGanAccelerator::trainIterations. Every
+ * observer is optional:
+ *
+ * @param tracer  receives the iteration's task intervals and occupancy
+ *                counter tracks (cleared first), what a Chrome trace
+ *                exports. Its events take their kind, phase and label
+ *                from the graph's identity table, which the tracer
+ *                keeps alive.
+ * @param metrics accumulates the template's ledger counters and
+ *                sim-time telemetry (queue depth, resource contention);
+ *                only integer instruments are used, so totals are
+ *                independent of how many runs share the registry
+ *                concurrently.
+ * @param record  filled with the execution's record (binding
+ *                predecessors, reservation and pop order —
+ *                sim/exec_record.hh) for critical-path analysis and the
+ *                audit. The tracer and the sim.* metrics are derived
+ *                from the record after the run (sim/observe.hh); without
+ *                one, a run that has either records into the scratch's
+ *                reusable record instead. Recording never changes
+ *                results, traces or metrics.
+ * @return the iteration's makespan.
+ */
+PicoSeconds runIteration(const IterationTemplate &tmpl, ExecScratch &scratch,
+                         Tracer *tracer, MetricsRegistry *metrics,
+                         ExecRecord *record);
+
+/**
+ * The per-iteration report of an @p n-iteration run of @p tmpl, built
+ * for (@p model, @p config) with mapping @p compiled, that took
+ * @p iteration_time per iteration. Iterations are identical in steady
+ * state, so counters are reported per iteration and scaled by @p n in
+ * "total.*" keys.
+ */
+TrainingReport assembleReport(const GanModel &model,
+                              const AcceleratorConfig &config,
+                              const CompiledGan &compiled,
+                              const IterationTemplate &tmpl, int n,
+                              PicoSeconds iteration_time);
+
+/**
+ * The report assembleReport() gives with the event simulation replaced
+ * by the analytic makespan estimate @p per_iteration (e.g. a
+ * makespanBounds() upper bound). All energies are build-time facts of
+ * the template, so they are exact; only the timing is an estimate. The
+ * report carries "critpath.estimated" = 1 so exports can tell estimated
+ * points from simulated ones. Bound-pruned sweep points use this.
+ */
+TrainingReport estimateReport(const GanModel &model,
+                              const AcceleratorConfig &config,
+                              const CompiledGan &compiled,
+                              const IterationTemplate &tmpl, int n,
+                              PicoSeconds per_iteration);
 
 /** A GAN mapped onto one PIM configuration, ready to simulate. */
 class LerGanAccelerator
@@ -68,9 +131,9 @@ class LerGanAccelerator
      * compile; it must be the result of compileGan(model, config).
      *
      * The compiled mapping is immutable and may be shared by several
-     * accelerators simulating concurrently on different threads; all
-     * mutable simulation state (machine, resources, controller, route
-     * cache) is per-accelerator.
+     * accelerators simulating concurrently on different threads; the
+     * machine, controller, route cache and executor scratch are
+     * per-accelerator.
      */
     LerGanAccelerator(const GanModel &model, AcceleratorConfig config,
                       std::shared_ptr<const CompiledGan> compiled = nullptr);
@@ -89,36 +152,16 @@ class LerGanAccelerator
 
     /**
      * Simulate @p n training iterations (the paper times ten and
-     * averages). Iterations are identical in steady state, so this
-     * simulates one and reports per-iteration numbers with counters
-     * scaled by @p n in "total.*" keys. Every observer is optional:
+     * averages): runIteration() of @p tmpl on the accelerator's own
+     * scratch, reported by assembleReport(). The observers are
+     * runIteration()'s.
      *
-     * @param tracer  receives the simulated iteration's task intervals
-     *                and occupancy counter tracks (cleared first), what
-     *                a Chrome trace exports. Its events take their
-     *                kind, phase and label from the template graph's
-     *                identity table, which the tracer keeps alive.
-     * @param metrics accumulates sim-time telemetry (queue depth,
-     *                per-link flit traffic, controller transitions,
-     *                resource contention); only integer instruments are
-     *                used, so totals are independent of how many runs
-     *                share the registry concurrently.
-     * @param tmpl    replayed instead of rebuilding the iteration DAG —
-     *                the fast path of repeated sweeps. It must come from
-     *                makeIterationTemplate() of an accelerator with the
-     *                same (model, config) pair; results, traces and
-     *                metrics are identical to the rebuild path by
-     *                construction (the rebuild path itself builds a
-     *                template and replays it once).
-     * @param record  filled with the execution's record (binding
-     *                predecessors, reservation and pop order —
-     *                sim/exec_record.hh) for critical-path analysis and
-     *                the audit. The tracer and the sim.* metrics are
-     *                derived from the record after the run
-     *                (sim/observe.hh); without one, a run that has
-     *                either records into the scratch's reusable record
-     *                instead. Recording never changes results, traces or
-     *                metrics.
+     * @param tmpl replayed instead of rebuilding the iteration DAG. It
+     *             must come from makeIterationTemplate() of an
+     *             accelerator with the same (model, config) pair;
+     *             results, traces and metrics are identical to the
+     *             rebuild path by construction (the rebuild path builds
+     *             a template and replays it once).
      */
     TrainingReport trainIterations(int n = 1, Tracer *tracer = nullptr,
                                    MetricsRegistry *metrics = nullptr,
@@ -126,41 +169,11 @@ class LerGanAccelerator
                                    ExecRecord *record = nullptr);
 
     /**
-     * The report trainIterations(n, ..., tmpl) would produce, with the
-     * event simulation replaced by the analytic makespan estimate
-     * @p per_iteration (e.g. a makespanBounds() upper bound). All
-     * energies are build-time facts of the template, so they are exact;
-     * only the timing is an estimate. The report carries
-     * "critpath.estimated" = 1 so exports can tell estimated points
-     * from simulated ones. Bound-pruned sweep points use this.
-     */
-    TrainingReport estimateIterations(int n, const IterationTemplate *tmpl,
-                                      PicoSeconds per_iteration);
-
-    /**
      * Compile one training iteration into a replayable template (see
-     * IterationTemplate). Pure with respect to simulation results: the
-     * machine's mutable state is untouched except the route cache and
-     * the controller (which every run resets anyway).
+     * IterationTemplate). Resets the controller and fills the route
+     * cache; nothing else of the accelerator changes.
      */
     std::shared_ptr<const IterationTemplate> makeIterationTemplate();
-
-    /**
-     * Execute with @p scratch instead of the accelerator's own
-     * buffers (nullptr reverts). Sweep workers point every short-lived
-     * accelerator they construct at their lane's long-lived arena, so
-     * steady-state sweeps reuse the event calendar and counter buffers
-     * across points instead of reallocating per accelerator. The
-     * scratch must outlive the runs and must not be shared with a
-     * concurrent execution.
-     */
-    void useScratch(ExecScratch *scratch) { externalScratch_ = scratch; }
-
-    /** The buffers runs execute on: useScratch()'s, else the own. */
-    ExecScratch &scratch()
-    {
-        return externalScratch_ ? *externalScratch_ : scratch_;
-    }
 
     const CompiledGan &compiled() const { return *compiled_; }
     const GanModel &model() const { return model_; }
@@ -168,11 +181,6 @@ class LerGanAccelerator
     Machine &machine() { return machine_; }
 
   private:
-    /** Assemble the per-iteration report of an @p n-iteration run from
-     *  a template plus the (real or estimated) timing outcome. */
-    TrainingReport assembleReport(const IterationTemplate &tmpl, int n,
-                                  PicoSeconds iteration_time) const;
-
     GanModel model_;
     AcceleratorConfig config_;
     std::shared_ptr<const CompiledGan> compiled_;
@@ -183,8 +191,6 @@ class LerGanAccelerator
     std::size_t cpuRes_;
     /** Reusable executor buffers (near-zero allocation on replay). */
     ExecScratch scratch_;
-    /** When set, runs use this arena instead of scratch_. */
-    ExecScratch *externalScratch_ = nullptr;
 };
 
 } // namespace lergan

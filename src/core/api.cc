@@ -16,7 +16,8 @@ SimulationSession::SimulationSession(AcceleratorConfig config)
 
 SimulationSession::SimulationSession(
     AcceleratorConfig config, std::shared_ptr<CompiledModelCache> cache)
-    : config_(std::move(config)), cache_(std::move(cache)),
+    : config_(std::move(config)), configKey_(configFingerprint(config_)),
+      cache_(std::move(cache)),
       templates_(std::make_shared<MemoCache<IterationTemplate>>())
 {
 }
@@ -33,6 +34,7 @@ SimulationSession::withFaults(const FaultConfig &faults)
 {
     faults.checkUsable();
     config_.faults = faults;
+    configKey_ = configFingerprint(config_);
     return *this;
 }
 
@@ -76,8 +78,12 @@ SimulationSession::runPoint(const GanModel &model, int iterations,
         root->attr("benchmark", model.name);
         root->attr("iterations", static_cast<std::int64_t>(iterations));
     }
-    PreparedPoint point = preparePoint(model, config_, *cache_, *templates_);
-    return simulatePoint(point, iterations, instruments);
+    const PreparedPoint point =
+        preparePoint(model, config_, pairFingerprint(modelFingerprint(model),
+                                                     configKey_),
+                     *cache_, *templates_);
+    ExecScratch scratch;
+    return simulatePoint(point, scratch, iterations, instruments);
 }
 
 TrainingReport

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "audit/audit.hh"
 #include "core/accelerator.hh"
@@ -60,7 +61,7 @@ namespace lergan {
  *
  * Thread safety: run() may be called concurrently from several threads;
  * the cache serializes compilation per (model, config) pair and every
- * run simulates on its own private machine state.
+ * run simulates on its own scratch.
  *
  * User errors (an unusable configuration, see
  * AcceleratorConfig::checkUsable, or fewer than one iteration) surface
@@ -195,6 +196,8 @@ class SimulationSession
                          const Instrumentation &instruments) const;
 
     AcceleratorConfig config_;
+    /** configFingerprint(config_), formatted whenever config_ changes. */
+    std::string configKey_;
     std::shared_ptr<CompiledModelCache> cache_;
     std::shared_ptr<MemoCache<IterationTemplate>> templates_;
     Instrumentation instruments_;

@@ -3,9 +3,9 @@
  * Hardware instantiation: the CU pair, its resources, and routing.
  *
  * A Machine owns the topology (six banks as two 3DCUs or six plain
- * H-tree banks on a bus), the FIFO resource pool (wires, switches, tile
- * compute pipelines) and a route cache. The accelerator builds task
- * graphs against it.
+ * H-tree banks on a bus), the resource pool (the names and categories
+ * of the wires, switches and tile compute pipelines) and a route cache.
+ * The accelerator builds task graphs against it; runs need none of it.
  */
 
 #ifndef LERGAN_CORE_MACHINE_HH
@@ -54,9 +54,6 @@ class Machine
 
     /** Area accounting of the interconnect (Sec. VI-E overhead). */
     AreaModel area() const;
-
-    /** Reset all resources for a fresh simulation run. */
-    void resetResources() { pool_.resetAll(); }
 
   private:
     AcceleratorConfig config_;

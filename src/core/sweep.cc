@@ -14,21 +14,19 @@ namespace lergan {
 
 PreparedPoint
 preparePoint(const GanModel &model, const AcceleratorConfig &config,
-             CompiledModelCache &cache,
-             MemoCache<IterationTemplate> &templates, ExecScratch *scratch)
+             const std::string &key, CompiledModelCache &cache,
+             MemoCache<IterationTemplate> &templates)
 {
     config.checkUsable();
     // Validated compile: every mapping entering the cache passes
     // validateMapping, with full diagnostics on failure
     // (core/validate.hh), so the accelerator skips re-validating it.
     PreparedPoint point;
-    // One key for both caches: the fingerprint is ~1 KB of text, so it
-    // is built once per point.
-    const std::string key = pairFingerprint(model, config);
-    std::shared_ptr<const CompiledGan> compiled;
+    point.model = &model;
+    point.config = &config;
     {
         Span span("compile");
-        compiled = cache.get(
+        point.compiled = cache.get(
             key,
             [&] {
                 return std::make_shared<const CompiledGan>(
@@ -37,58 +35,58 @@ preparePoint(const GanModel &model, const AcceleratorConfig &config,
             &point.cacheHit);
         span.attr("cache_hit", point.cacheHit);
     }
-    point.accelerator = std::make_unique<LerGanAccelerator>(
-        model, config, std::move(compiled),
-        LerGanAccelerator::Prevalidated{});
-    point.accelerator->useScratch(scratch);
     // The iteration DAG is a pure function of (model, config): lower it
-    // once per pair, replay it for every later run of the pair.
+    // once per pair, on a machine built for the purpose, and replay it
+    // for every later run of the pair.
     {
         Span span("template");
         point.tmpl = templates.get(key, [&] {
-            return point.accelerator->makeIterationTemplate();
+            return LerGanAccelerator(model, config, point.compiled,
+                                     LerGanAccelerator::Prevalidated{})
+                .makeIterationTemplate();
         });
     }
     return point;
 }
 
 SweepResult
-simulatePoint(PreparedPoint &point, int iterations,
-              const Instrumentation &instruments)
+simulatePoint(const PreparedPoint &point, ExecScratch &scratch,
+              int iterations, const Instrumentation &instruments)
 {
-    LerGanAccelerator &accelerator = *point.accelerator;
+    const IterationTemplate &tmpl = *point.tmpl;
     const bool audit = instruments.audit.enabled;
     MetricsRegistry *metrics = instruments.telemetry.get();
     // The audit reads the run's record: the critical path's when that
     // is recorded, else the scratch's reusable one.
     ExecRecord critpathRecord;
     ExecRecord *record = instruments.critpath ? &critpathRecord
-                         : audit ? &accelerator.scratch().observerRecord()
-                                 : nullptr;
+                         : audit             ? &scratch.observerRecord()
+                                             : nullptr;
     SweepResult result;
     {
         Span span("simulate");
-        result.report = accelerator.trainIterations(
-            iterations, nullptr, metrics, point.tmpl.get(), record);
+        const PicoSeconds makespan =
+            runIteration(tmpl, scratch, nullptr, metrics, record);
+        result.report = assembleReport(*point.model, *point.config,
+                                       *point.compiled, tmpl, iterations,
+                                       makespan);
     }
     if (instruments.critpath) {
         // The record is only meaningful against the graph it was taken
         // from, so the RecordedRun shares ownership of the template.
         result.report.critpath = makeRecordedRun(
-            std::shared_ptr<const TaskGraph>(point.tmpl, &point.tmpl->graph),
-            accelerator.resourceNames(), std::move(critpathRecord),
-            accelerator.scratch());
+            std::shared_ptr<const TaskGraph>(point.tmpl, &tmpl.graph),
+            *tmpl.resourceNames, std::move(critpathRecord), scratch);
         if (metrics)
             metrics->counter("critpath.records").add(1);
     }
-    result.crossbarsUsed = accelerator.compiled().crossbarsUsed;
-    result.oversubscribed = accelerator.compiled().oversubscribedCrossbars;
+    result.crossbarsUsed = point.compiled->crossbarsUsed;
+    result.oversubscribed = point.compiled->oversubscribedCrossbars;
     if (audit) {
         Span span("audit");
         result.audit = AuditContext().run(
-            {&accelerator.model(), &accelerator.config(),
-             &accelerator.compiled(), &result.report, nullptr,
-             &point.tmpl->graph,
+            {point.model, point.config, point.compiled.get(),
+             &result.report, nullptr, &tmpl.graph,
              instruments.critpath ? &result.report.critpath->record
                                   : record});
         span.attr("clean", result.audit.ok());
@@ -108,6 +106,7 @@ ExperimentSweep &
 ExperimentSweep::addBenchmark(const GanModel &model)
 {
     models_.push_back(model);
+    modelKeys_.push_back(modelFingerprint(model));
     return *this;
 }
 
@@ -115,7 +114,7 @@ ExperimentSweep &
 ExperimentSweep::addConfig(const std::string &label,
                            const AcceleratorConfig &config)
 {
-    configs_.emplace_back(label, config);
+    configs_.push_back({label, config, configFingerprint(config)});
     return *this;
 }
 
@@ -123,7 +122,8 @@ ExperimentSweep &
 ExperimentSweep::addPoint(const GanModel &model, const std::string &label,
                           const AcceleratorConfig &config)
 {
-    extraPoints_.push_back({model, label, config});
+    extraPoints_.push_back({model, label, config,
+                            pairFingerprint(model, config)});
     return *this;
 }
 
@@ -175,6 +175,9 @@ ExperimentSweep::run(const RunOptions &options) const
         const GanModel *model;
         const std::string *label;
         const AcceleratorConfig *config;
+        /** pairFingerprint(*model, *config), joined from the halves
+         *  formatted when they were added. */
+        std::string key;
         /** First-config grid point: the pruning reference, always
          *  simulated fully. */
         bool baseline = false;
@@ -184,14 +187,19 @@ ExperimentSweep::run(const RunOptions &options) const
     };
     std::vector<Point> points;
     points.reserve(pointCount());
-    for (const GanModel &model : models_) {
+    for (std::size_t m = 0; m < models_.size(); ++m) {
         for (std::size_t c = 0; c < configs_.size(); ++c) {
-            points.push_back({&model, &configs_[c].first,
-                              &configs_[c].second, c == 0, c != 0});
+            const GridConfig &config = configs_[c];
+            points.push_back(
+                {&models_[m], &config.label, &config.config,
+                 pairFingerprint(modelKeys_[m], config.key), c == 0,
+                 c != 0});
         }
     }
-    for (const ExplicitPoint &extra : extraPoints_)
-        points.push_back({&extra.model, &extra.label, &extra.config});
+    for (const ExplicitPoint &extra : extraPoints_) {
+        points.push_back(
+            {&extra.model, &extra.label, &extra.config, extra.key});
+    }
     LERGAN_ASSERT(!points.empty(),
                   "sweep needs at least one benchmark and one config");
     if (options.iterations < 1) {
@@ -215,8 +223,9 @@ ExperimentSweep::run(const RunOptions &options) const
 
     // One executor scratch per worker lane, reused across every point
     // that lane runs (and across the pruning path's two batches): the
-    // calendar and counter buffers grow to the largest graph once, then
-    // steady-state points allocate none. Each lane is one thread
+    // calendar, counter and per-resource buffers grow to the largest
+    // graph once, then steady-state points allocate none; each run
+    // resets what it reads, so no point sees the one before it. Each lane is one thread
     // (parallelFor), so indexing by lane is race-free.
     const unsigned workerCount =
         options.threads == 0 ? defaultThreadCount()
@@ -232,10 +241,8 @@ ExperimentSweep::run(const RunOptions &options) const
         // of this is inert (one TL load per scope) when untraced.
         annotate("benchmark", point.model->name);
         annotate("config", *point.label);
-        PreparedPoint prepared = preparePoint(
-            *point.model, *point.config, *cache_, *templates_,
-            &scratch[lane]);
-        LerGanAccelerator &accelerator = *prepared.accelerator;
+        const PreparedPoint prepared = preparePoint(
+            *point.model, *point.config, point.key, *cache_, *templates_);
         SweepResult &result = results[i];
 
         const auto recordHostTelemetry = [&] {
@@ -250,9 +257,9 @@ ExperimentSweep::run(const RunOptions &options) const
         if (pruning_ && point.prunable) {
             const auto base = baselineTime.find(point.model->name);
             if (base != baselineTime.end()) {
-                const MakespanBounds bounds = makespanBounds(
-                    prepared.tmpl->graph,
-                    accelerator.machine().pool().size());
+                const MakespanBounds bounds =
+                    makespanBounds(prepared.tmpl->graph,
+                                   prepared.tmpl->resourceNames->size());
                 if (bounds.provenFasterThan(base->second) ||
                     bounds.provenSlowerThan(base->second)) {
                     // The bracket already decides which side of the
@@ -263,13 +270,12 @@ ExperimentSweep::run(const RunOptions &options) const
                     // stay exact). No execution, so no audit or record.
                     Span span("estimate");
                     span.attr("pruned", true);
-                    result.report = accelerator.estimateIterations(
-                        options.iterations, prepared.tmpl.get(),
-                        bounds.upper);
-                    result.crossbarsUsed =
-                        accelerator.compiled().crossbarsUsed;
+                    result.report = estimateReport(
+                        *point.model, *point.config, *prepared.compiled,
+                        *prepared.tmpl, options.iterations, bounds.upper);
+                    result.crossbarsUsed = prepared.compiled->crossbarsUsed;
                     result.oversubscribed =
-                        accelerator.compiled().oversubscribedCrossbars;
+                        prepared.compiled->oversubscribedCrossbars;
                     if (metrics)
                         metrics->counter("critpath.pruned").add(1);
                     recordHostTelemetry();
@@ -278,7 +284,8 @@ ExperimentSweep::run(const RunOptions &options) const
             }
         }
 
-        result = simulatePoint(prepared, options.iterations, instruments_);
+        result = simulatePoint(prepared, scratch[lane], options.iterations,
+                               instruments_);
         if (pruning_ && metrics)
             metrics->counter("critpath.simulated").add(1);
         recordHostTelemetry();

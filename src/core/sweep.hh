@@ -8,11 +8,16 @@
  * comparisons and get JSON/CSV out (core/sweep_io.hh).
  *
  * Points execute on worker lanes (RunOptions::threads) with the
- * compiled mapping of every (model, config) pair cached across run()
- * calls. Results are always ordered benchmark-major regardless of which
- * worker finishes first, and a point that throws is reported as a
- * failed SweepResult instead of aborting the grid, so a 1-thread and an
- * N-thread run of the same grid export byte-identical JSON/CSV.
+ * compiled mapping and the iteration template of every (model, config)
+ * pair cached across run() calls, under a key joined from the
+ * fingerprints formatted when the model and the config were added. A
+ * point whose template is cached builds nothing — no accelerator, no
+ * machine, no fingerprint — and runs the template on its lane's
+ * scratch. Results are always ordered benchmark-major
+ * regardless of which worker finishes first, and a point that throws
+ * is reported as a failed SweepResult instead of aborting the grid, so
+ * a 1-thread and an N-thread run of the same grid export
+ * byte-identical JSON/CSV.
  */
 
 #ifndef LERGAN_CORE_SWEEP_HH
@@ -97,7 +102,10 @@ struct Instrumentation {
 
 /** A point compiled and lowered to its iteration template. */
 struct PreparedPoint {
-    std::unique_ptr<LerGanAccelerator> accelerator;
+    /** The point's model and config; the caller keeps them alive. */
+    const GanModel *model = nullptr;
+    const AcceleratorConfig *config = nullptr;
+    std::shared_ptr<const CompiledGan> compiled;
     std::shared_ptr<const IterationTemplate> tmpl;
     /** Whether the compile was served from the cache. */
     bool cacheHit = false;
@@ -113,25 +121,27 @@ struct PreparedPoint {
  * Check @p config (std::invalid_argument when unusable), compile
  * @p model through @p cache under a "compile" span (validated once on
  * a miss, never re-validated on a hit) and fetch its iteration template
- * from @p templates under a "template" span. Both caches take the same
- * key, pairFingerprint(model, config), computed once. The accelerator
- * executes on @p scratch when non-null.
+ * from @p templates under a "template" span. Both caches take @p key,
+ * pairFingerprint(model, config). Only a template miss constructs a
+ * LerGanAccelerator (and with it a Machine), to build the template.
  */
 PreparedPoint preparePoint(const GanModel &model,
                            const AcceleratorConfig &config,
+                           const std::string &key,
                            CompiledModelCache &cache,
-                           MemoCache<IterationTemplate> &templates,
-                           ExecScratch *scratch = nullptr);
+                           MemoCache<IterationTemplate> &templates);
 
 /**
- * Simulate @p point for @p iterations under a "simulate" span,
- * recorded into report.critpath when @p instruments asks for the
- * critical path, then audited over the graph and the record under an
- * "audit" span when auditing is on. Fills report, crossbarsUsed,
- * oversubscribed and audit of the returned result.
+ * Simulate @p point for @p iterations on @p scratch under a
+ * "simulate" span (runIteration, then assembleReport), recorded into
+ * report.critpath when @p instruments asks for the critical path, then
+ * audited over the graph and the record under an "audit" span when
+ * auditing is on. Fills report, crossbarsUsed, oversubscribed and audit
+ * of the returned result. @p scratch must not be in use by a
+ * concurrent run.
  */
-SweepResult simulatePoint(PreparedPoint &point, int iterations,
-                          const Instrumentation &instruments);
+SweepResult simulatePoint(const PreparedPoint &point, ExecScratch &scratch,
+                          int iterations, const Instrumentation &instruments);
 ///@}
 
 /** A grid of benchmarks x configurations (plus explicit extra points). */
@@ -253,19 +263,30 @@ class ExperimentSweep
      * The per-iteration DAG template cache shared by every run() of
      * this sweep, keyed by pairFingerprint like the compiled-model
      * cache: each (model, config) pair lowers its training iteration
-     * to a task graph once, and every run of the pair replays it.
+     * to a task graph once, and every run of the pair replays it
+     * without building an accelerator.
      */
     MemoCache<IterationTemplate> &templates() const { return *templates_; }
 
   private:
+    /** A grid config with its display label and fingerprint. */
+    struct GridConfig {
+        std::string label;
+        AcceleratorConfig config;
+        std::string key;
+    };
     struct ExplicitPoint {
         GanModel model;
         std::string label;
         AcceleratorConfig config;
+        /** pairFingerprint(model, config). */
+        std::string key;
     };
 
     std::vector<GanModel> models_;
-    std::vector<std::pair<std::string, AcceleratorConfig>> configs_;
+    /** modelFingerprint of each of models_, formatted when added. */
+    std::vector<std::string> modelKeys_;
+    std::vector<GridConfig> configs_;
     std::vector<ExplicitPoint> extraPoints_;
     std::shared_ptr<CompiledModelCache> cache_;
     std::shared_ptr<MemoCache<IterationTemplate>> templates_;

@@ -71,9 +71,19 @@ configFingerprint(const AcceleratorConfig &config)
 }
 
 std::string
+pairFingerprint(std::string_view model_fingerprint,
+                std::string_view config_fingerprint)
+{
+    std::string key;
+    key.reserve(model_fingerprint.size() + 2 + config_fingerprint.size());
+    key.append(model_fingerprint).append("##").append(config_fingerprint);
+    return key;
+}
+
+std::string
 pairFingerprint(const GanModel &model, const AcceleratorConfig &config)
 {
-    return modelFingerprint(model) + "##" + configFingerprint(config);
+    return pairFingerprint(modelFingerprint(model), configFingerprint(config));
 }
 
 } // namespace lergan

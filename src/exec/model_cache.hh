@@ -11,9 +11,11 @@
  * per use.
  *
  * CompiledModelCache is the generic MemoCache (exec/memo_cache.hh) over
- * CompiledGan; the caller computes the key once per point and uses it
- * for the per-iteration DAG templates (core/sweep.hh) too, so
- * everything derived from a (model, config) pair shares one identity.
+ * CompiledGan; the caller formats each model's and each config's
+ * fingerprint once, pairs them into a point's key by concatenation and
+ * uses that key for the per-iteration DAG templates (core/sweep.hh)
+ * too, so everything derived from a (model, config) pair shares one
+ * identity.
  * The compile step is the caller's build callback, which keeps this
  * module below core in the library stack (exec does not link the
  * compiler).
@@ -23,6 +25,7 @@
 #define LERGAN_EXEC_MODEL_CACHE_HH
 
 #include <string>
+#include <string_view>
 
 #include "core/compiler.hh"
 #include "exec/memo_cache.hh"
@@ -38,6 +41,12 @@ std::string configFingerprint(const AcceleratorConfig &config);
 /** The cache key of a (model, config) pair. */
 std::string pairFingerprint(const GanModel &model,
                             const AcceleratorConfig &config);
+
+/** The same key from the two halves, formatted earlier: a
+ *  concatenation, for callers that fingerprint each model and config
+ *  once and pair them many times. */
+std::string pairFingerprint(std::string_view model_fingerprint,
+                            std::string_view config_fingerprint);
 
 /** Shared store of compiled (model, config) mappings, keyed by
  *  pairFingerprint. */

@@ -78,8 +78,7 @@ struct ExecRecord {
 
     std::vector<PicoSeconds> start;
     std::vector<PicoSeconds> end;
-    /** Binding predecessor task (kNoTask32 when None, or when the
-     *  binding resource came in occupied from an earlier run). */
+    /** Binding predecessor task (kNoTask32 when None). */
     std::vector<std::uint32_t> bindingPred;
     std::vector<BindingKind> bindingKind;
     /** Resource the task queued on when bindingKind == Resource. */

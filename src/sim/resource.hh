@@ -1,6 +1,6 @@
 /**
  * @file
- * The machine's serially-occupied hardware resources, as flat columns.
+ * The machine's serially-occupied hardware resources: their identity.
  *
  * A resource models one serially-occupied unit of hardware (a tile's MMV
  * pipeline, one interconnect link). Tasks reserve an interval starting no
@@ -8,22 +8,21 @@
  * this yields first-come-first-served contention without modeling
  * per-cycle arbitration.
  *
- * The pool stores one column per field, indexed by the dense resource
- * id: the diagnostic name (cold), the category the code that made the
- * resource gave it, the next free time, and the busy, wait and
- * reservation totals. TaskGraph::execute is the only writer
- * besides resetAll(): it reads and advances nextFree in place per
- * reservation slot, charges wait to every slot of a task that queued,
- * and adds the busy and reservation totals — which do not depend on
- * the schedule — once per run from the totals its graph froze.
+ * The pool is what the code that builds a machine knows of each
+ * resource, as columns indexed by the dense resource id: the diagnostic
+ * name and the category it was created with. Nothing a run does is
+ * stored here. A graph freezes each resource's busy time and
+ * reservation count, which do not depend on the schedule
+ * (TaskGraph::resourceBusy); a run's next-free and wait columns live in
+ * the ExecScratch it executes on (ExecScratch::resourceWait).
  */
 
 #ifndef LERGAN_SIM_RESOURCE_HH
 #define LERGAN_SIM_RESOURCE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -54,7 +53,7 @@ inline constexpr const char
         "compute", "wire", "switch", "bus", "cpu", "other", "none",
 };
 
-/** Owning pool of FIFO-reserved resources, indexed by a dense id. */
+/** The identity of a machine's resources, indexed by a dense id. */
 class ResourcePool
 {
   public:
@@ -68,10 +67,6 @@ class ResourcePool
     {
         names_.push_back(std::move(name));
         categories_.push_back(category);
-        nextFree_.push_back(0);
-        busy_.push_back(0);
-        wait_.push_back(0);
-        reservations_.push_back(0);
         return names_.size() - 1;
     }
 
@@ -79,52 +74,18 @@ class ResourcePool
 
     const std::string &name(std::size_t id) const { return names_[id]; }
 
+    /** Every resource's name, indexed by resource id. */
+    const std::vector<std::string> &names() const { return names_; }
+
     /** Every resource's category, indexed by resource id. */
     const std::vector<ResourceCategory> &categories() const
     {
         return categories_;
     }
 
-    /** Earliest time a new reservation of @p id could begin. */
-    PicoSeconds nextFree(std::size_t id) const { return nextFree_[id]; }
-
-    /** Total time @p id has been occupied. */
-    PicoSeconds busyTime(std::size_t id) const { return busy_[id]; }
-
-    /**
-     * Total time reservations of @p id spent queued behind earlier
-     * ones: the summed gap between each task's ready (fire) time and
-     * its actual start, charged to every resource the task holds. This
-     * is the resource's contention, as opposed to its utilization.
-     */
-    PicoSeconds waitTime(std::size_t id) const { return wait_[id]; }
-
-    /** Number of reservations made of @p id. */
-    std::uint64_t
-    reservations(std::size_t id) const
-    {
-        return reservations_[id];
-    }
-
-    /** Forget all reservations (new simulation run). */
-    void
-    resetAll()
-    {
-        std::fill(nextFree_.begin(), nextFree_.end(), 0);
-        std::fill(busy_.begin(), busy_.end(), 0);
-        std::fill(wait_.begin(), wait_.end(), 0);
-        std::fill(reservations_.begin(), reservations_.end(), 0);
-    }
-
   private:
-    friend class TaskGraph;
-
     std::vector<std::string> names_;
     std::vector<ResourceCategory> categories_;
-    std::vector<PicoSeconds> nextFree_;
-    std::vector<PicoSeconds> busy_;
-    std::vector<PicoSeconds> wait_;
-    std::vector<std::uint64_t> reservations_;
 };
 
 } // namespace lergan

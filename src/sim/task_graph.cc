@@ -104,24 +104,23 @@ TaskGraph::freeze() const
 }
 
 PicoSeconds
-TaskGraph::execute(ResourcePool &pool, ExecScratch *scratch,
-                   ExecRecord *record) const
+TaskGraph::execute(ExecScratch *scratch, ExecRecord *record) const
 {
     const Frozen &f = freeze();
     const std::size_t n = size();
-    LERGAN_ASSERT(resourceBound_ <= pool.size(), "task graph names resource ",
-                  resourceBound_ - 1, " but the pool has ", pool.size());
     PicoSeconds makespan = 0;
 
     ExecScratch local;
     ExecScratch &s = scratch ? *scratch : local;
     s.queue.reset();
     s.unmet.assign(depCount_.begin(), depCount_.end());
+    s.nextFree.assign(resourceBound_, 0);
+    s.wait.assign(resourceBound_, 0);
     if (record) {
         LERGAN_ASSERT(n <= UINT32_MAX / 2, "recorded graph too large for "
                       "the pop-order column: ", n, " tasks");
         s.bindingDep.assign(n, ExecRecord::kNoTask32);
-        s.lastHolder.assign(pool.size(), ExecRecord::kNoTask32);
+        s.lastHolder.assign(resourceBound_, ExecRecord::kNoTask32);
         // Every slot is written at fire/completion time, so a reused
         // record only pays for allocation once, not re-zeroing.
         record->start.resize(n);
@@ -134,12 +133,8 @@ TaskGraph::execute(ResourcePool &pool, ExecScratch *scratch,
         record->lastTask = kNoTask;
         record->makespan = 0;
     }
-    for (std::size_t rid = 0; rid < resourceBound_; ++rid) {
-        pool.busy_[rid] += f.resBusy[rid];
-        pool.reservations_[rid] += f.resCount[rid];
-    }
-    PicoSeconds *const nextFree = pool.nextFree_.data();
-    PicoSeconds *const wait = pool.wait_.data();
+    PicoSeconds *const nextFree = s.nextFree.data();
+    PicoSeconds *const wait = s.wait.data();
 
     std::size_t completed = 0;
     std::size_t popped = 0;
@@ -195,8 +190,6 @@ TaskGraph::execute(ResourcePool &pool, ExecScratch *scratch,
                 record->start[id] = start;
                 if (bind_slot != ExecRecord::kNoResource) {
                     record->bindingKind[id] = BindingKind::Resource;
-                    // No previous holder this run (kNoTask32): the pool
-                    // came in occupied from an earlier run.
                     record->bindingPred[id] = record->resPrev[bind_slot];
                     record->bindingRes[id] = resIds_[bind_slot];
                 } else if (s.bindingDep[id] != ExecRecord::kNoTask32) {

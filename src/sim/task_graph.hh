@@ -1,6 +1,6 @@
 /**
  * @file
- * Task-DAG executor on top of the event queue and resource pool.
+ * Task-DAG executor on top of the event queue.
  *
  * The compiler lowers one GAN training iteration into a DAG of compute and
  * transfer tasks. Each task occupies one or more resources for a fixed
@@ -19,20 +19,21 @@
  * TaskId. On the first execute() the graph freezes its
  * dependency edges into a CSR successor list and sums each resource's
  * busy time and reservation count (neither depends on the schedule), so
- * the event loop only reads flat arrays and updates each reservation
- * slot's next-free time in place. The events themselves are POD (task
- * id + kind) dispatched by a switch in the executor: no closures, no
- * type erasure, no allocation per event. With an ExecScratch the
- * remaining per-run buffers (event calendar, dependency counters) are
- * reused across runs, so a replay does near-zero allocation after the
- * first execution.
+ * the event loop only reads flat arrays and updates each resource's
+ * next-free time in place. The events themselves are POD (task id +
+ * kind) dispatched by a switch in the executor: no closures, no type
+ * erasure, no allocation per event. Everything a run writes lives in
+ * the ExecScratch it executes on — the event calendar, the dependency
+ * counters and the per-resource next-free and wait columns, all reset
+ * by each run — so a replay does near-zero allocation after the first
+ * execution, and no run sees another's reservations.
  *
  * A frozen graph is immutable and may be executed concurrently from
  * several worker threads (each run's mutable state lives in its own
  * scratch); this is what makes per-iteration DAG templating safe.
  *
  * The event loop has no observer hooks: the only thing a run writes
- * besides the resource pool is an optional ExecRecord. Traces, counter
+ * besides its scratch is an optional ExecRecord. Traces, counter
  * tracks and occupancy histograms are derived from that record after
  * the run (sim/observe.hh).
  */
@@ -113,11 +114,15 @@ struct TaskEvent {
 };
 
 /**
- * Reusable per-execution buffers of TaskGraph::execute().
+ * Reusable per-execution buffers of TaskGraph::execute(): a run's
+ * whole mutable state.
  *
  * Optional: execute() allocates its own when none is given. Passing the
  * same scratch to repeated executions (of any graphs) reuses the event
- * calendar and counter buffers, eliminating steady-state allocation.
+ * calendar, counter and per-resource buffers, eliminating steady-state
+ * allocation; every run resets them, so a run never depends on what
+ * ran before it on the same scratch. After a run, the scratch holds
+ * that run's per-resource wait and next-free columns.
  * The post-run passes over a record (the observer replay, the slack
  * pass) take their buffers from it too (analysis()). A sweep keeps one
  * scratch per worker lane; a scratch must not be shared between
@@ -132,6 +137,23 @@ class ExecScratch
      *  observers from or to audit (the caller asked for a trace,
      *  metrics or an audit, not for the record itself). */
     ExecRecord &observerRecord() { return observerRecord_; }
+
+    /**
+     * The last run's per-resource wait, indexed by resource id (size
+     * the graph's resourceBound()): the summed gap between each task's
+     * fire time and its actual start, charged to every resource the
+     * task holds. This is a resource's contention, as opposed to its
+     * utilization (TaskGraph::resourceBusy).
+     */
+    std::span<const PicoSeconds> resourceWait() const { return wait; }
+
+    /** The last run's per-resource next-free time: when each
+     *  resource's last holder ended (0 for an idle one). */
+    std::span<const PicoSeconds>
+    resourceNextFree() const
+    {
+        return nextFree;
+    }
 
     /**
      * Buffers of the post-run passes over a record: the observer
@@ -156,6 +178,9 @@ class ExecScratch
     friend class TaskGraph;
     sim::CalendarQueue<TaskEvent> queue;
     std::vector<std::uint32_t> unmet;
+    /** Per resource: earliest start of a new reservation, and the
+     *  run's queueing time charged to it. */
+    std::vector<PicoSeconds> nextFree, wait;
     /**
      * @name Recording-only buffers (touched when an ExecRecord is
      * attached; empty and untouched otherwise)
@@ -194,8 +219,8 @@ struct SuccessorCsr {
  *
  * Build with addTask()/addDep(), then run execute(). The first
  * execution freezes the graph (further addTask/addDep calls are a bug);
- * a frozen graph may be executed repeatedly — and concurrently —
- * (resources and runtime state are reset per run).
+ * a frozen graph may be executed repeatedly — and concurrently, each
+ * run on its own scratch.
  */
 class TaskGraph
 {
@@ -229,8 +254,8 @@ class TaskGraph
 
     /**
      * Record the category of every resource the graph's ids index
-     * (the pool's category column), so post-run analysis can group
-     * resources without the pool.
+     * (the machine pool's category column), so post-run analysis can
+     * group resources without the machine.
      */
     void
     setResourceCategories(std::vector<ResourceCategory> categories)
@@ -266,11 +291,31 @@ class TaskGraph
     std::size_t resourceOffset(TaskId id) const { return resStart_[id]; }
 
     /** One past the largest resource id any task holds (0 when none):
-     *  the smallest pool the graph can execute on. */
+     *  the size of a run's per-resource columns. */
     std::size_t resourceBound() const { return resourceBound_; }
 
     /**
-     * Execute the whole DAG to completion.
+     * Each resource's busy time in every run, indexed by resource id
+     * (size resourceBound()): the summed durations of the tasks holding
+     * it. Every run reserves every slot once, so it does not depend on
+     * the schedule and is frozen with the graph. Freezes the graph.
+     */
+    std::span<const PicoSeconds>
+    resourceBusy() const
+    {
+        return freeze().resBusy;
+    }
+
+    /** Each resource's reservation count in every run, indexed like
+     *  resourceBusy(). Freezes the graph. */
+    std::span<const std::uint64_t>
+    resourceReservations() const
+    {
+        return freeze().resCount;
+    }
+
+    /**
+     * Execute the whole DAG to completion, from idle resources.
      *
      * When @p record is given, the run writes the execution record
      * (per-task start/finish, binding predecessors, per-resource
@@ -279,13 +324,12 @@ class TaskGraph
      * every observer is derived from. Recording is pure output: event
      * order and results are identical with it on.
      *
-     * @param pool    resource pool the task resource ids index into;
-     *                must hold at least resourceBound() resources.
-     * @param scratch optional reusable buffers (see ExecScratch).
+     * @param scratch optional reusable buffers (see ExecScratch); the
+     *                run's per-resource wait is read from it afterwards.
      * @param record  optional execution record.
      * @return the makespan: completion time of the last task.
      */
-    PicoSeconds execute(ResourcePool &pool, ExecScratch *scratch = nullptr,
+    PicoSeconds execute(ExecScratch *scratch = nullptr,
                         ExecRecord *record = nullptr) const;
 
     /**
@@ -316,8 +360,8 @@ class TaskGraph
         std::vector<std::uint32_t> succStart; ///< size N+1 once frozen
         std::vector<std::uint32_t> succIds;
         /** Summed durations and reservation counts per resource id
-         *  (size resourceBound()): one run's busy and reservation
-         *  totals, added to the pool once per run. */
+         *  (size resourceBound()): every run's busy and reservation
+         *  totals. */
         std::vector<PicoSeconds> resBusy;
         std::vector<std::uint64_t> resCount;
     };

@@ -5,19 +5,27 @@
 #include <array>
 #include <iomanip>
 
+#include "common/logging.hh"
+
 namespace lergan {
 
 std::vector<ResourceUsage>
-topBusyResources(const ResourcePool &pool, PicoSeconds makespan,
-                 std::size_t top_k)
+topBusyResources(const TaskGraph &graph, std::span<const std::string> names,
+                 PicoSeconds makespan, std::size_t top_k)
 {
+    // Resources past the graph's bound are idle in its runs.
+    const std::span<const PicoSeconds> busy = graph.resourceBusy();
+    const std::span<const std::uint64_t> reservations =
+        graph.resourceReservations();
     std::vector<ResourceUsage> usage;
-    usage.reserve(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
+    usage.reserve(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
         ResourceUsage entry;
-        entry.name = pool.name(i);
-        entry.busy = pool.busyTime(i);
-        entry.reservations = pool.reservations(i);
+        entry.name = names[i];
+        if (i < busy.size()) {
+            entry.busy = busy[i];
+            entry.reservations = reservations[i];
+        }
         entry.utilization =
             makespan == 0 ? 0.0
                           : static_cast<double>(entry.busy) /
@@ -36,24 +44,32 @@ topBusyResources(const ResourcePool &pool, PicoSeconds makespan,
 }
 
 void
-recordPoolMetrics(const ResourcePool &pool, MetricsRegistry &registry)
+recordPoolMetrics(const TaskGraph &graph, const ExecScratch &scratch,
+                  MetricsRegistry &registry)
 {
+    const std::span<const PicoSeconds> busy = graph.resourceBusy();
+    const std::span<const std::uint64_t> reservations =
+        graph.resourceReservations();
+    const std::span<const PicoSeconds> wait = scratch.resourceWait();
+    LERGAN_ASSERT(wait.size() == busy.size(),
+                  "recordPoolMetrics: the scratch last ran a graph of ",
+                  wait.size(), " resources, not this one's ", busy.size());
     // Accumulate per category locally first: one registry lookup per
     // non-empty category instead of three per resource (the lookup
-    // takes the registry's creation mutex, and pools hold thousands of
-    // resources).
+    // takes the registry's creation mutex, and machines hold hundreds
+    // of resources).
     struct CategoryTotals {
         std::uint64_t busy = 0;
         std::uint64_t wait = 0;
         std::uint64_t reservations = 0;
     };
     std::array<CategoryTotals, kNumResourceCategories> totals{};
-    for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t i = 0; i < busy.size(); ++i) {
         CategoryTotals &t =
-            totals[static_cast<std::size_t>(pool.categories()[i])];
-        t.busy += static_cast<std::uint64_t>(pool.busyTime(i));
-        t.wait += static_cast<std::uint64_t>(pool.waitTime(i));
-        t.reservations += pool.reservations(i);
+            totals[static_cast<std::size_t>(graph.resourceCategory(i))];
+        t.busy += static_cast<std::uint64_t>(busy[i]);
+        t.wait += static_cast<std::uint64_t>(wait[i]);
+        t.reservations += reservations[i];
     }
     for (std::size_t c = 0; c < kNumResourceCategories; ++c) {
         const CategoryTotals &t = totals[c];
@@ -68,11 +84,12 @@ recordPoolMetrics(const ResourcePool &pool, MetricsRegistry &registry)
 }
 
 void
-printUtilization(std::ostream &os, const ResourcePool &pool,
-                 PicoSeconds makespan, std::size_t top_k)
+printUtilization(std::ostream &os, const TaskGraph &graph,
+                 std::span<const std::string> names, PicoSeconds makespan,
+                 std::size_t top_k)
 {
     for (const ResourceUsage &usage :
-         topBusyResources(pool, makespan, top_k)) {
+         topBusyResources(graph, names, makespan, top_k)) {
         os << "  " << std::left << std::setw(28) << usage.name
            << std::right << std::fixed << std::setprecision(3)
            << std::setw(12) << psToMs(usage.busy) << " ms  "

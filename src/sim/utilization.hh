@@ -2,21 +2,23 @@
  * @file
  * Resource-utilization reporting over a finished simulation run.
  *
- * Reads the FIFO resources' busy times and turns them into the
- * utilization tables the examples and ablation benches print (which
- * wires saturate under H-tree, how evenly tiles are loaded, ...), and
- * folds the contention totals into metrics by the category each
- * resource was created with.
+ * Reads the resources' busy times, which the executed graph froze, and
+ * turns them into the utilization tables the examples and ablation
+ * benches print (which wires saturate under H-tree, how evenly tiles
+ * are loaded, ...), and folds the contention totals — busy from the
+ * graph, wait from the run's scratch — into metrics by the category
+ * each resource was created with.
  */
 
 #ifndef LERGAN_SIM_UTILIZATION_HH
 #define LERGAN_SIM_UTILIZATION_HH
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "sim/resource.hh"
+#include "sim/task_graph.hh"
 #include "telemetry/metrics.hh"
 
 namespace lergan {
@@ -31,26 +33,29 @@ struct ResourceUsage {
 };
 
 /**
- * The @p top_k busiest resources of @p pool, given the run's makespan.
- * Results are sorted by busy time descending, ties broken by name, so
- * the table is stable across runs and platforms.
+ * The @p top_k busiest of the resources named by @p names (indexed by
+ * resource id) in a run of @p graph, given the run's makespan. Results
+ * are sorted by busy time descending, ties broken by name, so the table
+ * is stable across runs and platforms.
  */
-std::vector<ResourceUsage> topBusyResources(const ResourcePool &pool,
-                                            PicoSeconds makespan,
-                                            std::size_t top_k);
+std::vector<ResourceUsage>
+topBusyResources(const TaskGraph &graph, std::span<const std::string> names,
+                 PicoSeconds makespan, std::size_t top_k);
 
 /** Print a "name busy util" table for the top @p top_k resources. */
-void printUtilization(std::ostream &os, const ResourcePool &pool,
+void printUtilization(std::ostream &os, const TaskGraph &graph,
+                      std::span<const std::string> names,
                       PicoSeconds makespan, std::size_t top_k);
 
 /**
- * Fold every resource's busy/wait/reservation totals into @p registry
- * as sim.resource.{busy_ps,wait_ps,reservations}.<category> counters,
- * where the category is the pool's (compute, wire, switch, bus, cpu,
+ * Fold every resource's busy/wait/reservation totals of the run of
+ * @p graph that @p scratch last executed into @p registry as
+ * sim.resource.{busy_ps,wait_ps,reservations}.<category> counters,
+ * where the category is the graph's (compute, wire, switch, bus, cpu,
  * other). Counters only, so concurrent runs from a worker pool
  * accumulate worker-count-independent totals.
  */
-void recordPoolMetrics(const ResourcePool &pool,
+void recordPoolMetrics(const TaskGraph &graph, const ExecScratch &scratch,
                        MetricsRegistry &registry);
 
 } // namespace lergan

@@ -284,6 +284,25 @@ TEST(Accelerator, TemplateReplayIsRepeatable)
     }
 }
 
+TEST(Accelerator, TemplatesOfLikeMachinesShareTheirNameList)
+{
+    // Every LerGAN degree builds the same 3D machine, so their templates
+    // share one name list; PRIME's H-tree machine has its own. Each list
+    // is its machine's pool names.
+    const GanModel model = makeBenchmark("DCGAN");
+    LerGanAccelerator low(model, AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    LerGanAccelerator high(model,
+                           AcceleratorConfig::lerGan(ReplicaDegree::High));
+    LerGanAccelerator prime(model, AcceleratorConfig::prime());
+    const auto lowTmpl = low.makeIterationTemplate();
+    const auto highTmpl = high.makeIterationTemplate();
+    const auto primeTmpl = prime.makeIterationTemplate();
+    EXPECT_EQ(lowTmpl->resourceNames, highTmpl->resourceNames);
+    EXPECT_NE(lowTmpl->resourceNames, primeTmpl->resourceNames);
+    EXPECT_EQ(*lowTmpl->resourceNames, low.resourceNames());
+    EXPECT_EQ(*primeTmpl->resourceNames, prime.resourceNames());
+}
+
 TEST(Accelerator, LedgerKeysFollowTheFabric)
 {
     // An H-tree (PRIME) machine never charges added wires, so its report

@@ -316,6 +316,7 @@ TEST(CritPathGolden, TypedIdentityMatchesTheLabelOracle)
             }
             const ResourcePool &pool = accelerator.machine().pool();
             ASSERT_GE(pool.size(), graph.resourceBound());
+            ASSERT_EQ(*tmpl->resourceNames, pool.names());
             const auto name = [](ResourceCategory category) {
                 return kResourceCategoryNames[static_cast<int>(category)];
             };
@@ -557,16 +558,6 @@ makeRandomModel(std::uint32_t seed)
     return model;
 }
 
-/** A pool holding @p model's resources. */
-ResourcePool
-makePool(const RandomModel &model)
-{
-    ResourcePool pool;
-    for (std::size_t r = 0; r < model.resourceNames.size(); ++r)
-        pool.create(model.resourceNames[r], model.categories[r]);
-    return pool;
-}
-
 /** Real event simulation of @p model with @p durations substituted. */
 PicoSeconds
 resimulate(const RandomModel &model,
@@ -582,8 +573,7 @@ resimulate(const RandomModel &model,
     for (TaskId dep = 0; dep < model.graph->size(); ++dep)
         for (const TaskId task : model.graph->successorCsr().of(dep))
             graph.addDep(task, dep);
-    ResourcePool pool = makePool(model);
-    return graph.execute(pool, nullptr, record);
+    return graph.execute(nullptr, record);
 }
 
 TEST(CritPathRandom, ChainAndIdentityHoldOnSeededGraphs)
@@ -637,9 +627,8 @@ TEST(CritPathRandom, RecordSlotsFollowTheGraphResourceCsr)
     for (std::uint32_t seed = 1; seed <= 20; ++seed) {
         const RandomModel model = makeRandomModel(seed);
         const TaskGraph &graph = *model.graph;
-        ResourcePool pool = makePool(model);
         ExecRecord record;
-        graph.execute(pool, nullptr, &record);
+        graph.execute(nullptr, &record);
         SCOPED_TRACE("seed " + std::to_string(seed));
 
         std::size_t slots = 0;
@@ -711,19 +700,15 @@ TEST(CritPathRandom, SlackMatchesTheOracleOnMultiSlotGraphs)
 {
     constexpr std::size_t kResources = 6;
     std::vector<std::string> names;
-    ResourcePool pool;
-    for (std::size_t r = 0; r < kResources; ++r) {
+    for (std::size_t r = 0; r < kResources; ++r)
         names.push_back("r" + std::to_string(r));
-        pool.create(names.back(), ResourceCategory::Compute);
-    }
     // One scratch across graphs of different sizes.
     ExecScratch scratch;
     std::size_t sharedHolder = 0, distinctHolders = 0;
     for (std::uint32_t seed = 1; seed <= 40; ++seed) {
         const TaskGraph graph = makeMultiSlotGraph(seed, kResources);
-        pool.resetAll();
         ExecRecord record;
-        graph.execute(pool, nullptr, &record);
+        graph.execute(nullptr, &record);
         SCOPED_TRACE("seed " + std::to_string(seed));
         const CriticalPath path =
             extractCriticalPath(graph, record, names, &scratch);
@@ -927,10 +912,11 @@ TEST(CritPathSweep, ObservedPointsReuseTheLaneScratch)
     Instrumentation instruments;
     instruments.telemetry = std::make_shared<MetricsRegistry>();
     instruments.critpath = true;
+    const std::string key = pairFingerprint(model, config);
     const auto simulate = [&] {
-        PreparedPoint point =
-            preparePoint(model, config, cache, templates, &scratch);
-        return simulatePoint(point, 1, instruments);
+        const PreparedPoint point =
+            preparePoint(model, config, key, cache, templates);
+        return simulatePoint(point, scratch, 1, instruments);
     };
     const auto buffers = [&] {
         ExecScratch::Analysis &a = scratch.analysis();

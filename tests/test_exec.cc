@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -688,6 +689,128 @@ TEST(SweepExec, ConcurrentObservedPointsMatchOneWorker)
     EXPECT_EQ(fourSlack, oneSlack);
     EXPECT_NE(oneHistograms.find("sim.queue.depth "), std::string::npos);
     EXPECT_EQ(fourHistograms, oneHistograms);
+}
+
+/** The 40-point Fig. 19 grid: Table V x {prime, low, middle, high},
+ *  plus one equal-space LerGAN-low point per benchmark. */
+std::unique_ptr<ExperimentSweep>
+fig19Sweep()
+{
+    auto sweep = std::make_unique<ExperimentSweep>();
+    for (const GanModel &model : allBenchmarks())
+        sweep->addBenchmark(model);
+    sweep->addConfig("prime", AcceleratorConfig::prime())
+        .addConfig("low", AcceleratorConfig::lerGan(ReplicaDegree::Low))
+        .addConfig("middle", AcceleratorConfig::lerGan(ReplicaDegree::Middle))
+        .addConfig("high", AcceleratorConfig::lerGan(ReplicaDegree::High));
+    for (const GanModel &model : allBenchmarks()) {
+        AcceleratorConfig ns = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+        ns.normalizedSpace = true;
+        ns.spaceBudgetCrossbars =
+            compileGan(model, AcceleratorConfig::prime()).crossbarsUsed;
+        sweep->addPoint(model, "low-NS", ns);
+    }
+    return sweep;
+}
+
+/** The observed runs' export bytes, host telemetry cleared. */
+std::string
+exportWithoutHostTelemetry(std::vector<SweepResult> results)
+{
+    std::ostringstream out;
+    for (SweepResult &result : results)
+        result.telemetry = PointTelemetry{};
+    writeSweepJson(out, results);
+    writeSweepCsv(out, results);
+    return out.str();
+}
+
+/** The sim.resource.* counters of @p registry. */
+std::map<std::string, std::uint64_t>
+resourceCounters(const MetricsRegistry &registry)
+{
+    std::map<std::string, std::uint64_t> counters;
+    for (const auto &[name, value] : registry.snapshot().counters) {
+        if (name.rfind("sim.resource.", 0) == 0)
+            counters[name] = value;
+    }
+    return counters;
+}
+
+TEST(SweepExec, WarmFig19GridOnFourWorkersMatchesOneWorker)
+{
+    // The observed Fig. 19 grid twice on one sweep at 4 workers: the
+    // second run is all template hits, so its points build no
+    // accelerator and run the cached templates on the lanes' scratches,
+    // concurrently. Every report must equal a standalone accelerator's,
+    // and the exports and the resource counters the 1-worker run's.
+    constexpr int kIterations = 10;
+    RunOptions options;
+    options.iterations = kIterations;
+    options.pointTelemetry = true;
+    const auto observed =
+        [&](ExperimentSweep &sweep, int threads,
+            const std::shared_ptr<MetricsRegistry> &registry) {
+            sweep.withTelemetry(registry).withCriticalPath();
+            options.threads = threads;
+            return sweep.run(options);
+        };
+
+    const auto four = fig19Sweep();
+    ASSERT_EQ(four->pointCount(), 40u);
+    const auto cold = std::make_shared<MetricsRegistry>();
+    const auto warm = std::make_shared<MetricsRegistry>();
+    const std::vector<SweepResult> first = observed(*four, 4, cold);
+    EXPECT_EQ(four->templates().misses(), 40u);
+    EXPECT_EQ(four->templates().hits(), 0u);
+    const std::vector<SweepResult> second = observed(*four, 4, warm);
+    EXPECT_EQ(four->templates().misses(), 40u);
+    EXPECT_EQ(four->templates().hits(), 40u);
+    EXPECT_EQ(four->cache().misses(), 40u);
+    EXPECT_EQ(four->cache().hits(), 40u);
+
+    const auto one = fig19Sweep();
+    const auto single = std::make_shared<MetricsRegistry>();
+    const std::vector<SweepResult> sequential = observed(*one, 1, single);
+
+    ASSERT_EQ(second.size(), 40u);
+    const std::vector<GanModel> models = allBenchmarks();
+    for (std::size_t i = 0; i < second.size(); ++i) {
+        const SweepResult &result = second[i];
+        SCOPED_TRACE(result.benchmark + "/" + result.configLabel);
+        ASSERT_FALSE(result.failed) << result.error;
+        ASSERT_NE(result.report.critpath, nullptr);
+        EXPECT_TRUE(result.telemetry.cacheHit);
+        // Grid points run benchmark-major, then the explicit points.
+        const GanModel &model = models[i < 32 ? i / 4 : i - 32];
+        AcceleratorConfig config = AcceleratorConfig::prime();
+        if (result.configLabel != "prime") {
+            config = AcceleratorConfig::lerGan(
+                result.configLabel == "middle" ? ReplicaDegree::Middle
+                : result.configLabel == "high" ? ReplicaDegree::High
+                                               : ReplicaDegree::Low);
+        }
+        if (result.configLabel == "low-NS") {
+            config.normalizedSpace = true;
+            config.spaceBudgetCrossbars =
+                compileGan(model, AcceleratorConfig::prime()).crossbarsUsed;
+        }
+        ASSERT_EQ(result.benchmark, model.name);
+        const TrainingReport want =
+            LerGanAccelerator(model, config).trainIterations(kIterations);
+        EXPECT_EQ(result.report.iterationTime, want.iterationTime);
+        EXPECT_EQ(result.report.config, want.config);
+        EXPECT_EQ(std::vector(result.report.stats.begin(),
+                              result.report.stats.end()),
+                  std::vector(want.stats.begin(), want.stats.end()));
+    }
+
+    const std::string expected = exportWithoutHostTelemetry(sequential);
+    EXPECT_EQ(exportWithoutHostTelemetry(first), expected);
+    EXPECT_EQ(exportWithoutHostTelemetry(second), expected);
+    EXPECT_FALSE(resourceCounters(*single).empty());
+    EXPECT_EQ(resourceCounters(*cold), resourceCounters(*single));
+    EXPECT_EQ(resourceCounters(*warm), resourceCounters(*single));
 }
 
 TEST(SweepExec, ParallelRunIsByteIdenticalToSequential)

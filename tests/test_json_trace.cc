@@ -29,14 +29,14 @@ namespace {
 
 /** Occupy each (resource, duration) pair's resource for that long from
  *  time zero: one independent task per pair, run through the executor. */
-void
-occupy(ResourcePool &pool,
-       std::initializer_list<std::pair<std::size_t, PicoSeconds>> slots)
+TaskGraph
+occupy(std::initializer_list<std::pair<std::size_t, PicoSeconds>> slots)
 {
     TaskGraph graph;
     for (const auto &[rid, duration] : slots)
         addNamedTask(graph, "t", {rid}, duration);
-    graph.execute(pool);
+    graph.execute();
+    return graph;
 }
 
 TEST(Json, ObjectsAndArrays)
@@ -80,10 +80,10 @@ TEST(Json, Escaping)
 
 /** Execute @p graph and derive @p tracer from the run's record. */
 PicoSeconds
-traceRun(const TaskGraph &graph, ResourcePool &pool, Tracer &tracer)
+traceRun(const TaskGraph &graph, Tracer &tracer)
 {
     ExecRecord record;
-    const PicoSeconds makespan = graph.execute(pool, nullptr, &record);
+    const PicoSeconds makespan = graph.execute(nullptr, &record);
     ExecScratch scratch;
     deriveObservers(graph, record, &tracer, nullptr, scratch);
     return makespan;
@@ -91,15 +91,14 @@ traceRun(const TaskGraph &graph, ResourcePool &pool, Tracer &tracer)
 
 TEST(Trace, RecordsTaskIntervals)
 {
-    ResourcePool pool;
-    const auto r = pool.create("unit", ResourceCategory::Other);
+    const std::size_t r = 0;
     TaskGraph graph;
     const TaskId a = addNamedTask(graph, "first", {r}, 10);
     const TaskId b = addNamedTask(graph, "second", {r}, 5);
     graph.addDep(b, a);
 
     Tracer tracer;
-    traceRun(graph, pool, tracer);
+    traceRun(graph, tracer);
     ASSERT_EQ(tracer.events().size(), 2u);
     EXPECT_EQ(tracer.label(tracer.events()[0]), "first");
     EXPECT_EQ(tracer.events()[0].start, 0u);
@@ -111,10 +110,9 @@ TEST(Trace, RecordsTaskIntervals)
 
 TEST(Trace, NullTracerIsFine)
 {
-    ResourcePool pool;
     TaskGraph graph;
     addNamedTask(graph, "t", {}, 1);
-    EXPECT_EQ(graph.execute(pool), 1u);
+    EXPECT_EQ(graph.execute(), 1u);
 }
 
 TEST(Trace, ChromeExportIsValidJsonShape)
@@ -171,15 +169,14 @@ TEST(Trace, CounterSamplesBecomeCounterTracks)
 
 TEST(Trace, ExecutorRecordsOccupancyCounters)
 {
-    ResourcePool pool;
-    const auto r = pool.create("unit", ResourceCategory::Other);
+    const std::size_t r = 0;
     TaskGraph graph;
     const TaskId a = addNamedTask(graph, "first", {r}, 10);
     const TaskId b = addNamedTask(graph, "second", {r}, 5);
     graph.addDep(b, a);
 
     Tracer tracer;
-    traceRun(graph, pool, tracer);
+    traceRun(graph, tracer);
     bool saw_depth = false;
     for (const CounterSample &sample : tracer.counterSamples())
         saw_depth = saw_depth ||
@@ -291,9 +288,7 @@ TEST(Trace, OutlivesAcceleratorAndTemplate)
  */
 TEST(Trace, OccupancySampleSequenceIsExact)
 {
-    ResourcePool pool;
-    const auto r0 = pool.create("r0", ResourceCategory::Other);
-    const auto r1 = pool.create("r1", ResourceCategory::Other);
+    const std::size_t r0 = 0, r1 = 1;
     TaskGraph graph;
     const TaskId a = addNamedTask(graph, "a", {r0}, 10);
     const TaskId b = addNamedTask(graph, "b", {r1}, 10);
@@ -304,7 +299,7 @@ TEST(Trace, OccupancySampleSequenceIsExact)
     graph.addDep(d, b);
 
     Tracer tracer;
-    traceRun(graph, pool, tracer);
+    traceRun(graph, tracer);
     // (track, time, value) triples: depth, ready, in-flight after every
     // pop. a and b fire at 0; a's completion releases c, b's releases d
     // (both at 10, in schedule order); d queues on r0 behind c until 15.
@@ -409,11 +404,9 @@ TEST(Trace, TimelinePrintsAndTruncates)
 
 TEST(Utilization, TopBusySortsByBusyTime)
 {
-    ResourcePool pool;
-    const auto a = pool.create("a", ResourceCategory::Other);
-    const auto b = pool.create("b", ResourceCategory::Other);
-    occupy(pool, {{a, 10}, {b, 30}});
-    const auto top = topBusyResources(pool, 100, 2);
+    const std::vector<std::string> names = {"a", "b"};
+    const TaskGraph graph = occupy({{0, 10}, {1, 30}});
+    const auto top = topBusyResources(graph, names, 100, 2);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0].name, "b");
     EXPECT_DOUBLE_EQ(top[0].utilization, 0.3);
@@ -422,11 +415,10 @@ TEST(Utilization, TopBusySortsByBusyTime)
 
 TEST(Utilization, PrintsTable)
 {
-    ResourcePool pool;
-    occupy(pool,
-           {{pool.create("busy.thing", ResourceCategory::Other), 42}});
+    const std::vector<std::string> names = {"busy.thing"};
+    const TaskGraph graph = occupy({{0, 42}});
     std::ostringstream oss;
-    printUtilization(oss, pool, 100, 5);
+    printUtilization(oss, graph, names, 100, 5);
     EXPECT_NE(oss.str().find("busy.thing"), std::string::npos);
 }
 

@@ -30,7 +30,7 @@ namespace {
 /** A randomly generated layered DAG with random resource assignments. */
 struct RandomDag {
     TaskGraph graph;
-    ResourcePool pool;
+    std::size_t resources = 0;
     std::vector<std::vector<TaskId>> layers;
     std::vector<PicoSeconds> durations;
     std::vector<std::vector<TaskId>> deps; // deps[task] = prerequisite ids
@@ -42,8 +42,7 @@ makeRandomDag(std::uint64_t seed)
     RandomDag dag;
     Rng rng(seed);
     const int num_resources = 2 + static_cast<int>(rng.nextBounded(6));
-    for (int r = 0; r < num_resources; ++r)
-        dag.pool.create("res" + std::to_string(r), ResourceCategory::Other);
+    dag.resources = static_cast<std::size_t>(num_resources);
 
     const int num_layers = 2 + static_cast<int>(rng.nextBounded(5));
     for (int layer = 0; layer < num_layers; ++layer) {
@@ -106,7 +105,7 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
 {
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
     ExecRecord record;
-    const PicoSeconds makespan = dag.graph.execute(dag.pool, nullptr, &record);
+    const PicoSeconds makespan = dag.graph.execute(nullptr, &record);
 
     // Bounds: critical path <= makespan <= serial sum.
     PicoSeconds serial = 0;
@@ -122,15 +121,15 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
             EXPECT_GE(record.end[id], record.end[dep] + dag.durations[id]);
 
     // No resource is busy longer than the run.
-    for (std::size_t r = 0; r < dag.pool.size(); ++r)
-        EXPECT_LE(dag.pool.busyTime(r), makespan);
+    for (const PicoSeconds busy : dag.graph.resourceBusy())
+        EXPECT_LE(busy, makespan);
 }
 
 TEST_P(RandomDagProperty, OccupancyCountersAreConsistent)
 {
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
     ExecRecord record;
-    dag.graph.execute(dag.pool, nullptr, &record);
+    dag.graph.execute(nullptr, &record);
     Tracer tracer;
     MetricsRegistry metrics;
     ExecScratch scratch;
@@ -189,7 +188,7 @@ TEST_P(RandomDagProperty, OccupancyCountersAreConsistent)
         EXPECT_EQ(metrics.histogram(name).count(), 2 * n) << name;
 }
 
-/** Per-resource pool columns, as an oracle recomputes them. */
+/** Per-resource run columns, as an oracle recomputes them. */
 struct PoolTotals {
     explicit PoolTotals(std::size_t resources)
         : busy(resources), wait(resources), nextFree(resources),
@@ -201,7 +200,7 @@ struct PoolTotals {
 };
 
 /**
- * Add one run's effect on the pool, recomputed from its record's
+ * Add one run's per-resource columns, recomputed from its record's
  * start/end columns, the prerequisite lists and the resource CSR: each
  * reservation slot adds its task's occupancy to busy, one reservation,
  * and start - fire time (the latest prerequisite end) to wait; a
@@ -225,14 +224,22 @@ addRunTotals(const RandomDag &dag, const ExecRecord &record,
     }
 }
 
+/** The graph's frozen busy/reservation columns and @p scratch's run
+ *  columns equal @p totals on every resource the graph holds. */
 void
-expectPoolEquals(const ResourcePool &pool, const PoolTotals &totals)
+expectRunEquals(const TaskGraph &graph, const ExecScratch &scratch,
+                const PoolTotals &totals)
 {
-    for (std::size_t r = 0; r < pool.size(); ++r) {
-        EXPECT_EQ(pool.busyTime(r), totals.busy[r]) << "resource " << r;
-        EXPECT_EQ(pool.waitTime(r), totals.wait[r]) << "resource " << r;
-        EXPECT_EQ(pool.nextFree(r), totals.nextFree[r]) << "resource " << r;
-        EXPECT_EQ(pool.reservations(r), totals.reservations[r])
+    const std::size_t bound = graph.resourceBound();
+    ASSERT_EQ(scratch.resourceWait().size(), bound);
+    for (std::size_t r = 0; r < bound; ++r) {
+        EXPECT_EQ(graph.resourceBusy()[r], totals.busy[r])
+            << "resource " << r;
+        EXPECT_EQ(scratch.resourceWait()[r], totals.wait[r])
+            << "resource " << r;
+        EXPECT_EQ(scratch.resourceNextFree()[r], totals.nextFree[r])
+            << "resource " << r;
+        EXPECT_EQ(graph.resourceReservations()[r], totals.reservations[r])
             << "resource " << r;
     }
 }
@@ -240,27 +247,26 @@ expectPoolEquals(const ResourcePool &pool, const PoolTotals &totals)
 TEST_P(RandomDagProperty, PoolTotalsMatchTheRecord)
 {
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
-    PoolTotals expect(dag.pool.size());
+    PoolTotals expect(dag.resources);
     ExecRecord record;
-    // Two runs back to back on one pool, without a reset: the second
-    // starts behind the first's reservations and its totals add up.
-    // The unrecorded path must leave the pool exactly as the recorded
-    // one does.
+    ExecScratch recorded, unrecorded;
+    // Two runs back to back on the same scratches: each run starts from
+    // idle resources, so both leave one run's totals. The unrecorded
+    // path must leave its scratch exactly as the recorded one does.
     for (int run = 0; run < 2; ++run) {
         SCOPED_TRACE("run " + std::to_string(run));
-        ResourcePool unrecorded = dag.pool;
-        dag.graph.execute(dag.pool, nullptr, &record);
-        dag.graph.execute(unrecorded);
-        addRunTotals(dag, record, expect);
-        expectPoolEquals(dag.pool, expect);
-        expectPoolEquals(unrecorded, expect);
-        // A task queued behind the previous run's reservations has no
-        // holder in this run to bind to.
+        dag.graph.execute(&recorded, &record);
+        dag.graph.execute(&unrecorded);
+        if (run == 0)
+            addRunTotals(dag, record, expect);
+        expectRunEquals(dag.graph, recorded, expect);
+        expectRunEquals(dag.graph, unrecorded, expect);
+        // Every resource binding names a holder of this run.
         for (TaskId id = 0; id < dag.durations.size(); ++id) {
-            const std::uint32_t pred = record.bindingPred[id];
-            EXPECT_TRUE(pred == ExecRecord::kNoTask32 ||
-                        pred < dag.durations.size())
-                << "task " << id;
+            if (record.bindingKind[id] == BindingKind::Resource) {
+                EXPECT_LT(record.bindingPred[id], dag.durations.size())
+                    << "task " << id;
+            }
         }
     }
 }

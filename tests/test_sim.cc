@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.hh"
+#include "core/accelerator.hh"
 #include "sim/calendar_queue.hh"
 #include "sim/resource.hh"
 #include "sim/task_graph.hh"
+#include "sim/utilization.hh"
 #include "task_helpers.hh"
+#include "workloads/zoo.hh"
 
 namespace lergan {
 namespace {
@@ -94,35 +98,39 @@ TEST(Resource, FifoReservations)
 {
     // Three tasks on one resource: two ready at 0, one ready at 50 (it
     // waits on a resource-free delay task).
-    ResourcePool pool;
-    const auto r = pool.create("r", ResourceCategory::Other);
+    const std::size_t r = 0;
     TaskGraph graph;
     const TaskId first = addNamedTask(graph, "first", {r}, 10);
     const TaskId second = addNamedTask(graph, "second", {r}, 10);
     const TaskId delay = addNamedTask(graph, "delay", {}, 50);
     const TaskId late = addNamedTask(graph, "late", {r}, 10);
     graph.addDep(late, delay);
+    ExecScratch scratch;
     ExecRecord record;
-    graph.execute(pool, nullptr, &record);
+    graph.execute(&scratch, &record);
     EXPECT_EQ(record.start[first], 0u);
     EXPECT_EQ(record.start[second], 10u); // queued behind the first
     EXPECT_EQ(record.start[late], 50u);   // idle gap honored
-    EXPECT_EQ(pool.busyTime(r), 30u);
-    EXPECT_EQ(pool.reservations(r), 3u);
-    EXPECT_EQ(pool.nextFree(r), 60u);
+    EXPECT_EQ(graph.resourceBusy()[r], 30u);
+    EXPECT_EQ(graph.resourceReservations()[r], 3u);
+    EXPECT_EQ(scratch.resourceNextFree()[r], 60u);
 }
 
 TEST(Resource, ResetForgetsHistory)
 {
-    ResourcePool pool;
-    const auto r = pool.create("r", ResourceCategory::Other);
+    // Each run starts from idle resources: a second run on the same
+    // scratch does not queue behind the first's reservation.
     TaskGraph graph;
-    addNamedTask(graph, "t", {r}, 100);
-    graph.execute(pool);
-    EXPECT_EQ(pool.nextFree(r), 100u);
-    pool.resetAll();
-    EXPECT_EQ(pool.nextFree(r), 0u);
-    EXPECT_EQ(pool.busyTime(r), 0u);
+    const TaskId t = addNamedTask(graph, "t", {0}, 100);
+    ExecScratch scratch;
+    for (int run = 0; run < 2; ++run) {
+        ExecRecord record;
+        EXPECT_EQ(graph.execute(&scratch, &record), 100u);
+        EXPECT_EQ(record.start[t], 0u);
+        EXPECT_EQ(scratch.resourceNextFree()[0], 100u);
+        EXPECT_EQ(scratch.resourceWait()[0], 0u);
+    }
+    EXPECT_EQ(graph.resourceBusy()[0], 100u);
 }
 
 TEST(TaskGraph, QueuedTaskChargesItsWaitToEveryResourceItHolds)
@@ -130,31 +138,29 @@ TEST(TaskGraph, QueuedTaskChargesItsWaitToEveryResourceItHolds)
     // Both tasks fire at 0; the second queues behind the first on the
     // shared unit until 30. Its wait (start 30 - fire 0) is charged to
     // each of its reservations, the idle side resource's included.
-    ResourcePool pool;
-    const auto shared = pool.create("shared", ResourceCategory::Other);
-    const auto side = pool.create("side", ResourceCategory::Other);
+    const std::size_t shared = 0, side = 1;
     TaskGraph graph;
     addNamedTask(graph, "first", {shared}, 30);
     const TaskId second = addNamedTask(graph, "second", {shared, side}, 5);
+    ExecScratch scratch;
     ExecRecord record;
-    EXPECT_EQ(graph.execute(pool, nullptr, &record), 35u);
+    EXPECT_EQ(graph.execute(&scratch, &record), 35u);
     EXPECT_EQ(record.start[second], 30u);
-    EXPECT_EQ(pool.waitTime(shared), 30u);
-    EXPECT_EQ(pool.waitTime(side), 30u);
-    EXPECT_EQ(pool.busyTime(shared), 35u);
-    EXPECT_EQ(pool.reservations(side), 1u);
+    EXPECT_EQ(scratch.resourceWait()[shared], 30u);
+    EXPECT_EQ(scratch.resourceWait()[side], 30u);
+    EXPECT_EQ(graph.resourceBusy()[shared], 35u);
+    EXPECT_EQ(graph.resourceReservations()[side], 1u);
 }
 
 TEST(TaskGraph, ChainRespectsDependencies)
 {
-    ResourcePool pool;
-    const auto r = pool.create("unit", ResourceCategory::Other);
+    const std::size_t r = 0;
     TaskGraph graph;
     const TaskId a = addNamedTask(graph, "a", {r}, 10);
     const TaskId b = addNamedTask(graph, "b", {r}, 20);
     graph.addDep(b, a);
     ExecRecord record;
-    const PicoSeconds makespan = graph.execute(pool, nullptr, &record);
+    const PicoSeconds makespan = graph.execute(nullptr, &record);
     EXPECT_EQ(makespan, 30u);
     EXPECT_EQ(record.end[a], 10u);
     EXPECT_EQ(record.end[b], 30u);
@@ -162,88 +168,72 @@ TEST(TaskGraph, ChainRespectsDependencies)
 
 TEST(TaskGraph, IndependentTasksContendOnSharedResource)
 {
-    ResourcePool pool;
-    const auto r = pool.create("unit", ResourceCategory::Other);
     TaskGraph graph;
     for (int i = 0; i < 4; ++i)
-        addNamedTask(graph, "t", {r}, 10);
-    const PicoSeconds makespan = graph.execute(pool);
+        addNamedTask(graph, "t", {0}, 10);
+    const PicoSeconds makespan = graph.execute();
     EXPECT_EQ(makespan, 40u); // serialized on one resource
 }
 
 TEST(TaskGraph, IndependentTasksOnDistinctResourcesOverlap)
 {
-    ResourcePool pool;
     TaskGraph graph;
-    for (int i = 0; i < 4; ++i) {
-        const auto r = pool.create("unit" + std::to_string(i),
-                                   ResourceCategory::Other);
+    for (std::size_t r = 0; r < 4; ++r)
         addNamedTask(graph, "t", {r}, 10);
-    }
-    EXPECT_EQ(graph.execute(pool), 10u);
+    EXPECT_EQ(graph.execute(), 10u);
 }
 
 TEST(TaskGraph, PipelineOverlapsStages)
 {
     // Two-stage pipeline, 3 items: makespan = (3 + 2 - 1) * 10.
-    ResourcePool pool;
-    const auto s1 = pool.create("stage1", ResourceCategory::Other);
-    const auto s2 = pool.create("stage2", ResourceCategory::Other);
+    const std::size_t s1 = 0, s2 = 1;
     TaskGraph graph;
     for (int item = 0; item < 3; ++item) {
         const TaskId a = addNamedTask(graph, "s1", {s1}, 10);
         const TaskId b = addNamedTask(graph, "s2", {s2}, 10);
         graph.addDep(b, a);
     }
-    EXPECT_EQ(graph.execute(pool), 40u);
+    EXPECT_EQ(graph.execute(), 40u);
 }
 
 TEST(TaskGraph, MultiResourceTaskHoldsAll)
 {
-    ResourcePool pool;
-    const auto r1 = pool.create("r1", ResourceCategory::Other);
-    const auto r2 = pool.create("r2", ResourceCategory::Other);
+    const std::size_t r1 = 0, r2 = 1;
     TaskGraph graph;
     addNamedTask(graph, "uses r1", {r1}, 10);
     addNamedTask(graph, "uses both", {r1, r2}, 10);
     addNamedTask(graph, "uses r2", {r2}, 10);
-    const PicoSeconds makespan = graph.execute(pool);
+    const PicoSeconds makespan = graph.execute();
     // The both-task starts after r1 frees; the r2-task waits for it.
     EXPECT_EQ(makespan, 30u);
 }
 
 TEST(TaskGraph, ZeroDurationBarrier)
 {
-    ResourcePool pool;
-    const auto r = pool.create("r", ResourceCategory::Other);
     TaskGraph graph;
-    const TaskId a = addNamedTask(graph, "a", {r}, 15);
+    const TaskId a = addNamedTask(graph, "a", {0}, 15);
     const TaskId barrier = addNamedTask(graph, "barrier", {}, 0);
-    const TaskId b = addNamedTask(graph, "b", {r}, 5);
+    const TaskId b = addNamedTask(graph, "b", {0}, 5);
     graph.addDep(barrier, a);
     graph.addDep(b, barrier);
     ExecRecord record;
-    const PicoSeconds makespan = graph.execute(pool, nullptr, &record);
+    const PicoSeconds makespan = graph.execute(nullptr, &record);
     EXPECT_EQ(record.end[barrier], 15u);
     EXPECT_EQ(makespan, 20u);
 }
 
-TEST(TaskGraph, ReexecutableAfterPoolReset)
+TEST(TaskGraph, ReexecutableOnOneScratch)
 {
-    ResourcePool pool;
-    const auto r = pool.create("r", ResourceCategory::Other);
     TaskGraph graph;
-    addNamedTask(graph, "a", {r}, 10);
-    EXPECT_EQ(graph.execute(pool), 10u);
-    pool.resetAll();
-    EXPECT_EQ(graph.execute(pool), 10u);
+    addNamedTask(graph, "a", {0}, 10);
+    ExecScratch scratch;
+    EXPECT_EQ(graph.execute(&scratch), 10u);
+    EXPECT_EQ(graph.execute(&scratch), 10u);
 }
 
 TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
 {
-    ResourcePool pool;
-    const auto r0 = pool.create("r0", ResourceCategory::Other);
-    const auto r1 = pool.create("r1", ResourceCategory::Other);
+    const std::size_t r0 = 0, r1 = 1;
     TaskGraph graph;
     const TaskId a = addNamedTask(graph, "a", {r0}, 10);
     const TaskId b = addNamedTask(graph, "b", {r1}, 20);
@@ -252,14 +242,102 @@ TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
     graph.addDep(c, b);
 
     ExecRecord fresh;
-    const PicoSeconds makespan = graph.execute(pool, nullptr, &fresh);
+    const PicoSeconds makespan = graph.execute(nullptr, &fresh);
     ExecScratch scratch;
     for (int round = 0; round < 3; ++round) {
-        pool.resetAll();
         ExecRecord reused;
-        EXPECT_EQ(graph.execute(pool, &scratch, &reused), makespan);
+        EXPECT_EQ(graph.execute(&scratch, &reused), makespan);
         EXPECT_EQ(reused.end, fresh.end);
         EXPECT_EQ(reused.popOrder, fresh.popOrder);
+    }
+}
+
+/** Everything a run leaves that a later run on the same scratch could
+ *  see: the makespan, the record, the per-resource columns and the
+ *  sim.resource.* totals. */
+struct RunColumns {
+    PicoSeconds makespan = 0;
+    ExecRecord record;
+    std::vector<PicoSeconds> wait, nextFree;
+    std::map<std::string, std::uint64_t> resourceCounters;
+};
+
+RunColumns
+runColumns(const TaskGraph &graph, ExecScratch &scratch, bool recorded)
+{
+    RunColumns run;
+    run.makespan =
+        graph.execute(&scratch, recorded ? &run.record : nullptr);
+    run.wait.assign(scratch.resourceWait().begin(),
+                    scratch.resourceWait().end());
+    run.nextFree.assign(scratch.resourceNextFree().begin(),
+                        scratch.resourceNextFree().end());
+    MetricsRegistry metrics;
+    recordPoolMetrics(graph, scratch, metrics);
+    for (const auto &[name, value] : metrics.snapshot().counters) {
+        if (name.rfind("sim.resource.", 0) == 0)
+            run.resourceCounters[name] = value;
+    }
+    return run;
+}
+
+void
+expectSameRun(const RunColumns &got, const RunColumns &want)
+{
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.record.start, want.record.start);
+    EXPECT_EQ(got.record.end, want.record.end);
+    EXPECT_EQ(got.record.bindingPred, want.record.bindingPred);
+    EXPECT_EQ(got.record.bindingKind, want.record.bindingKind);
+    EXPECT_EQ(got.record.bindingRes, want.record.bindingRes);
+    EXPECT_EQ(got.record.resPrev, want.record.resPrev);
+    EXPECT_EQ(got.record.popOrder, want.record.popOrder);
+    EXPECT_EQ(got.record.lastTask, want.record.lastTask);
+    EXPECT_EQ(got.record.makespan, want.record.makespan);
+    EXPECT_EQ(got.wait, want.wait);
+    EXPECT_EQ(got.nextFree, want.nextFree);
+    EXPECT_EQ(got.resourceCounters, want.resourceCounters);
+}
+
+TEST(ExecScratch, RunColumnsMatchAFreshScratchAcrossGraphs)
+{
+    // A sweep lane runs graphs of different resource counts on one
+    // scratch: a 3D template (716 resources), a PRIME one (468), the 3D
+    // one again, then a graph whose ids run past the 3D machine's. Each
+    // run, recorded or not, must equal a fresh scratch's run of the
+    // same graph: the run columns shrink and grow with the graph and
+    // nothing carries over.
+    const GanModel model = makeBenchmark("DCGAN");
+    const auto threeD =
+        LerGanAccelerator(model, AcceleratorConfig::lerGan(ReplicaDegree::Low))
+            .makeIterationTemplate();
+    const auto prime = LerGanAccelerator(model, AcceleratorConfig::prime())
+                           .makeIterationTemplate();
+    // The machine's resources plus the accelerator's host CPU.
+    ASSERT_EQ(threeD->resourceNames->size(), 716u + 1);
+    ASSERT_EQ(prime->resourceNames->size(), 468u + 1);
+
+    TaskGraph wide;
+    for (std::size_t i = 0; i < 60; ++i) {
+        const TaskId id = addNamedTask(
+            wide, "t", {790 + i % 7, 799 - i % 3}, 5 + i % 11);
+        if (i >= 5 && i % 4 == 0)
+            wide.addDep(id, id - 5);
+    }
+    ASSERT_GT(wide.resourceBound(), threeD->graph.resourceBound());
+
+    ExecScratch lane;
+    for (const bool recorded : {true, false}) {
+        for (const TaskGraph *graph : std::vector<const TaskGraph *>{
+                 &threeD->graph, &prime->graph, &threeD->graph, &wide}) {
+            SCOPED_TRACE(std::to_string(graph->resourceBound()) +
+                         " resources, recorded " +
+                         std::to_string(recorded));
+            ExecScratch fresh;
+            const RunColumns want = runColumns(*graph, fresh, recorded);
+            ASSERT_EQ(want.wait.size(), graph->resourceBound());
+            expectSameRun(runColumns(*graph, lane, recorded), want);
+        }
     }
 }
 
@@ -373,11 +451,8 @@ TEST(TaskGraph, RebuiltFromSuccessorsExecutesIdentically)
 {
     std::vector<std::pair<TaskId, TaskId>> deps;
     const TaskGraph graph = makeContendedGraph(11, 3, deps);
-    ResourcePool pool;
-    for (int r = 0; r < 3; ++r)
-        pool.create("r" + std::to_string(r), ResourceCategory::Other);
     ExecRecord original;
-    graph.execute(pool, nullptr, &original);
+    graph.execute(nullptr, &original);
 
     // Re-declare every edge dep-major from the CSR: a different addDep
     // call order with the same per-dependency successor order.
@@ -390,9 +465,8 @@ TEST(TaskGraph, RebuiltFromSuccessorsExecutesIdentically)
     for (TaskId dep = 0; dep < graph.size(); ++dep)
         for (const TaskId task : graph.successorCsr().of(dep))
             rebuilt.addDep(task, dep);
-    pool.resetAll();
     ExecRecord copy;
-    rebuilt.execute(pool, nullptr, &copy);
+    rebuilt.execute(nullptr, &copy);
 
     EXPECT_EQ(copy.start, original.start);
     EXPECT_EQ(copy.end, original.end);
@@ -409,40 +483,23 @@ TEST(TaskGraph, MovableAcrossBuildAndExecute)
 {
     // Templates move frozen graphs into shared caches; both a built-but-
     // unexecuted and an already-executed graph must survive the move.
-    ResourcePool pool;
-    const auto r = pool.create("r", ResourceCategory::Other);
     TaskGraph built;
-    addNamedTask(built, "a", {r}, 7);
+    addNamedTask(built, "a", {0}, 7);
     TaskGraph moved = std::move(built);
-    EXPECT_EQ(moved.execute(pool), 7u);
+    EXPECT_EQ(moved.execute(), 7u);
 
-    pool.resetAll();
     TaskGraph again = std::move(moved);
-    EXPECT_EQ(again.execute(pool), 7u);
+    EXPECT_EQ(again.execute(), 7u);
 }
 
 TEST(TaskGraphDeath, CycleIsDetected)
 {
-    ResourcePool pool;
     TaskGraph graph;
     const TaskId a = addNamedTask(graph, "a", {}, 1);
     const TaskId b = addNamedTask(graph, "b", {}, 1);
     graph.addDep(a, b);
     graph.addDep(b, a);
-    EXPECT_DEATH(graph.execute(pool), "cycle");
-}
-
-TEST(TaskGraphDeath, ResourceOutsideThePoolIsABug)
-{
-    ResourcePool pool;
-    const auto r = pool.create("r", ResourceCategory::Other);
-    TaskGraph graph;
-    addNamedTask(graph, "in the pool", {r}, 1);
-    addNamedTask(graph, "past the pool", {r + 1}, 1);
-    EXPECT_DEATH(graph.execute(pool), "names resource 1 but the pool has 1");
-    ExecRecord record;
-    EXPECT_DEATH(graph.execute(pool, nullptr, &record),
-                 "names resource 1 but the pool has 1");
+    EXPECT_DEATH(graph.execute(), "cycle");
 }
 
 } // namespace

@@ -171,15 +171,8 @@ TEST(DeriveObservers, HistogramsEqualObservingEveryPop)
     ExecScratch scratch;
     for (const TaskGraph *graph : std::array<const TaskGraph *, 3>{
              &tmpl->graph, &sources, &single}) {
-        ResourcePool small;
-        for (int r = 0; r < 3; ++r)
-            small.create("r" + std::to_string(r), ResourceCategory::Other);
-        ResourcePool &pool = graph == &tmpl->graph
-                                 ? accelerator.machine().pool()
-                                 : small;
-        pool.resetAll();
         ExecRecord record;
-        graph->execute(pool, nullptr, &record);
+        graph->execute(nullptr, &record);
         SCOPED_TRACE(std::to_string(graph->size()) + " tasks");
         const std::array<HistogramBins, 3> want =
             observeEveryPop(*graph, record);

@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the utilization reporting over finished runs: the empty
- * pool, the deterministic busy/name tie-break, the
+ * graph, the deterministic busy/name tie-break, the
  * per-category metric rollup, and Resource wait-time accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/resource.hh"
 #include "sim/task_graph.hh"
@@ -20,21 +23,31 @@
 namespace lergan {
 namespace {
 
+/** One executed run of a graph over @p pool's resources. */
+struct Occupied {
+    TaskGraph graph;
+    ExecScratch scratch;
+    std::vector<std::string> names;
+};
+
 /** Occupy each (resource, duration) pair's resource for that long from
  *  time zero: one independent task per pair, run through the executor. */
-void
-occupy(ResourcePool &pool,
+std::unique_ptr<Occupied>
+occupy(const ResourcePool &pool,
        std::initializer_list<std::pair<std::size_t, PicoSeconds>> slots)
 {
-    TaskGraph graph;
+    auto run = std::make_unique<Occupied>();
     for (const auto &[rid, duration] : slots)
-        addNamedTask(graph, "t", {rid}, duration);
-    graph.execute(pool);
+        addNamedTask(run->graph, "t", {rid}, duration);
+    run->graph.setResourceCategories(pool.categories());
+    run->names = pool.names();
+    run->graph.execute(&run->scratch);
+    return run;
 }
 
-/** Pool with known busy times: two wires, one tile, one idle switch. */
-ResourcePool
-examplePool()
+/** A run with known busy times: two wires, one tile, one idle switch. */
+std::unique_ptr<Occupied>
+exampleRun()
 {
     ResourcePool pool;
     const std::size_t wire_a =
@@ -44,16 +57,15 @@ examplePool()
     const std::size_t tile =
         pool.create("bank0.tile3.compute", ResourceCategory::Compute);
     pool.create("switch.2", ResourceCategory::Switch); // never reserved
-    occupy(pool, {{wire_a, 100}, {wire_b, 300}, {tile, 400}});
-    return pool;
+    return occupy(pool, {{wire_a, 100}, {wire_b, 300}, {tile, 400}});
 }
 
 TEST(Utilization, EmptyPool)
 {
-    const ResourcePool pool;
-    EXPECT_TRUE(topBusyResources(pool, 1000, 10).empty());
+    const TaskGraph graph;
+    EXPECT_TRUE(topBusyResources(graph, {}, 1000, 10).empty());
     std::ostringstream oss;
-    printUtilization(oss, pool, 1000, 10);
+    printUtilization(oss, graph, {}, 1000, 10);
     EXPECT_TRUE(oss.str().empty());
 }
 
@@ -63,26 +75,31 @@ TEST(Utilization, TopBusySortsByBusyThenName)
     const std::size_t b = pool.create("beta", ResourceCategory::Other);
     const std::size_t a = pool.create("alpha", ResourceCategory::Other);
     const std::size_t c = pool.create("gamma", ResourceCategory::Other);
-    occupy(pool, {{a, 100}, {b, 100}, {c, 500}}); // alpha ties with beta
+    pool.create("delta", ResourceCategory::Other); // past the graph's ids
+    // alpha ties with beta
+    const auto run = occupy(pool, {{a, 100}, {b, 100}, {c, 500}});
 
-    const auto top = topBusyResources(pool, 1000, 10);
-    ASSERT_EQ(top.size(), 3u);
+    const auto top = topBusyResources(run->graph, run->names, 1000, 10);
+    ASSERT_EQ(top.size(), 4u);
     EXPECT_EQ(top[0].name, "gamma"); // busiest first
     EXPECT_EQ(top[1].name, "alpha"); // tie broken by name
     EXPECT_EQ(top[2].name, "beta");
+    EXPECT_EQ(top[3].name, "delta"); // idle, but still listed
+    EXPECT_EQ(top[3].busy, 0u);
     EXPECT_DOUBLE_EQ(top[0].utilization, 0.5);
     EXPECT_EQ(top[0].reservations, 1u);
 
     // top_k truncates after sorting.
-    EXPECT_EQ(topBusyResources(pool, 1000, 1).size(), 1u);
-    EXPECT_EQ(topBusyResources(pool, 1000, 1)[0].name, "gamma");
+    EXPECT_EQ(topBusyResources(run->graph, run->names, 1000, 1).size(), 1u);
+    EXPECT_EQ(topBusyResources(run->graph, run->names, 1000, 1)[0].name,
+              "gamma");
 }
 
 TEST(Utilization, RecordPoolMetricsAggregatesByCategory)
 {
-    const ResourcePool pool = examplePool();
+    const auto run = exampleRun();
     MetricsRegistry registry;
-    recordPoolMetrics(pool, registry);
+    recordPoolMetrics(run->graph, run->scratch, registry);
     const MetricsSnapshot snapshot = registry.snapshot();
     EXPECT_EQ(snapshot.counters.at("sim.resource.busy_ps.wire"), 400u);
     EXPECT_EQ(snapshot.counters.at("sim.resource.busy_ps.compute"),
@@ -98,9 +115,7 @@ TEST(Resource, WaitTimeMeasuresQueueing)
 {
     // Three tasks on one resource, released at 10, 50 and 500 by
     // resource-free delay tasks.
-    ResourcePool pool;
-    const std::size_t res =
-        pool.create("bank0.tile0.compute", ResourceCategory::Compute);
+    const std::size_t res = 0;
     TaskGraph graph;
     const auto readyAt = [&](PicoSeconds ready, PicoSeconds duration) {
         const TaskId delay = addNamedTask(graph, "delay", {}, ready);
@@ -111,22 +126,22 @@ TEST(Resource, WaitTimeMeasuresQueueing)
     const TaskId first = readyAt(10, 100);
     const TaskId queued = readyAt(50, 10);
     const TaskId idle = readyAt(500, 10);
+    ExecScratch scratch;
     ExecRecord record;
-    graph.execute(pool, nullptr, &record);
+    graph.execute(&scratch, &record);
     // First reservation starts on time.
     EXPECT_EQ(record.start[first], 10u);
     // Ready at 50 but the resource is busy until 110: waits 60.
     EXPECT_EQ(record.start[queued], 110u);
     // Ready after the resource frees: no extra wait.
     EXPECT_EQ(record.start[idle], 500u);
-    EXPECT_EQ(pool.waitTime(res), 60u);
-    EXPECT_EQ(pool.busyTime(res), 120u);
-    EXPECT_EQ(pool.reservations(res), 3u);
+    EXPECT_EQ(scratch.resourceWait()[res], 60u);
+    EXPECT_EQ(graph.resourceBusy()[res], 120u);
+    EXPECT_EQ(graph.resourceReservations()[res], 3u);
 
-    pool.resetAll();
-    EXPECT_EQ(pool.waitTime(res), 0u);
-    EXPECT_EQ(pool.busyTime(res), 0u);
-    EXPECT_EQ(pool.reservations(res), 0u);
+    // The wait is one run's, not a running total.
+    graph.execute(&scratch);
+    EXPECT_EQ(scratch.resourceWait()[res], 60u);
 }
 
 } // namespace
