@@ -18,8 +18,9 @@ and min-max, and flags the layer:
     fell   the change's max is below the parent's min
 
 Either flag says "worse" or "better" by the metric's direction in
-BENCHMARK.json. Overlapping ranges are not flagged. Exits 1 when a side
-has no rows. Standard library only.
+BENCHMARK.json, and the last line names every layer that got worse.
+Overlapping ranges are not flagged. Exits 1 when a side has no rows.
+Standard library only.
 """
 
 import argparse
@@ -109,10 +110,10 @@ def main():
             flag = verdict(parent, change, better)
             print("%-34s %-36s %-36s %s" % (metric, span(parent),
                                             span(change), flag))
-            if flag.startswith("rose"):
+            if flag.endswith("(worse)"):
                 flagged.append("%s %s: %s" % (workload, metric, flag))
         print()
-    print("risen layers: " + ("; ".join(flagged) if flagged else "none"))
+    print("worse layers: " + ("; ".join(flagged) if flagged else "none"))
     return 0
 
 

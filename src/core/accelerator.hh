@@ -176,8 +176,6 @@ class LerGanAccelerator
     std::shared_ptr<const IterationTemplate> makeIterationTemplate();
 
     const CompiledGan &compiled() const { return *compiled_; }
-    const GanModel &model() const { return model_; }
-    const AcceleratorConfig &config() const { return config_; }
     Machine &machine() { return machine_; }
 
   private:

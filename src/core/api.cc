@@ -78,10 +78,10 @@ SimulationSession::runPoint(const GanModel &model, int iterations,
         root->attr("benchmark", model.name);
         root->attr("iterations", static_cast<std::int64_t>(iterations));
     }
+    const std::string key =
+        pairFingerprint(modelFingerprint(model), configKey_);
     const PreparedPoint point =
-        preparePoint(model, config_, pairFingerprint(modelFingerprint(model),
-                                                     configKey_),
-                     *cache_, *templates_);
+        preparePoint(model, config_, key, *cache_, *templates_);
     ExecScratch scratch;
     return simulatePoint(point, scratch, iterations, instruments);
 }

@@ -13,11 +13,10 @@
  * fingerprints formatted when the model and the config were added. A
  * point whose template is cached builds nothing — no accelerator, no
  * machine, no fingerprint — and runs the template on its lane's
- * scratch. Results are always ordered benchmark-major
- * regardless of which worker finishes first, and a point that throws
- * is reported as a failed SweepResult instead of aborting the grid, so
- * a 1-thread and an N-thread run of the same grid export
- * byte-identical JSON/CSV.
+ * scratch. Results are always ordered benchmark-major regardless of
+ * which worker finishes first, and a point that throws is reported as
+ * a failed SweepResult instead of aborting the grid, so a 1-thread and
+ * an N-thread run of the same grid export byte-identical JSON/CSV.
  */
 
 #ifndef LERGAN_CORE_SWEEP_HH

@@ -74,10 +74,9 @@ std::string
 pairFingerprint(std::string_view model_fingerprint,
                 std::string_view config_fingerprint)
 {
-    std::string key;
-    key.reserve(model_fingerprint.size() + 2 + config_fingerprint.size());
-    key.append(model_fingerprint).append("##").append(config_fingerprint);
-    return key;
+    return std::string(model_fingerprint)
+        .append("##")
+        .append(config_fingerprint);
 }
 
 std::string
