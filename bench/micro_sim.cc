@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/api.hh"
@@ -220,10 +221,11 @@ BM_WarmPointTableV(benchmark::State &state)
         std::string key;
     };
     std::vector<Point> points;
+    const std::vector<AcceleratorConfig> configs = tableVConfigs();
     for (const GanModel &model : allBenchmarks()) {
+        // The first two Table V configs: prime and low.
         for (const AcceleratorConfig &config :
-             {AcceleratorConfig::prime(),
-              AcceleratorConfig::lerGan(ReplicaDegree::Low)})
+             std::span(configs).first(2))
             points.push_back({model, config, pairFingerprint(model, config)});
     }
     CompiledModelCache cache;

@@ -31,7 +31,9 @@ sharedNames(const std::vector<std::string> &names)
     const std::lock_guard lock(mutex);
     std::erase_if(lists, [](const auto &list) { return list.expired(); });
     for (const auto &list : lists) {
-        if (auto live = list.lock(); *live == names)
+        // Templates drop their lists outside the mutex, so a list seen
+        // alive by erase_if may have died since.
+        if (auto live = list.lock(); live && *live == names)
             return live;
     }
     auto list = std::make_shared<const std::vector<std::string>>(names);

@@ -813,6 +813,45 @@ TEST(SweepExec, WarmFig19GridOnFourWorkersMatchesOneWorker)
     EXPECT_EQ(resourceCounters(*warm), resourceCounters(*single));
 }
 
+TEST(Accelerator, ConcurrentTemplatesOfLikeMachinesBuildAndDrop)
+{
+    // Templates of like machines share one name list, and each drops
+    // its share outside the table's lock: threads that build and drop
+    // such templates at once make a lookup overlap the release of a
+    // list's last owner. Every run must still read its machine's names
+    // and the standalone report.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 40;
+    const GanModel model = makeBenchmark("MAGAN-MNIST");
+    AcceleratorConfig high = AcceleratorConfig::lerGan(ReplicaDegree::High);
+    high.batchSize = 4;
+    const std::array configs{smallLerGan(), high};
+    std::array<PicoSeconds, 2> want{};
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        want[c] = LerGanAccelerator(model, configs[c])
+                      .trainIterations()
+                      .iterationTime;
+    const std::vector<std::string> names =
+        LerGanAccelerator(model, configs[0]).resourceNames();
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                const std::size_t c = (t + round) % configs.size();
+                LerGanAccelerator acc(model, configs[c]);
+                if (acc.trainIterations().iterationTime != want[c] ||
+                    *acc.makeIterationTemplate()->resourceNames != names)
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(SweepExec, ParallelRunIsByteIdenticalToSequential)
 {
     const ExperimentSweep sweep = smallSweep();
