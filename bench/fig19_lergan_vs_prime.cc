@@ -84,10 +84,12 @@ exportCounterTrace(const std::string &path,
  * Warm A/B on-cost of critical-path recording: replay the fig19
  * (model, config) iteration templates through trainIterations, three
  * passes per half, with and without an ExecRecord attached. Compiles
- * and templates come warm out of the sweep's caches.
+ * and templates come warm out of the sweep's caches. Sets @p entry's
+ * recording percent and ns per executed task.
  */
-double
-recordingOverheadPct(lergan::ExperimentSweep &sweep)
+void
+measureRecordingOverhead(lergan::ExperimentSweep &sweep,
+                         lergan::bench::BenchEntry &entry)
 {
     using namespace lergan;
     struct Probe {
@@ -114,16 +116,23 @@ recordingOverheadPct(lergan::ExperimentSweep &sweep)
             probes.push_back(std::move(probe));
         }
     }
+    constexpr int kPasses = 3;
+    std::size_t tasks = 0;
+    for (const Probe &probe : probes)
+        tasks += kPasses * probe.tmpl->graph.size();
     ExecRecord record;
     const auto passes = [&](ExecRecord *rec) {
-        for (int pass = 0; pass < 3; ++pass)
+        for (int pass = 0; pass < kPasses; ++pass)
             for (Probe &probe : probes)
                 probe.acc->trainIterations(bench::kIterations, nullptr,
                                            nullptr, probe.tmpl.get(),
                                            rec);
     };
-    return bench::abOverheadPct([&] { passes(nullptr); },
-                                [&] { passes(&record); });
+    const bench::AbOverhead overhead = bench::abOverhead(
+        [&] { passes(nullptr); }, [&] { passes(&record); });
+    entry.critpathRecordingPct = overhead.pct;
+    entry.critpathRecordingNsPerTask =
+        1e6 * overhead.ms / static_cast<double>(tasks);
 }
 
 /**
@@ -154,15 +163,16 @@ perfGuard(const lergan::ArgParser &args, lergan::ExperimentSweep &sweep,
     entry.measurements = measureSweep(
         sweep, kIterations, workers,
         std::max(1, args.getInt("bench-repeats")));
-    entry.critpathRecordingPct = recordingOverheadPct(sweep);
+    measureRecordingOverhead(sweep, entry);
     const auto flight = std::make_shared<FlightRecorder>();
-    entry.tracingPct = abOverheadPct(
+    entry.tracingPct = abOverhead(
         [&] { sweep.withTracing(nullptr).run(warm); },
-        [&] { sweep.withTracing(flight).run(warm); });
+        [&] { sweep.withTracing(flight).run(warm); }).pct;
     sweep.withTelemetry(telemetry).withTracing(recorder);
     std::cerr << "overheads (warm A/B): critpath recording "
-              << TextTable::num(entry.critpathRecordingPct)
-              << "%, tracing " << TextTable::num(entry.tracingPct)
+              << TextTable::num(entry.critpathRecordingPct) << "% ("
+              << TextTable::num(entry.critpathRecordingNsPerTask)
+              << " ns/task), tracing " << TextTable::num(entry.tracingPct)
               << "% on-cost\n";
 
     if (args.given("bench-json"))
@@ -292,9 +302,9 @@ main(int argc, char **argv)
         // of the span profile.
         const auto registry = std::make_shared<MetricsRegistry>();
         sweep.withTracing(nullptr);
-        const double overhead = abOverheadPct(
+        const double overhead = abOverhead(
             [&] { sweep.withTelemetry(nullptr).run(warm); },
-            [&] { sweep.withTelemetry(registry).run(warm); });
+            [&] { sweep.withTelemetry(registry).run(warm); }).pct;
         std::cerr << "telemetry overhead (warm A/B): "
                   << TextTable::num(overhead) << "% on-cost\n";
         sweep.withTelemetry(runner.obs().registry())

@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the simulator substrate: event
  * queue bulk load, routing, reshape enumeration, the executor's
- * per-task cost over the Table V templates, the post-run metrics replay
- * and critical-path pass over their records, one warm sweep point, and
- * whole-iteration simulation.
+ * per-task cost over the Table V templates and their graph freeze, the
+ * post-run metrics replay and critical-path pass over their records,
+ * one warm sweep point, and whole-iteration simulation.
  */
 
 #include <benchmark/benchmark.h>
@@ -40,11 +40,11 @@ BM_CalendarQueueBulkLoad(benchmark::State &state)
         // [0, n).
         for (TaskId i = 0; i < n; ++i)
             queue.scheduleAt(static_cast<PicoSeconds>(i * 7919 % n),
-                             TaskEvent{i, false});
+                             TaskEvent(i, false));
         TaskEvent event;
         TaskId fired = 0;
         while (queue.pop(event))
-            fired += event.task;
+            fired += event.task();
         benchmark::DoNotOptimize(fired);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -162,6 +162,54 @@ BM_ExecuteTableV(benchmark::State &state)
         static_cast<double>(executing.count()) / executed;
 }
 BENCHMARK(BM_ExecuteTableV)->ArgName("recorded")->Arg(0)->Arg(1);
+
+/**
+ * The graph freeze: the first execute of each of the 32 Table V
+ * templates, built afresh every iteration (the build is not timed), on
+ * one reused scratch. ns_per_task is that first execute per task: the
+ * freeze (successor CSR, resource classes, per-resource totals) plus
+ * one run. The other counters describe the templates: interned
+ * resource sets and classes per template, and the resource and class
+ * slots a task reserves.
+ */
+void
+BM_FreezeTableV(benchmark::State &state)
+{
+    std::vector<std::unique_ptr<LerGanAccelerator>> accelerators;
+    for (const GanModel &model : allBenchmarks()) {
+        for (const AcceleratorConfig &config : tableVConfigs())
+            accelerators.push_back(
+                std::make_unique<LerGanAccelerator>(model, config));
+    }
+    ExecScratch scratch;
+    std::chrono::nanoseconds freezing{0};
+    double tasks = 0, sets = 0, classes = 0, resSlots = 0, classSlots = 0;
+    for (auto _ : state) {
+        for (const auto &accelerator : accelerators) {
+            const auto tmpl = accelerator->makeIterationTemplate();
+            const TaskGraph &graph = tmpl->graph;
+            const auto begin = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(graph.execute(&scratch));
+            freezing += std::chrono::steady_clock::now() - begin;
+            const ResourceClasses view = graph.resourceClasses();
+            tasks += static_cast<double>(graph.size());
+            sets += static_cast<double>(graph.resourceSetCount());
+            classes += static_cast<double>(view.count);
+            classSlots += static_cast<double>(view.slot(graph.size()));
+            for (TaskId id = 0; id < graph.size(); ++id)
+                resSlots += static_cast<double>(graph.resources(id).size());
+        }
+    }
+    const double templates =
+        static_cast<double>(state.iterations() * accelerators.size());
+    state.counters["ns_per_task"] =
+        static_cast<double>(freezing.count()) / tasks;
+    state.counters["sets"] = sets / templates;
+    state.counters["classes"] = classes / templates;
+    state.counters["res_slots_per_task"] = resSlots / tasks;
+    state.counters["class_slots_per_task"] = classSlots / tasks;
+}
+BENCHMARK(BM_FreezeTableV)->Unit(benchmark::kMillisecond);
 
 /**
  * The two post-run passes of an observed sweep point over the 32 Table

@@ -197,9 +197,9 @@ resultOf(const std::vector<SweepResult> &results,
     return *it;
 }
 
-double
-abOverheadPct(const std::function<void()> &off,
-              const std::function<void()> &on)
+AbOverhead
+abOverhead(const std::function<void()> &off,
+           const std::function<void()> &on)
 {
     off(); // warm-up both sides before timing
     on();
@@ -207,7 +207,7 @@ abOverheadPct(const std::function<void()> &off,
     // of one back-to-back pair equally, so pairwise ratios are far more
     // stable than a ratio of independent minima; the median then
     // rejects outlier pairs in either direction.
-    std::vector<double> overheads;
+    std::vector<double> overheads, deltas;
     for (int pair = 0; pair < 15; ++pair) {
         PerfTimer timer;
         off();
@@ -217,8 +217,9 @@ abOverheadPct(const std::function<void()> &off,
         const double onMs = timer.elapsedMs();
         if (offMs > 0.0)
             overheads.push_back(100.0 * (onMs - offMs) / offMs);
+        deltas.push_back(onMs - offMs);
     }
-    return percentile(overheads, 0.5);
+    return {percentile(overheads, 0.5), percentile(deltas, 0.5)};
 }
 
 std::vector<int>
@@ -437,11 +438,16 @@ guardVerdicts(const BenchEntry &committed, const BenchEntry &measured)
     // Recording costs a meaningful relative share of a ~80 ns/task
     // loop, so the guard is on the ratio: 4 points absorb host noise
     // while a recording-path regression shows up as tens of points.
+    // The ratio also moves when only the unrecorded run gets faster,
+    // so the line names the absolute cost per task too.
     const double recordingCeiling = committed.critpathRecordingPct + 4.0;
     verdicts.push_back(verdict(
         "critpath recording overhead", measured.critpathRecordingPct,
         committed.critpathRecordingPct, "%", "ceiling", recordingCeiling,
         measured.critpathRecordingPct <= recordingCeiling));
+    verdicts.back().line += "; recorded minus unrecorded " +
+                            num(measured.critpathRecordingNsPerTask) +
+                            " ns/task";
 
     // Tracing's budget is 3% host-ms/point; the committed number is
     // typically ~0, so 2 points over it would be inside host noise.

@@ -45,7 +45,7 @@
  * Scaling efficiency is points/sec at W workers divided by (1-worker
  * points/sec × min(W, hardware_threads)) — 1.0 means the curve is ideal
  * for the cores actually available. The two overheads are warm A/B
- * on-costs measured by abOverheadPct(): critical-path recording
+ * on-costs measured by abOverhead(): critical-path recording
  * (ExecRecord on vs off over the grid templates) and span tracing
  * (FlightRecorder on vs off over the warm grid). Schema /3 added
  * "overheads_pct"; older entries in the file lack it and are never read.
@@ -155,18 +155,27 @@ struct BenchEntry {
     unsigned hardwareThreads = 0;
     /** Warm A/B on-cost of critical-path recording, in percent. */
     double critpathRecordingPct = 0.0;
+    /** The same on-cost per executed task, in ns: recorded minus
+     *  unrecorded. Measured only; the file does not carry it. */
+    double critpathRecordingNsPerTask = 0.0;
     /** Warm A/B on-cost of span tracing, in percent. */
     double tracingPct = 0.0;
     std::vector<BenchMeasurement> measurements;
 };
 
+/** An A/B on-cost: medians over the pairs of one A/B run. */
+struct AbOverhead {
+    double pct = 0.0; ///< 100 × (on − off) / off
+    double ms = 0.0;  ///< on − off, in host ms
+};
+
 /**
  * The one A/B routine: run @p off and @p on once each to warm up, then
- * 15 back-to-back off/on pairs, and return the median pairwise on-cost
- * 100 × (on − off) / off, in percent.
+ * 15 back-to-back off/on pairs, and return the median pairwise on-cost,
+ * relative and absolute.
  */
-double abOverheadPct(const std::function<void()> &off,
-                     const std::function<void()> &on);
+AbOverhead abOverhead(const std::function<void()> &off,
+                      const std::function<void()> &on);
 
 /**
  * Parse a --bench-workers list: comma-separated positive worker counts,

@@ -73,6 +73,7 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record,
 {
     const std::size_t n = graph.size();
     const SuccessorCsr successors = graph.successorCsr();
+    const ResourceClasses classes = graph.resourceClasses();
     const std::span<const PicoSeconds> duration = graph.durations();
 
     // Backward pass in reverse completion order (a reverse topological
@@ -81,10 +82,11 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record,
     // makespan, for sinks. Dependency successors are pulled from the
     // graph's CSR; a task's latest end is final once it is visited, so
     // its latest start is stored then and each successor costs one
-    // read. Reservation edges are recorded predecessor-side (resPrev),
-    // so each task pushes its latest start to its previous holders
-    // instead; consecutive slots naming the same holder push the same
-    // value, so only the first of such a run is applied. The
+    // read. Reservation edges are recorded predecessor-side (resPrev,
+    // one slot per resource class the task holds), so each task pushes
+    // its latest start to its previous holders instead; consecutive
+    // slots naming the same holder push the same value, so only the
+    // first of such a run is applied. The
     // completions of the pop-order column, walked backward, are that
     // order reversed; no order vector is built.
     std::vector<PicoSeconds> &lateEnd = buffers.lateEnd;
@@ -103,8 +105,8 @@ computeSlack(const TaskGraph &graph, const ExecRecord &record,
         const PicoSeconds start = late - duration[id];
         lateStart[id] = start;
         std::uint32_t pushed = ExecRecord::kNoTask32;
-        for (std::size_t slot = graph.resourceOffset(id);
-             slot < graph.resourceOffset(id + 1); ++slot) {
+        for (std::size_t slot = classes.slot(id);
+             slot < classes.slot(id + 1); ++slot) {
             const std::uint32_t prev = record.resPrev[slot];
             if (prev != pushed && prev != ExecRecord::kNoTask32)
                 lateEnd[prev] = std::min(lateEnd[prev], start);

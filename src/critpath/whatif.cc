@@ -123,7 +123,7 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
     sim::CalendarQueue<TaskEvent> queue;
     for (TaskId id = 0; id < n; ++id)
         if (unmet[id] == 0)
-            queue.scheduleAt(0, TaskEvent{id, false});
+            queue.scheduleAt(0, TaskEvent(id, false));
 
     // Per-resource unit free times, flattened CSR-style: copies[rid]
     // interchangeable FIFO units per resource, one slot each.
@@ -147,9 +147,9 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
     std::size_t completed = 0;
     TaskEvent event;
     while (queue.pop(event)) {
-        const TaskId id = event.task;
+        const TaskId id = event.task();
         const PicoSeconds now = queue.now();
-        if (!event.complete) {
+        if (!event.complete()) {
             if (fire_order)
                 fire_order->push_back(id);
             PicoSeconds start = now;
@@ -158,7 +158,7 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
             const PicoSeconds end = start + durations[id];
             for (const std::uint32_t rid : graph.resources(id))
                 unitFree[earliestUnit(rid)] = end;
-            queue.scheduleAt(end, TaskEvent{id, true});
+            queue.scheduleAt(end, TaskEvent(id, true));
         } else {
             makespan = std::max(makespan, now);
             ++completed;
@@ -167,7 +167,7 @@ simulateList(const TaskGraph &graph, std::span<const PicoSeconds> durations,
             for (const TaskId succ : successors.of(id)) {
                 LERGAN_ASSERT(unmet[succ] > 0, "dependency underflow");
                 if (--unmet[succ] == 0)
-                    queue.scheduleAt(now, TaskEvent{succ, false});
+                    queue.scheduleAt(now, TaskEvent(succ, false));
             }
         }
     }

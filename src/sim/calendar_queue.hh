@@ -45,6 +45,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/logging.hh"
@@ -86,6 +87,8 @@ class CalendarQueue
             lane_.push_back(std::move(payload));
             return;
         }
+        LERGAN_ASSERT(nextSeq_ != UINT32_MAX,
+                      "calendar queue sequence overflow");
         Entry entry{when, nextSeq_++, std::move(payload)};
         if (when < windowEnd_) {
             // Ordered insert into the sorted (descending) near run.
@@ -139,9 +142,10 @@ class CalendarQueue
     }
 
   private:
+    /** 16 bytes for a 4-byte payload (the executor's TaskEvent). */
     struct Entry {
         PicoSeconds when;
-        std::uint64_t seq; ///< schedule order: ties fire first-in first
+        std::uint32_t seq; ///< schedule order: ties fire first-in first
         Payload payload;
     };
 
@@ -182,16 +186,16 @@ class CalendarQueue
         // Unsigned-overflow-safe end of window.
         windowEnd_ = (lo + width < lo) ? hi + 1 : lo + width;
 
-        auto inWindow = [this](const Entry &entry) {
-            return entry.when < windowEnd_;
+        // The in-window entries go to far's tail and move out from
+        // there, so the kept entries never shift.
+        auto beyondWindow = [this](const Entry &entry) {
+            return entry.when >= windowEnd_;
         };
-        auto firstKept =
-            std::partition(far_.begin(), far_.end(), inWindow);
-        near_.reserve(near_.size() +
-                      static_cast<std::size_t>(firstKept - far_.begin()));
-        for (auto it = far_.begin(); it != firstKept; ++it)
-            near_.push_back(std::move(*it));
-        far_.erase(far_.begin(), firstKept);
+        const auto firstMoved =
+            std::partition(far_.begin(), far_.end(), beyondWindow);
+        near_.insert(near_.end(), std::make_move_iterator(firstMoved),
+                     std::make_move_iterator(far_.end()));
+        far_.erase(firstMoved, far_.end());
         std::sort(near_.begin(), near_.end(), laterFirst);
         return true;
     }
@@ -202,7 +206,7 @@ class CalendarQueue
     std::vector<Entry> far_;  ///< beyond the window, unsorted
     std::vector<Payload> lane_; ///< scheduled at now(), FIFO
     std::size_t laneHead_ = 0;  ///< next lane entry to pop
-    std::uint64_t nextSeq_ = 0;
+    std::uint32_t nextSeq_ = 0;
     PicoSeconds now_ = 0;
     PicoSeconds windowEnd_ = 0;
 };

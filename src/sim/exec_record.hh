@@ -9,8 +9,8 @@
  * queue behind earlier reservations, the previous holder of the most
  * contended resource. Following binding predecessors backward from the
  * makespan task yields the critical path (src/critpath); the recorded
- * per-resource reservation order (resPrev) additionally fixes the full
- * timing graph the what-if estimator replays.
+ * reservation order of every resource class (resPrev) additionally
+ * fixes the full timing graph the what-if estimator replays.
  *
  * The record is the only thing the executor writes. The audit and the
  * phase report read its start/end columns directly, next to the graph
@@ -24,7 +24,7 @@
  * results, and a null record costs one predictable branch per event.
  * Its task-id columns (bindingPred, the per-slot resPrev and the
  * pop-order column) hold 4-byte ids, which the executor's cap of
- * UINT32_MAX / 2 recorded tasks keeps exact.
+ * UINT32_MAX / 2 tasks keeps exact.
  */
 
 #ifndef LERGAN_SIM_EXEC_RECORD_HH
@@ -81,16 +81,18 @@ struct ExecRecord {
     /** Binding predecessor task (kNoTask32 when None). */
     std::vector<std::uint32_t> bindingPred;
     std::vector<BindingKind> bindingKind;
-    /** Resource the task queued on when bindingKind == Resource. */
+    /** Resource the task queued on when bindingKind == Resource: of
+     *  the resources that freed last, the first in the task's list. */
     std::vector<std::uint32_t> bindingRes;
     /**
-     * Previous holder per (task, resource) reservation slot, laid out
-     * exactly like the graph's resource CSR: slot
-     * graph.resourceOffset(t) + j belongs to graph.resources(t)[j].
-     * kNoTask32 entries mean the reservation was the resource's first.
-     * 4-byte task ids: the executor caps recorded graphs at
+     * Previous holder per (task, resource class) reservation slot:
+     * slot graph.resourceClasses().slot(t) + j belongs to class
+     * resourceClasses().of(t)[j], and every resource of that class had
+     * this previous holder (a class's resources are held by the same
+     * tasks). kNoTask32 entries mean the reservation was the class's
+     * first. 4-byte task ids: the executor caps graphs at
      * UINT32_MAX / 2 tasks (the pop-order encoding), and this column
-     * has one entry per reservation slot — the record's largest.
+     * has one entry per class slot, ~1.8 per task on Table V.
      */
     std::vector<std::uint32_t> resPrev;
     /**

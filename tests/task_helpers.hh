@@ -24,8 +24,8 @@ addNamedTask(TaskGraph &graph, std::string_view name,
              PicoSeconds duration, TaskKind kind = TaskKind::Marker,
              Phase phase = Phase::Other)
 {
-    return graph.addTask(
-        {kind, phase, graph.intern(name), 0, resources, duration});
+    return graph.addTask({kind, phase, graph.intern(name), 0,
+                          graph.internResources(resources), duration});
 }
 
 /**

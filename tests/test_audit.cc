@@ -216,7 +216,7 @@ TEST(Audit, KilledTileInANonFirstSlotIsCaught)
 
     TaskGraph graph;
     graph.addTask({TaskKind::Compute, Phase::GFwd, graph.intern("probe"),
-                   0, slots, 10});
+                   0, graph.internResources(slots), 10});
     ExecRecord record;
     record.start = {0};
     record.end = {10};

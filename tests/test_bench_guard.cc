@@ -251,7 +251,7 @@ TEST(BenchGuard, AbRoutineWarmsUpThenTimesFifteenPairs)
     int offRuns = 0;
     int onRuns = 0;
     std::vector<char> order;
-    abOverheadPct(
+    abOverhead(
         [&] {
             ++offRuns;
             order.push_back('f');

@@ -183,9 +183,9 @@ oracleSlack(const TaskGraph &graph, const ExecRecord &record)
         lateEnd[id] = late;
         slack[id] = late - record.end[id];
         const PicoSeconds lateStart = late - graph.duration(id);
-        const std::size_t first = graph.resourceOffset(id);
+        const std::size_t first = graph.resourceClasses().slot(id);
         for (std::size_t slot = first;
-             slot < first + graph.resources(id).size(); ++slot) {
+             slot < first + graph.resourceClasses().of(id).size(); ++slot) {
             const std::uint32_t prev = record.resPrev[slot];
             if (prev != ExecRecord::kNoTask32)
                 lateEnd[prev] = std::min(lateEnd[prev], lateStart);
@@ -538,7 +538,7 @@ makeRandomModel(std::uint32_t seed)
         std::vector<std::size_t> held = {r};
         if (rng() % 4 == 0 && resources > 1)
             held.push_back((r + 1) % resources);
-        task.resources = held;
+        task.resources = model.graph->internResources(held);
         model.durations.push_back(task.duration);
         model.graph->addTask(task);
     }
@@ -631,29 +631,35 @@ TEST(CritPathRandom, RecordSlotsFollowTheGraphResourceCsr)
         graph.execute(nullptr, &record);
         SCOPED_TRACE("seed " + std::to_string(seed));
 
+        const ResourceClasses classes = graph.resourceClasses();
         std::size_t slots = 0;
-        for (TaskId id = 0; id < graph.size(); ++id)
-            slots += graph.resources(id).size();
+        for (TaskId id = 0; id < graph.size(); ++id) {
+            EXPECT_EQ(classes.slot(id), slots) << "task " << id;
+            slots += classes.of(id).size();
+        }
         ASSERT_EQ(record.resPrev.size(), slots);
 
-        // Slot j of task t is the reservation of resources(t)[j]: its
-        // previous holder held that same resource and had released it
-        // by the time t started.
+        // Slot j of task t is the reservation of class of(t)[j]: its
+        // previous holder held every resource of t in that class and
+        // had released them by the time t started.
         std::size_t named = 0;
         for (TaskId id = 0; id < graph.size(); ++id) {
-            const auto held = graph.resources(id);
+            const auto held = classes.of(id);
             for (std::size_t j = 0; j < held.size(); ++j) {
-                const std::uint32_t prev =
-                    record.resPrev[graph.resourceOffset(id) + j];
+                const std::uint32_t prev = record.resPrev[classes.slot(id) + j];
                 if (prev == ExecRecord::kNoTask32)
                     continue;
                 ++named;
                 ASSERT_LT(prev, graph.size());
                 const auto prevHeld = graph.resources(prev);
-                EXPECT_NE(std::find(prevHeld.begin(), prevHeld.end(),
-                                    held[j]),
-                          prevHeld.end())
-                    << "task " << id << " slot " << j;
+                for (const std::uint32_t rid : graph.resources(id)) {
+                    if (classes.classOf[rid] != held[j])
+                        continue;
+                    EXPECT_NE(std::find(prevHeld.begin(), prevHeld.end(),
+                                        rid),
+                              prevHeld.end())
+                        << "task " << id << " slot " << j;
+                }
                 EXPECT_LE(record.end[prev], record.start[id])
                     << "task " << id << " slot " << j;
             }
@@ -714,10 +720,10 @@ TEST(CritPathRandom, SlackMatchesTheOracleOnMultiSlotGraphs)
             extractCriticalPath(graph, record, names, &scratch);
         EXPECT_EQ(path.slack, oracleSlack(graph, record));
         EXPECT_EQ(path.criticalDuration(), record.makespan);
+        const ResourceClasses classes = graph.resourceClasses();
         for (TaskId id = 0; id < graph.size(); ++id) {
-            const std::size_t first = graph.resourceOffset(id);
-            for (std::size_t slot = first + 1;
-                 slot < first + graph.resources(id).size(); ++slot) {
+            for (std::size_t slot = classes.slot(id) + 1;
+                 slot < classes.slot(id + 1); ++slot) {
                 const std::uint32_t a = record.resPrev[slot - 1];
                 const std::uint32_t b = record.resPrev[slot];
                 if (a == ExecRecord::kNoTask32 ||

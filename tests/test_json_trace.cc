@@ -344,9 +344,10 @@ TEST(TraceTracks, SpanOccupancyAndBusiestLane)
     const std::uint32_t c = graph.intern("c");
     const std::vector<std::size_t> wire0 = {0}, compute_wire1 = {2, 1},
                                    compute = {2};
-    graph.addTask({TaskKind::Transfer, Phase::Transfers, a, b, wire0, 10});
-    graph.addTask(
-        {TaskKind::Transfer, Phase::Transfers, b, c, compute_wire1, 20});
+    graph.addTask({TaskKind::Transfer, Phase::Transfers, a, b,
+                   graph.internResources(wire0), 10});
+    graph.addTask({TaskKind::Transfer, Phase::Transfers, b, c,
+                   graph.internResources(compute_wire1), 20});
     addNamedTask(graph, "mmv", compute, 100, TaskKind::Compute);
     graph.setResourceCategories({ResourceCategory::Wire,
                                  ResourceCategory::Wire,

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -272,6 +274,204 @@ TEST_P(RandomDagProperty, PoolTotalsMatchTheRecord)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty, testing::Range(0, 24));
+
+// ---------------------------------------------------------------------
+// The class executor vs a per-resource executor: a run over resource
+// classes must leave exactly what reserving every resource would.
+// ---------------------------------------------------------------------
+
+/** What a per-resource run produces. */
+struct PerResourceRun {
+    PicoSeconds makespan = 0;
+    std::vector<PicoSeconds> start, end;
+    std::vector<std::uint32_t> bindingPred, bindingRes;
+    std::vector<BindingKind> bindingKind;
+    /** Previous holder of each resource of each task, in list order. */
+    std::vector<std::vector<std::uint32_t>> prev;
+    std::vector<PicoSeconds> wait, nextFree, busy;
+    std::vector<std::uint64_t> reservations;
+};
+
+/**
+ * The executor as it ran before resource classes: every fire walks the
+ * task's resource list slot by slot, for the start, the binding slot,
+ * the FIFO write and the wait charge.
+ */
+PerResourceRun
+executePerResource(const TaskGraph &graph)
+{
+    constexpr std::uint32_t kNone = ExecRecord::kNoTask32;
+    const std::size_t n = graph.size();
+    const std::size_t bound = graph.resourceBound();
+    const SuccessorCsr successors = graph.successorCsr();
+    PerResourceRun run;
+    run.start.assign(n, 0);
+    run.end.assign(n, 0);
+    run.bindingPred.assign(n, kNone);
+    run.bindingRes.assign(n, ExecRecord::kNoResource);
+    run.bindingKind.assign(n, BindingKind::None);
+    run.prev.assign(n, {});
+    run.wait.assign(bound, 0);
+    run.nextFree.assign(bound, 0);
+    run.busy.assign(bound, 0);
+    run.reservations.assign(bound, 0);
+    std::vector<std::uint32_t> lastHolder(bound, kNone);
+    std::vector<std::uint32_t> bindingDep(n, kNone);
+    std::vector<std::uint32_t> unmet(n);
+    sim::CalendarQueue<TaskEvent> queue;
+    for (TaskId id = 0; id < n; ++id) {
+        unmet[id] = graph.dependencyCount(id);
+        if (unmet[id] == 0)
+            queue.scheduleAt(0, TaskEvent(id, false));
+    }
+    TaskEvent event;
+    while (queue.pop(event)) {
+        const TaskId id = event.task();
+        const PicoSeconds now = queue.now();
+        if (event.complete()) {
+            run.makespan = std::max(run.makespan, now);
+            for (const std::uint32_t succ : successors.of(id)) {
+                if (--unmet[succ] == 0) {
+                    bindingDep[succ] = static_cast<std::uint32_t>(id);
+                    queue.scheduleAt(now, TaskEvent(succ, false));
+                }
+            }
+            continue;
+        }
+        const auto held = graph.resources(id);
+        PicoSeconds start = now;
+        std::size_t bindSlot = held.size();
+        for (std::size_t j = 0; j < held.size(); ++j) {
+            run.prev[id].push_back(lastHolder[held[j]]);
+            lastHolder[held[j]] = static_cast<std::uint32_t>(id);
+            if (run.nextFree[held[j]] > start) {
+                start = run.nextFree[held[j]];
+                bindSlot = j;
+            }
+        }
+        if (bindSlot != held.size()) {
+            run.bindingKind[id] = BindingKind::Resource;
+            run.bindingPred[id] = run.prev[id][bindSlot];
+            run.bindingRes[id] = held[bindSlot];
+        } else if (bindingDep[id] != kNone) {
+            run.bindingKind[id] = BindingKind::Dependency;
+            run.bindingPred[id] = bindingDep[id];
+        }
+        const PicoSeconds end = start + graph.duration(id);
+        for (const std::uint32_t rid : held) {
+            EXPECT_LE(run.nextFree[rid], start);
+            run.nextFree[rid] = end;
+            run.wait[rid] += start - now;
+            run.busy[rid] += graph.duration(id);
+            ++run.reservations[rid];
+        }
+        run.start[id] = start;
+        run.end[id] = end;
+        queue.scheduleAt(end, TaskEvent(id, true));
+    }
+    return run;
+}
+
+/**
+ * A seeded DAG over a few overlapping resource lists: a base list, a
+ * permutation of it, a list sharing one of its resources, one list
+ * sharing nothing, and an interned list no task holds (so the
+ * resources below its top id that no list names stay idle). A sixth of
+ * the tasks hold nothing; some durations are zero.
+ */
+TaskGraph
+makeOverlappingListGraph(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const std::size_t pool = 8 + rng.nextBounded(5);
+    std::vector<std::size_t> ids(pool);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    for (std::size_t i = pool; i > 1; --i)
+        std::swap(ids[i - 1], ids[rng.nextBounded(i)]);
+    // ids[0..3] form the base, ids[4..5] the overlap and lone lists,
+    // ids[pool - 1] is the unheld list's top id, the rest stay idle.
+    const std::size_t width = 2 + rng.nextBounded(3);
+    const std::vector<std::size_t> base(ids.begin(), ids.begin() + width);
+    std::vector<std::size_t> permuted(base.rbegin(), base.rend());
+    std::swap(permuted.front(), permuted[rng.nextBounded(width)]);
+    const std::vector<std::vector<std::size_t>> lists = {
+        {},
+        base,
+        permuted,
+        {ids[4], base[rng.nextBounded(width)]},
+        {ids[5]},
+    };
+    TaskGraph graph;
+    std::vector<ResourceSetId> sets;
+    for (const auto &list : lists)
+        sets.push_back(graph.internResources(list));
+    graph.internResources(std::vector<std::size_t>{ids[pool - 1]});
+    const std::size_t used = 2 + rng.nextBounded(lists.size() - 1);
+    const std::size_t n = 40 + rng.nextBounded(160);
+    const std::uint32_t name = graph.intern("t");
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t pick =
+            rng.nextBounded(6) == 0 ? 0 : rng.nextBounded(used);
+        const PicoSeconds duration =
+            rng.nextBounded(8) == 0 ? 0 : 1 + rng.nextBounded(40);
+        const TaskId id = graph.addTask(
+            {TaskKind::Compute, Phase::GFwd, name, 0, sets[pick], duration});
+        for (std::uint64_t d = rng.nextBounded(3); id > 0 && d > 0; --d)
+            graph.addDep(id, rng.nextBounded(id));
+    }
+    return graph;
+}
+
+TEST(ResourceClasses, ExecuteMatchesThePerResourceExecutor)
+{
+    // One scratch and one record across graphs of different class
+    // counts, recorded and unrecorded.
+    ExecScratch scratch;
+    ExecRecord record;
+    std::set<std::size_t> classCounts;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const TaskGraph graph = makeOverlappingListGraph(seed);
+        const PerResourceRun want = executePerResource(graph);
+        const ResourceClasses classes = graph.resourceClasses();
+        classCounts.insert(classes.count);
+
+        ASSERT_EQ(graph.execute(&scratch, &record), want.makespan);
+        EXPECT_EQ(record.makespan, want.makespan);
+        EXPECT_EQ(record.start, want.start);
+        EXPECT_EQ(record.end, want.end);
+        EXPECT_EQ(record.bindingKind, want.bindingKind);
+        EXPECT_EQ(record.bindingPred, want.bindingPred);
+        EXPECT_EQ(record.bindingRes, want.bindingRes);
+        // A resource's previous holder is its class slot's.
+        for (TaskId id = 0; id < graph.size(); ++id) {
+            const auto held = graph.resources(id);
+            const auto slots = classes.of(id);
+            for (std::size_t j = 0; j < held.size(); ++j) {
+                const auto at = std::find(slots.begin(), slots.end(),
+                                          classes.classOf[held[j]]);
+                ASSERT_NE(at, slots.end()) << "task " << id;
+                EXPECT_EQ(record.resPrev[classes.slot(id) +
+                                         (at - slots.begin())],
+                          want.prev[id][j])
+                    << "task " << id << " resource " << held[j];
+            }
+        }
+        const auto expectColumns = [&] {
+            const auto span = [](auto s) {
+                return std::vector(s.begin(), s.end());
+            };
+            EXPECT_EQ(span(scratch.resourceWait()), want.wait);
+            EXPECT_EQ(span(scratch.resourceNextFree()), want.nextFree);
+            EXPECT_EQ(span(graph.resourceBusy()), want.busy);
+            EXPECT_EQ(span(graph.resourceReservations()), want.reservations);
+        };
+        expectColumns();
+        ASSERT_EQ(graph.execute(&scratch), want.makespan);
+        expectColumns();
+    }
+    EXPECT_EQ(classCounts, (std::set<std::size_t>{1, 3, 4}));
+}
 
 // ---------------------------------------------------------------------
 // Calendar queue vs a sorted-multimap oracle: identical firing order

@@ -30,16 +30,16 @@ drain(sim::CalendarQueue<TaskEvent> &queue)
     std::vector<TaskId> order;
     TaskEvent event;
     while (queue.pop(event))
-        order.push_back(event.task);
+        order.push_back(event.task());
     return order;
 }
 
 TEST(EventQueue, FiresInTimeOrder)
 {
     sim::CalendarQueue<TaskEvent> queue;
-    queue.scheduleAt(30, TaskEvent{3});
-    queue.scheduleAt(10, TaskEvent{1});
-    queue.scheduleAt(20, TaskEvent{2});
+    queue.scheduleAt(30, TaskEvent(3));
+    queue.scheduleAt(10, TaskEvent(1));
+    queue.scheduleAt(20, TaskEvent(2));
     EXPECT_EQ(drain(queue), (std::vector<TaskId>{1, 2, 3}));
     EXPECT_EQ(queue.now(), 30u);
 }
@@ -48,7 +48,7 @@ TEST(EventQueue, SameTimeFiresInScheduleOrder)
 {
     sim::CalendarQueue<TaskEvent> queue;
     for (TaskId i = 0; i < 5; ++i)
-        queue.scheduleAt(7, TaskEvent{i});
+        queue.scheduleAt(7, TaskEvent(i));
     EXPECT_EQ(drain(queue), (std::vector<TaskId>{0, 1, 2, 3, 4}));
 }
 
@@ -57,13 +57,13 @@ TEST(EventQueue, CallbacksMayScheduleMore)
     // The executor's pattern: handling one event schedules the next
     // (a fire schedules its completion) while the queue is being drained.
     sim::CalendarQueue<TaskEvent> queue;
-    queue.scheduleAt(1, TaskEvent{0, false});
+    queue.scheduleAt(1, TaskEvent(0, false));
     std::vector<TaskId> fired;
     TaskEvent event;
     while (queue.pop(event)) {
-        fired.push_back(event.task);
-        if (!event.complete)
-            queue.scheduleAt(queue.now() + 5, TaskEvent{1, true});
+        fired.push_back(event.task());
+        if (!event.complete())
+            queue.scheduleAt(queue.now() + 5, TaskEvent(1, true));
     }
     EXPECT_EQ(fired, (std::vector<TaskId>{0, 1}));
     EXPECT_EQ(queue.now(), 6u);
@@ -73,25 +73,25 @@ TEST(EventQueue, CallbacksMayScheduleMore)
 TEST(EventQueue, ResetClearsState)
 {
     sim::CalendarQueue<TaskEvent> queue;
-    queue.scheduleAt(5, TaskEvent{0});
-    queue.scheduleAt(500, TaskEvent{1});
+    queue.scheduleAt(5, TaskEvent(0));
+    queue.scheduleAt(500, TaskEvent(1));
     TaskEvent event;
     ASSERT_TRUE(queue.pop(event));
     queue.reset();
     EXPECT_EQ(queue.pending(), 0u);
     EXPECT_EQ(queue.now(), 0u);
     // Time starts over: scheduling before the old now() is legal again.
-    queue.scheduleAt(1, TaskEvent{2});
+    queue.scheduleAt(1, TaskEvent(2));
     EXPECT_EQ(drain(queue), (std::vector<TaskId>{2}));
 }
 
 TEST(EventQueueDeath, PastSchedulingIsABug)
 {
     sim::CalendarQueue<TaskEvent> queue;
-    queue.scheduleAt(10, TaskEvent{0});
+    queue.scheduleAt(10, TaskEvent(0));
     TaskEvent event;
     ASSERT_TRUE(queue.pop(event));
-    EXPECT_DEATH(queue.scheduleAt(5, TaskEvent{1}), "past");
+    EXPECT_DEATH(queue.scheduleAt(5, TaskEvent(1)), "past");
 }
 
 TEST(Resource, FifoReservations)
@@ -386,10 +386,16 @@ TEST(TaskGraph, ColumnsKeepEveryTask)
     EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
               (std::vector<std::uint32_t>{2, 0}));
     EXPECT_TRUE(graph.resources(1).empty());
-    EXPECT_EQ(graph.resourceOffset(0), 0u);
-    EXPECT_EQ(graph.resourceOffset(1), 2u);
-    EXPECT_EQ(graph.resourceOffset(2), 2u);
+    EXPECT_EQ(graph.resourceSet(0), 1u);
+    EXPECT_EQ(graph.resourceSet(1), kNoResources);
+    EXPECT_EQ(graph.resourceSet(2), 2u);
     EXPECT_EQ(graph.resourceBound(), 6u);
+    // An equal list is stored once; a permutation is another set.
+    addNamedTask(graph, "c", {2, 0}, 1);
+    addNamedTask(graph, "d", {0, 2}, 1);
+    EXPECT_EQ(graph.resourceSet(3), 1u);
+    EXPECT_EQ(graph.resourceSet(4), 3u);
+    EXPECT_EQ(graph.resourceSetCount(), 4u);
 }
 
 TEST(TaskGraph, LabelsRenderFromTheTypedIdentity)
