@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "core/api.hh"
 
@@ -347,6 +352,137 @@ TEST(Accelerator, AllBenchmarksRunOnAllConnections)
             EXPECT_GT(report.iterationTime, 0u)
                 << model.name << " " << report.config;
         }
+    }
+}
+
+/** FNV-1a over the bytes a template build writes. */
+class Fnv
+{
+  public:
+    void
+    bytes(const void *data, std::size_t size)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i)
+            hash_ = (hash_ ^ p[i]) * 1099511628211ull;
+    }
+    void word(std::uint64_t value) { bytes(&value, sizeof value); }
+    void
+    text(std::string_view value)
+    {
+        word(value.size());
+        bytes(value.data(), value.size());
+    }
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+/**
+ * Every byte an iteration template's build decides: each task's kind,
+ * phase, label, duration, resource list and dependency count, the frozen
+ * successor CSR (which fixes the firing order), and each ledger
+ * quantity's has-bit and value bits.
+ */
+std::uint64_t
+templateDigest(const IterationTemplate &tmpl)
+{
+    const TaskGraph &graph = tmpl.graph;
+    Fnv fnv;
+    fnv.word(graph.size());
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        fnv.word(static_cast<std::uint64_t>(graph.kind(id)));
+        fnv.word(static_cast<std::uint64_t>(graph.phase(id)));
+        fnv.text(graph.label(id));
+        fnv.word(graph.duration(id));
+        fnv.word(graph.resources(id).size());
+        for (const std::uint32_t rid : graph.resources(id))
+            fnv.word(rid);
+        fnv.word(graph.dependencyCount(id));
+    }
+    const SuccessorCsr csr = graph.successorCsr();
+    for (const std::uint32_t start : csr.start)
+        fnv.word(start);
+    for (const std::uint32_t id : csr.ids)
+        fnv.word(id);
+    for (std::size_t i = 0; i < kNumQuantities; ++i) {
+        const auto q = static_cast<Quantity>(i);
+        fnv.word(tmpl.ledger.has(q) ? 1 : 0);
+        fnv.word(std::bit_cast<std::uint64_t>(tmpl.ledger.value(q)));
+    }
+    return fnv.value();
+}
+
+TEST(TemplateBuild, DigestsArePinned)
+{
+    // The oracle of the template build: a change to how a template is
+    // built (not to what it models) must leave every digest as it is.
+    // The cases cover the Table V pairs, batches too small to repeat an
+    // item (1) or to repeat it more than once (2, 3), and a mapping
+    // routed around killed tiles.
+    struct Case {
+        std::string model;
+        AcceleratorConfig config;
+        std::uint64_t digest;
+    };
+    const AcceleratorConfig configs[] = {
+        AcceleratorConfig::prime(),
+        AcceleratorConfig::lerGan(ReplicaDegree::Low),
+        AcceleratorConfig::lerGan(ReplicaDegree::Middle),
+        AcceleratorConfig::lerGan(ReplicaDegree::High)};
+    // allBenchmarks() order, by configs[] order.
+    const std::uint64_t tableV[8][4] = {
+        {0x0a962b37310c2359, 0x0e0711cd8bba0378,
+         0x2d2059fc20329790, 0x02eb253f9975e345},
+        {0xac6b895686e81f95, 0x6738a1cc76948425,
+         0x48327858e979707d, 0x1cc30714b5e8f7bf},
+        {0x016c00822564faf1, 0xe1d5eb9f544f207a,
+         0xff536137fa48dfef, 0xa5be8d259dadfe0e},
+        {0x423ae3884ad31459, 0xd9b000102b49c121,
+         0x86296b1cbbb5a7f3, 0x69a8f8569444da3b},
+        {0x48581aeff0431b6b, 0x22eabd1175e1b032,
+         0xcd4fba52838ef8cf, 0x404fa19b8e616be7},
+        {0x2cf4fb323a700ce3, 0xa9f83bbe90e48780,
+         0xbb7bf57320633f88, 0xc9dc9b09c3ec0b3f},
+        {0x92cf678bf0194fcc, 0xe32dede59fe70426,
+         0x93c3103b81114beb, 0x9af9f8c4e08a191a},
+        {0xe49c8e8c8576aa4b, 0x54718eb074f6c930,
+         0xe5d26bb514a0e8de, 0xc444473c8c66574d},
+    };
+    std::vector<Case> cases;
+    const std::vector<GanModel> models = allBenchmarks();
+    ASSERT_EQ(models.size(), 8u);
+    for (std::size_t b = 0; b < models.size(); ++b)
+        for (std::size_t c = 0; c < 4; ++c)
+            cases.push_back({models[b].name, configs[c], tableV[b][c]});
+    const std::uint64_t batches[3] = {
+        0xab88df1327a3279b, 0x6b7adeb5bf131f94, 0x1d7fe30c23fd1ee9};
+    for (int batch = 1; batch <= 3; ++batch) {
+        AcceleratorConfig config = configs[1];
+        config.batchSize = batch;
+        cases.push_back({"DCGAN", config, batches[batch - 1]});
+    }
+    AcceleratorConfig killed = configs[1];
+    killed.faults.seed = 11;
+    killed.faults.tileKillRate = 0.15;
+    cases.push_back({"DCGAN", killed, 0x4081f9ac1f7f1251});
+
+    for (const Case &c : cases) {
+        const GanModel model = makeBenchmark(c.model);
+        LerGanAccelerator acc(model, c.config);
+        const auto tmpl = acc.makeIterationTemplate();
+        if (c.config.faults.tileKillRate > 0) {
+            EXPECT_GT(acc.compiled().faultImpact.killedTiles, 0u);
+        }
+        const std::uint64_t digest = templateDigest(*tmpl);
+        char hex[24];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(digest));
+        EXPECT_EQ(digest, c.digest)
+            << c.model << " on " << c.config.label() << " batch "
+            << c.config.batchSize << " kill rate "
+            << c.config.faults.tileKillRate << ": " << hex;
     }
 }
 
