@@ -129,6 +129,8 @@ class IterationBuilder
     /** Resource set of each route a transfer took (the machine's
      *  route cache keeps every Route at one address). */
     std::unordered_map<const Route *, ResourceSetId> routeSets_;
+    /** The ledger adds of the item addItems() last built. */
+    BuildLedger::Tape tape_;
 
     /** Name id of the per-item a^0 barrier, interned once since it is
      *  added for every item. */
@@ -413,6 +415,38 @@ class IterationBuilder
         return tasks;
     }
 
+    /**
+     * Add the batch()'s items of one kind: build the first with
+     * @p build_item, which returns its weight-gradient tasks, then
+     * append the other batch() - 1 as copies of its tasks
+     * (TaskGraph::repeat) and of its ledger adds (a tape replayed once
+     * per copy). An item's tasks, durations, resources and ledger adds
+     * never depend on its index, and it depends on nothing outside
+     * itself but its step's entry, so the copies are exactly what
+     * building each item again would add. Appends every item's weight
+     * tasks, item by item, to @p weight_tasks.
+     */
+    template <typename BuildItem>
+    void
+    addItems(std::vector<TaskId> &weight_tasks, BuildItem &&build_item)
+    {
+        const TaskGraph::Mark from = graph.mark();
+        tape_.clear();
+        ledger.record(&tape_);
+        const std::vector<TaskId> item = build_item();
+        ledger.record(nullptr);
+        const TaskGraph::Mark to = graph.mark();
+        const auto copies = static_cast<std::size_t>(batch() - 1);
+        graph.repeat(from, to, copies);
+        for (std::size_t k = 0; k < copies; ++k)
+            ledger.replay(tape_);
+        // Copy k starts k blocks after the item.
+        const std::size_t len = to.tasks - from.tasks;
+        for (std::size_t k = 0; k <= copies; ++k)
+            for (const TaskId task : item)
+                weight_tasks.push_back(task + k * len);
+    }
+
     /** The Fig. 13a discriminator-training step. */
     TaskId
     discriminatorStep(TaskId entry)
@@ -422,34 +456,33 @@ class IterationBuilder
         const CompiledPhase &d_err = compiled_.phase(Phase::DBwdErr);
         const CompiledPhase &d_w = compiled_.phase(Phase::DBwdWeight);
 
-        const int m = batch();
         std::vector<TaskId> all_weight_tasks;
         std::vector<GradSource> grads;
-        for (int j = 0; j < 2 * m; ++j) {
-            // Item source: m generated fakes, m real samples.
-            TaskId input_task;
-            if (j < m) {
-                const TaskId g_out = forwardChain(g_fwd, entry, nullptr);
-                input_task = transferTask(
-                    g_fwd.ops.back(), d_fwd.ops.front(),
-                    usefulInputBytes(d_fwd.ops.front()), g_out);
-            } else {
-                input_task = loadItemTask(
-                    d_fwd.ops.front(),
-                    usefulInputBytes(d_fwd.ops.front()), entry);
-            }
+        // Item source: m generated fakes, then m real samples.
+        for (const bool fake : {true, false}) {
+            addItems(all_weight_tasks, [&] {
+                TaskId input_task;
+                if (fake) {
+                    const TaskId g_out =
+                        forwardChain(g_fwd, entry, nullptr);
+                    input_task = transferTask(
+                        g_fwd.ops.back(), d_fwd.ops.front(),
+                        usefulInputBytes(d_fwd.ops.front()), g_out);
+                } else {
+                    input_task = loadItemTask(
+                        d_fwd.ops.front(),
+                        usefulInputBytes(d_fwd.ops.front()), entry);
+                }
 
-            std::vector<TaskId> fwd_tasks;
-            const TaskId d_out =
-                forwardChain(d_fwd, input_task, &fwd_tasks);
+                std::vector<TaskId> fwd_tasks;
+                const TaskId d_out =
+                    forwardChain(d_fwd, input_task, &fwd_tasks);
 
-            errorChain(d_err, d_fwd, fwd_tasks, d_out, &grads);
+                errorChain(d_err, d_fwd, fwd_tasks, d_out, &grads);
 
-            const auto w_tasks =
-                weightChain(d_w, d_fwd, fwd_tasks, grads,
-                            d_fwd.ops.back(), d_out, input_task);
-            all_weight_tasks.insert(all_weight_tasks.end(),
-                                    w_tasks.begin(), w_tasks.end());
+                return weightChain(d_w, d_fwd, fwd_tasks, grads,
+                                   d_fwd.ops.back(), d_out, input_task);
+            });
         }
         return barrierTask(graph.intern("D.step.done"), all_weight_tasks);
     }
@@ -466,7 +499,7 @@ class IterationBuilder
 
         std::vector<TaskId> all_weight_tasks;
         std::vector<GradSource> g_grads;
-        for (int i = 0; i < batch(); ++i) {
+        addItems(all_weight_tasks, [&] {
             std::vector<TaskId> g_fwd_tasks;
             const TaskId g_out =
                 forwardChain(g_fwd, entry, &g_fwd_tasks);
@@ -490,13 +523,10 @@ class IterationBuilder
             // ...and continue through the generator.
             errorChain(g_err, g_fwd, g_fwd_tasks, across, &g_grads);
 
-            const auto w_tasks =
-                weightChain(g_w, g_fwd, g_fwd_tasks, g_grads,
-                            g_err.ops.front(), across,
-                            /*input_task=*/entry);
-            all_weight_tasks.insert(all_weight_tasks.end(),
-                                    w_tasks.begin(), w_tasks.end());
-        }
+            return weightChain(g_w, g_fwd, g_fwd_tasks, g_grads,
+                               g_err.ops.front(), across,
+                               /*input_task=*/entry);
+        });
         return barrierTask(graph.intern("G.step.done"), all_weight_tasks);
     }
 

@@ -3,6 +3,13 @@
  * The build ledger: every quantity a training iteration accrues while its
  * task DAG is built, as a fixed enum backed by one name table. A quantity
  * is reported exactly when it was accrued at least once, even by zero.
+ *
+ * A builder that repeats a block of work (one minibatch item, stamped
+ * m - 1 times) records the block's adds on a tape and replays the tape
+ * once per copy. It never multiplies a block's total by the copy count:
+ * floating-point sums depend on their order, and the exported results
+ * print 17 significant digits, so only the same adds in the same order
+ * give the same bits.
  */
 
 #ifndef LERGAN_RERAM_LEDGER_HH
@@ -11,6 +18,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/stats.hh"
 
@@ -65,12 +73,35 @@ quantityName(Quantity q)
 class BuildLedger
 {
   public:
+    /** One add() as a tape holds it. */
+    struct Entry {
+        Quantity q;
+        double delta;
+    };
+    /** A recorded run of adds, in order. */
+    using Tape = std::vector<Entry>;
+
     /** Accrue @p delta (pJ, bytes or events; counts stay exact) to @p q. */
     void
     add(Quantity q, double delta)
     {
-        values_[index(q)] += delta;
-        seen_[index(q)] = true;
+        accrue(q, delta);
+        if (tape_)
+            tape_->push_back({q, delta});
+    }
+
+    /** Also append every later add() to @p tape, until called again
+     *  with null. The ledger keeps the pointer: detach before the tape
+     *  goes away or the ledger is copied. */
+    void record(Tape *tape) { tape_ = tape; }
+
+    /** Make @p tape's adds again, in order: bit for bit what making
+     *  them again with add() would accrue. */
+    void
+    replay(const Tape &tape)
+    {
+        for (const Entry &entry : tape)
+            accrue(entry.q, entry.delta);
     }
 
     /** True once @p q was accrued, even by zero. */
@@ -89,8 +120,16 @@ class BuildLedger
   private:
     static std::size_t index(Quantity q) { return static_cast<std::size_t>(q); }
 
+    void
+    accrue(Quantity q, double delta)
+    {
+        values_[index(q)] += delta;
+        seen_[index(q)] = true;
+    }
+
     std::array<double, kNumQuantities> values_{};
     std::array<bool, kNumQuantities> seen_{};
+    Tape *tape_ = nullptr;
 };
 
 } // namespace lergan

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -131,6 +133,44 @@ TEST(Ledger, FoldsExactlyTheAccruedStatistics)
     EXPECT_TRUE(ledger.has(Quantity::FlitsBus));
     EXPECT_EQ(ledger.value(Quantity::FlitsBus), 7.0);
     EXPECT_FALSE(ledger.has(Quantity::FlitsHTree));
+}
+
+TEST(BuildLedger, ReplayedTapeEqualsDirectAdds)
+{
+    // Adds whose sum depends on their order: a tape replayed k times
+    // must give the bits of the same adds made k + 1 times, which
+    // multiplying one copy's total does not (0.3 x 4 is 1.2, the
+    // repeated adds give 0.3).
+    const auto addItem = [](BuildLedger &ledger) {
+        for (const double delta : {0.1, 1e16, -1e16, 0.3})
+            ledger.add(Quantity::Buffer, delta);
+        ledger.add(Quantity::TrafficBytes, 0.1);
+        ledger.add(Quantity::CommAdded, 0.0);
+    };
+    constexpr int kItems = 4;
+    BuildLedger direct;
+    for (int k = 0; k < kItems; ++k)
+        addItem(direct);
+
+    BuildLedger replayed;
+    BuildLedger::Tape tape;
+    replayed.record(&tape);
+    addItem(replayed);
+    replayed.record(nullptr);
+    EXPECT_EQ(tape.size(), 6u);
+    for (int k = 1; k < kItems; ++k)
+        replayed.replay(tape);
+    EXPECT_EQ(tape.size(), 6u); // replay records nothing
+
+    for (std::size_t i = 0; i < kNumQuantities; ++i) {
+        const auto q = static_cast<Quantity>(i);
+        EXPECT_EQ(replayed.has(q), direct.has(q)) << quantityName(q);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed.value(q)),
+                  std::bit_cast<std::uint64_t>(direct.value(q)))
+            << quantityName(q);
+    }
+    EXPECT_TRUE(replayed.has(Quantity::CommAdded));
+    EXPECT_NE(direct.value(Quantity::Buffer), 0.3 * kItems);
 }
 
 TEST(Ledger, NameTableIsUniqueAndPartitioned)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -396,6 +397,86 @@ TEST(TaskGraph, ColumnsKeepEveryTask)
     EXPECT_EQ(graph.resourceSet(3), 1u);
     EXPECT_EQ(graph.resourceSet(4), 3u);
     EXPECT_EQ(graph.resourceSetCount(), 4u);
+}
+
+TEST(TaskGraph, RepeatCopiesABlockInAddDepOrder)
+{
+    // Block: a (after the entry), b (after a), c (after a, b and the
+    // entry). Repeating it must add exactly what adding it again, copy
+    // after copy, adds.
+    const auto addEntry = [](TaskGraph &graph) {
+        return addNamedTask(graph, "entry", {0}, 5);
+    };
+    const auto addBlock = [](TaskGraph &graph, TaskId entry) {
+        const TaskId a =
+            addNamedTask(graph, "a", {1}, 10, TaskKind::Compute, Phase::DFwd);
+        const TaskId b = addNamedTask(graph, "b", {1, 2}, 7, TaskKind::Load,
+                                      Phase::Transfers);
+        const TaskId c = addNamedTask(graph, "c", {}, 0);
+        graph.addDep(a, entry);
+        graph.addDep(b, a);
+        graph.addDep(c, a);
+        graph.addDep(c, b);
+        graph.addDep(c, entry);
+    };
+    for (const std::size_t copies : {0u, 1u, 3u}) {
+        TaskGraph repeated;
+        const TaskId entry = addEntry(repeated);
+        const TaskGraph::Mark from = repeated.mark();
+        addBlock(repeated, entry);
+        const TaskGraph::Mark to = repeated.mark();
+        EXPECT_EQ(repeated.repeat(from, to, copies), 4u);
+        addNamedTask(repeated, "after", {}, 1);
+
+        TaskGraph built;
+        addEntry(built);
+        for (std::size_t k = 0; k <= copies; ++k)
+            addBlock(built, entry);
+        addNamedTask(built, "after", {}, 1);
+
+        ASSERT_EQ(repeated.size(), 2 + 3 * (copies + 1)) << copies;
+        ASSERT_EQ(repeated.size(), built.size());
+        for (TaskId id = 0; id < built.size(); ++id) {
+            EXPECT_EQ(repeated.kind(id), built.kind(id)) << id;
+            EXPECT_EQ(repeated.phase(id), built.phase(id)) << id;
+            EXPECT_EQ(repeated.label(id), built.label(id)) << id;
+            EXPECT_EQ(repeated.duration(id), built.duration(id)) << id;
+            EXPECT_EQ(repeated.resourceSet(id), built.resourceSet(id)) << id;
+            EXPECT_EQ(repeated.dependencyCount(id),
+                      built.dependencyCount(id))
+                << id;
+        }
+        // The dependency counts are the block's: a 1, b 1, c 3.
+        for (std::size_t k = 0; k <= copies; ++k) {
+            EXPECT_EQ(repeated.dependencyCount(1 + 3 * k), 1u);
+            EXPECT_EQ(repeated.dependencyCount(2 + 3 * k), 1u);
+            EXPECT_EQ(repeated.dependencyCount(3 + 3 * k), 3u);
+        }
+        const SuccessorCsr got = repeated.successorCsr();
+        const SuccessorCsr want = built.successorCsr();
+        EXPECT_TRUE(std::ranges::equal(got.start, want.start)) << copies;
+        EXPECT_TRUE(std::ranges::equal(got.ids, want.ids)) << copies;
+        // The entry's successors list each copy's a and c, copy by copy.
+        std::vector<std::uint32_t> entrySuccs;
+        for (std::size_t k = 0; k <= copies; ++k) {
+            entrySuccs.push_back(static_cast<std::uint32_t>(1 + 3 * k));
+            entrySuccs.push_back(static_cast<std::uint32_t>(3 + 3 * k));
+        }
+        const auto succs = got.of(entry);
+        EXPECT_EQ(std::vector<std::uint32_t>(succs.begin(), succs.end()),
+                  entrySuccs);
+        EXPECT_EQ(repeated.execute(), built.execute()) << copies;
+    }
+
+    // An edge made inside the block into a task before it is refused:
+    // its copies would make the entry depend on every copy.
+    TaskGraph graph;
+    const TaskId entry = addEntry(graph);
+    const TaskGraph::Mark from = graph.mark();
+    const TaskId a = addNamedTask(graph, "a", {1}, 10);
+    graph.addDep(entry, a);
+    const TaskGraph::Mark to = graph.mark();
+    EXPECT_DEATH(graph.repeat(from, to, 1), "outside the block");
 }
 
 TEST(TaskGraph, LabelsRenderFromTheTypedIdentity)
