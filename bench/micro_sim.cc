@@ -1,10 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator substrate: event
- * queue bulk load, routing, reshape enumeration, the executor's
- * per-task cost over the Table V templates and their graph freeze, the
- * post-run metrics replay and critical-path pass over their records,
- * one warm sweep point, and whole-iteration simulation.
+ * queue bulk load, routing, reshape enumeration, the Table V
+ * iteration-template build, the executor's per-task cost over those
+ * templates and their graph freeze, the post-run metrics replay and
+ * critical-path pass over their records, one warm sweep point, and
+ * whole-iteration simulation.
  */
 
 #include <benchmark/benchmark.h>
@@ -126,6 +127,66 @@ tableVTemplates()
     }();
     return templates;
 }
+
+/**
+ * The iteration-template build: makeIterationTemplate over the 32
+ * Table V pairs, timed per call, on a fresh accelerator per call (arg
+ * 0: the machine's route cache starts cold, as a cold sweep point
+ * builds) or on one accelerator per pair that built its template once
+ * before timing (arg 1: every route is cached). Models are compiled and
+ * accelerators constructed outside the timing, and each template is
+ * dropped outside it too. ns_per_task is the build per task.
+ */
+void
+BM_BuildTemplateTableV(benchmark::State &state)
+{
+    const bool warm = state.range(0) != 0;
+    struct Pair {
+        GanModel model;
+        AcceleratorConfig config;
+        std::shared_ptr<const CompiledGan> compiled;
+    };
+    std::vector<Pair> pairs;
+    for (const GanModel &model : allBenchmarks()) {
+        for (const AcceleratorConfig &config : tableVConfigs())
+            pairs.push_back({model, config,
+                             std::make_shared<const CompiledGan>(
+                                 compileGan(model, config))});
+    }
+    const auto accelerator = [](const Pair &pair) {
+        return std::make_unique<LerGanAccelerator>(pair.model, pair.config,
+                                                   pair.compiled);
+    };
+    std::vector<std::unique_ptr<LerGanAccelerator>> reused;
+    if (warm) {
+        for (const Pair &pair : pairs) {
+            reused.push_back(accelerator(pair));
+            reused.back()->makeIterationTemplate();
+        }
+    }
+    std::chrono::nanoseconds building{0};
+    double tasks = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+            std::unique_ptr<LerGanAccelerator> fresh;
+            if (!warm)
+                fresh = accelerator(pairs[i]);
+            LerGanAccelerator &acc = warm ? *reused[i] : *fresh;
+            const auto begin = std::chrono::steady_clock::now();
+            const auto tmpl = acc.makeIterationTemplate();
+            building += std::chrono::steady_clock::now() - begin;
+            benchmark::DoNotOptimize(tmpl.get());
+            tasks += static_cast<double>(tmpl->graph.size());
+        }
+    }
+    state.counters["ns_per_task"] =
+        static_cast<double>(building.count()) / tasks;
+}
+BENCHMARK(BM_BuildTemplateTableV)
+    ->ArgName("warm")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Execute-only pass over the 32 Table V templates: every iteration
