@@ -4,9 +4,10 @@
 # `tsan`) and an ASan+UBSan build of the audit/exporter, event-kernel,
 # executor, trace-export, fault, critical-path, DSL-parser, perf-guard,
 # build-ledger and causal-tracing tests (ctest labels `audit`, `sim`,
-# `faults`, `critpath`, `parser`, `bench`, `ledger` and `tracing`), with
-# the fig19 perf guard in between. Run from anywhere; builds land in build/, build-tsan/ and
-# build-asan/.
+# `faults`, `critpath`, `parser`, `bench`, `ledger` and `tracing`), and
+# last the fig19 perf guard, so that a guard tripped by a noisy host
+# cannot stop the script before the sanitizer stages have run. Run from
+# anywhere; builds land in build/, build-tsan/ and build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -18,24 +19,6 @@ echo "== plain build + full test suite =="
 cmake -B "$root/build" -S "$root" >/dev/null
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
-
-# Host-performance guard (bench/runner.hh): measure the fig19 grid at 1
-# and 4 workers plus the critical-path recording and span-tracing A/B
-# overheads, and fail when any of the four verdicts against the newest
-# BENCH_fig19.json entry regresses: 1-worker points/sec below 80% of the
-# committed rate, a scaling efficiency below 80% of the committed one,
-# recording overhead above committed + 4 points, or tracing overhead
-# above max(3%, committed + 2). Wall-clock measurements are
-# machine-dependent; set LERGAN_SKIP_PERF_GUARD=1 on slow or noisy
-# machines.
-if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
-    echo "== perf guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
-else
-    echo "== perf guard: fig19 vs committed BENCH_fig19.json =="
-    "$root/build/bench/fig19_lergan_vs_prime" \
-        --bench-check "$root/BENCH_fig19.json" \
-        --bench-workers 1,4 --bench-repeats 2 >/dev/null
-fi
 
 # The exec tests exercise the worker pool and the compile cache under
 # real concurrency, and the fault tests drive the Monte Carlo driver's
@@ -101,6 +84,24 @@ else
     echo "ASan+UBSan unavailable on this toolchain; skipping the" \
          "sanitizer rerun of the audit/sim/faults/critpath/parser/" \
          "bench/ledger/tracing suites (plain suite already ran)."
+fi
+
+# Host-performance guard (bench/runner.hh): measure the fig19 grid at 1
+# and 4 workers plus the critical-path recording and span-tracing A/B
+# overheads, and fail when any of the four verdicts against the newest
+# BENCH_fig19.json entry regresses: 1-worker points/sec below 80% of the
+# committed rate, a scaling efficiency below 80% of the committed one,
+# recording overhead above committed + 4 points, or tracing overhead
+# above max(3%, committed + 2). Wall-clock measurements are
+# machine-dependent; set LERGAN_SKIP_PERF_GUARD=1 on slow or noisy
+# machines.
+if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
+    echo "== perf guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
+else
+    echo "== perf guard: fig19 vs committed BENCH_fig19.json =="
+    "$root/build/bench/fig19_lergan_vs_prime" \
+        --bench-check "$root/BENCH_fig19.json" \
+        --bench-workers 1,4 --bench-repeats 2 >/dev/null
 fi
 
 echo "== all checks passed =="
