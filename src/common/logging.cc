@@ -13,21 +13,13 @@ const char *
 levelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Inform: return "info";
-      case LogLevel::Warn:   return "warn";
-      case LogLevel::Fatal:  return "fatal";
-      case LogLevel::Panic:  return "panic";
+      case LogLevel::Fatal: return "fatal";
+      case LogLevel::Panic: return "panic";
     }
     return "?";
 }
 
 } // namespace
-
-void
-emit(LogLevel level, const std::string &msg)
-{
-    std::fprintf(stderr, "%s: %s\n", levelTag(level), msg.c_str());
-}
 
 void
 terminate(LogLevel level, const char *file, int line, const std::string &msg)

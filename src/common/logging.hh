@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal invariant violations
  * (simulator bugs), fatal() for user-caused errors the simulation cannot
- * continue from, warn()/inform() for non-fatal status messages.
+ * continue from.
  */
 
 #ifndef LERGAN_COMMON_LOGGING_HH
@@ -16,7 +16,7 @@
 namespace lergan {
 
 /** Severity of a log message. */
-enum class LogLevel { Inform, Warn, Fatal, Panic };
+enum class LogLevel { Fatal, Panic };
 
 namespace detail {
 
@@ -30,9 +30,6 @@ namespace detail {
  */
 [[noreturn]] void terminate(LogLevel level, const char *file, int line,
                             const std::string &msg);
-
-/** Emit a non-terminating message to stderr. */
-void emit(LogLevel level, const std::string &msg);
 
 /** Concatenate a parameter pack into one string via operator<<. */
 template <typename... Args>
@@ -57,16 +54,6 @@ concat(Args &&...args)
 #define LERGAN_FATAL(...)                                                    \
     ::lergan::detail::terminate(::lergan::LogLevel::Fatal, __FILE__,         \
                                 __LINE__, ::lergan::detail::concat(__VA_ARGS__))
-
-/** Suspicious but survivable condition. */
-#define LERGAN_WARN(...)                                                     \
-    ::lergan::detail::emit(::lergan::LogLevel::Warn,                         \
-                           ::lergan::detail::concat(__VA_ARGS__))
-
-/** Informational status message. */
-#define LERGAN_INFORM(...)                                                   \
-    ::lergan::detail::emit(::lergan::LogLevel::Inform,                       \
-                           ::lergan::detail::concat(__VA_ARGS__))
 
 /** Checked invariant with message; active in all build types. */
 #define LERGAN_ASSERT(cond, ...)                                             \

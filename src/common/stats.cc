@@ -56,12 +56,6 @@ StatSet::sumPrefix(const std::string &prefix) const
 }
 
 void
-StatSet::clear()
-{
-    values_.clear();
-}
-
-void
 StatSet::print(std::ostream &os, const std::string &prefix) const
 {
     for (const auto &[name, value] : values_) {

@@ -47,9 +47,6 @@ class StatSet
     /** Sum of all statistics whose name starts with @p prefix. */
     double sumPrefix(const std::string &prefix) const;
 
-    /** Remove all statistics. */
-    void clear();
-
     /** Number of registered statistics. */
     std::size_t size() const { return values_.size(); }
 

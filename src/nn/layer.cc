@@ -48,12 +48,6 @@ LayerSpec::outVolume() const
            ipow(static_cast<std::uint64_t>(outSize), spatialDims);
 }
 
-std::uint64_t
-LayerSpec::outPositions() const
-{
-    return ipow(static_cast<std::uint64_t>(outSize), spatialDims);
-}
-
 void
 LayerSpec::check() const
 {

@@ -81,9 +81,6 @@ struct LayerSpec {
     /** Flattened output activation count (channels * outSize^d). */
     std::uint64_t outVolume() const;
 
-    /** spatial positions in the output map (outSize^d). */
-    std::uint64_t outPositions() const;
-
     /** Validate internal consistency; panics on violation. */
     void check() const;
 };

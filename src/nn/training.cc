@@ -4,19 +4,6 @@
 
 namespace lergan {
 
-const char *
-opPatternName(OpPattern pattern)
-{
-    switch (pattern) {
-      case OpPattern::DenseFc:          return "fc";
-      case OpPattern::OuterProductFc:   return "fc_wgrad";
-      case OpPattern::DenseConv:        return "dense_conv";
-      case OpPattern::SparseGridConv:   return "sparse_grid";
-      case OpPattern::SparseKernelConv: return "sparse_kernel";
-    }
-    return "?";
-}
-
 Pattern1D
 LayerOp::pattern1d() const
 {

@@ -37,9 +37,6 @@ enum class OpPattern {
     SparseKernelConv, ///< dense map scanned by zero-inserted kernel (ZFDR_WS)
 };
 
-/** @return printable pattern name. */
-const char *opPatternName(OpPattern pattern);
-
 /**
  * One layer's work within one phase.
  *

@@ -4,17 +4,6 @@
 
 namespace lergan {
 
-const char *
-reshapeClassName(ReshapeClass cls)
-{
-    switch (cls) {
-      case ReshapeClass::Corner: return "corner";
-      case ReshapeClass::Edge:   return "edge";
-      case ReshapeClass::Inside: return "inside";
-    }
-    return "?";
-}
-
 ReshapeClass
 ReshapeMatrix::cls(int spatial_dims) const
 {

@@ -24,9 +24,6 @@ namespace lergan {
 /** The three reshape classes of Sec. IV-A. */
 enum class ReshapeClass { Corner, Edge, Inside };
 
-/** @return printable class name. */
-const char *reshapeClassName(ReshapeClass cls);
-
 /** One distinct reshaped matrix. */
 struct ReshapeMatrix {
     /** Useful taps per dimension multiplied out (rows before channels). */
