@@ -227,7 +227,6 @@ critpathReport()
     demo(identityTransform(*low));
     demo(scaleResourceCategory(*low, "wire", 2.0));
     demo(scaleResourceCategory(*low, "compute", 2.0));
-    demo(duplicateResourceCategory(*low, "compute", 2));
     demo(scalePhase(*low, "transfers", 0.5));
 }
 

@@ -3,9 +3,9 @@
  * google-benchmark microbenchmarks for the simulator substrate: event
  * queue bulk load, routing, reshape enumeration, the Table V
  * iteration-template build, the executor's per-task cost over those
- * templates and their graph freeze, the post-run metrics replay and
- * critical-path pass over their records, one warm sweep point, and
- * whole-iteration simulation.
+ * templates and their graph freeze, the post-run metrics replay,
+ * critical-path pass and makespan bounds over their records, one warm
+ * sweep point, and whole-iteration simulation.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 
 #include "core/api.hh"
 #include "critpath/critpath.hh"
+#include "critpath/whatif.hh"
 #include "sim/calendar_queue.hh"
 #include "sim/observe.hh"
 #include "zfdr/reshape.hh"
@@ -276,8 +277,10 @@ BENCHMARK(BM_FreezeTableV)->Unit(benchmark::kMillisecond);
  * The two post-run passes of an observed sweep point over the 32 Table
  * V records, taken once before timing: the sim.* metrics replay
  * (deriveObservers, arg 0) and critical-path extraction with its slack
- * pass (arg 1), both on one reused scratch as a sweep lane runs them.
- * The us_per_point counter is one pass over one point.
+ * pass (arg 1), both on one reused scratch as a sweep lane runs them;
+ * and the makespan bounds a pruning sweep computes per point
+ * (makespanBounds, arg 2). The us_per_point counter is one pass over
+ * one point.
  */
 void
 BM_AnalyzeTableV(benchmark::State &state)
@@ -300,9 +303,12 @@ BM_AnalyzeTableV(benchmark::State &state)
             if (state.range(0) == 0) {
                 deriveObservers(*run.graph, run.record, nullptr, &metrics,
                                 scratch);
-            } else {
+            } else if (state.range(0) == 1) {
                 benchmark::DoNotOptimize(extractCriticalPath(
                     *run.graph, run.record, run.names, &scratch));
+            } else {
+                benchmark::DoNotOptimize(
+                    makespanBounds(*run.graph, run.names.size()));
             }
         }
         benchmark::ClobberMemory();
@@ -312,7 +318,11 @@ BM_AnalyzeTableV(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_AnalyzeTableV)->ArgName("critpath")->Arg(0)->Arg(1);
+BENCHMARK(BM_AnalyzeTableV)
+    ->ArgName("critpath")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2);
 
 /**
  * One warm sweep point, as a sweep lane runs it: preparePoint (both

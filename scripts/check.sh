@@ -61,7 +61,9 @@ fi
 # ledger tests (tile, topology, accelerator) drive the iteration build's
 # enum-indexed ledger arrays and the cached routes' resource lists, and
 # the tracing tests index span events by their parent links (the
-# --self-profile self-time pass).
+# --self-profile self-time pass). GCC's -fsanitize=undefined leaves out
+# float-cast-overflow (an out-of-range double cast to an integer, such
+# as a negative or NaN duration in nanoseconds), so it is named too.
 echo "== ASan+UBSan availability probe =="
 if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -o "$probe_dir/probe-asan" 2>/dev/null && \
@@ -71,7 +73,7 @@ if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
          "(ctest -L 'audit|sim|faults|critpath|parser|bench|ledger|tracing') =="
     cmake -B "$root/build-asan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all" \
         >/dev/null
     cmake --build "$root/build-asan" -j "$jobs" \
         --target test_audit test_sweep_io test_sim test_json_trace \

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "common/logging.hh"
+
 namespace lergan {
 
 /** Simulated time in picoseconds. */
@@ -23,11 +25,19 @@ using PicoJoules = double;
 /** Data size in bytes. */
 using Bytes = std::uint64_t;
 
-/** Convert nanoseconds to the canonical picosecond representation. */
+/**
+ * Convert nanoseconds to the canonical picosecond representation,
+ * rounded to the nearest picosecond. @p ns must be finite and round to
+ * a picosecond count in [0, 2^64): casting a negative, NaN or larger
+ * double to an integer is undefined, so anything else is a bug.
+ */
 constexpr PicoSeconds
 nsToPs(double ns)
 {
-    return static_cast<PicoSeconds>(ns * 1e3 + 0.5);
+    const double ps = ns * 1e3 + 0.5;
+    LERGAN_ASSERT(ps >= 0.0 && ps < 0x1p64, "nsToPs: ", ns,
+                  " ns is outside the picosecond range");
+    return static_cast<PicoSeconds>(ps);
 }
 
 /** Convert picoseconds to (floating) nanoseconds for reporting. */

@@ -263,11 +263,11 @@ ExperimentSweep::run(const RunOptions &options) const
                 if (bounds.provenFasterThan(base->second) ||
                     bounds.provenSlowerThan(base->second)) {
                     // The bracket already decides which side of the
-                    // baseline this point lands on: skip the full event
-                    // simulation and report the executor-mirror
-                    // makespan, which equals what the simulation would
-                    // have produced (energies are build-time facts and
-                    // stay exact). No execution, so no audit or record.
+                    // baseline this point lands on: skip the observed
+                    // simulation and report the bound's executor
+                    // makespan, which is what the simulation would have
+                    // produced (energies are build-time facts and stay
+                    // exact). No audit or record.
                     Span span("estimate");
                     span.attr("pruned", true);
                     result.report = estimateReport(

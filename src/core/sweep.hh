@@ -223,10 +223,10 @@ class ExperimentSweep
      * Bound-based pruning of comparison sweeps: the first addConfig'd
      * configuration is the per-benchmark baseline and always simulates
      * fully; every other grid point first computes analytic makespan
-     * bounds (critpath/whatif.hh makespanBounds) and skips the event
+     * bounds (critpath/whatif.hh makespanBounds) and skips the observed
      * simulation when the bracket already decides which side of the
-     * baseline it lands on. Pruned points report the bound's
-     * list-schedule estimate as their time (stats carry
+     * baseline it lands on. Pruned points report the bound's executor
+     * makespan as their time (stats carry
      * "critpath.estimated" = 1; energies stay exact — they are
      * build-time facts), skip auditing and recording, and count into
      * the attached telemetry's "critpath.pruned" counter; fully

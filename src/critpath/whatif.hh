@@ -5,8 +5,8 @@
  * A recorded run fixes the complete timing graph of one simulation:
  * dependency edges plus, for every resource, the order reservations
  * were granted in. Replaying that graph with transformed task durations
- * (or extra resource copies) gives an analytic makespan estimate in one
- * linear pass — no event queue, no resimulation. With the identity
+ * gives an analytic makespan estimate in one linear pass — no event
+ * queue, no resimulation. With the identity
  * transform the replay reproduces the recorded makespan bit-exactly,
  * because the replay recurrence
  *
@@ -21,34 +21,29 @@
  * under the transform:
  *
  *   - lower: max of the longest dependency-only chain and every
- *     resource's total work divided by its copy count. Provably sound:
- *     any schedule respects dependencies, and a resource with c copies
- *     can retire at most c seconds of work per second.
- *   - upper: the executor's own greedy policy re-run on the transformed
- *     graph by a lean event-loop mirror (same (time, seq) event order,
- *     no pool/stats/trace machinery). For transforms that keep every
- *     copy count at one the mirror's schedule is decision-for-decision
- *     the resimulated one, so lower <= true <= upper holds by
- *     construction; extra copies generalize the mirror to c
- *     interchangeable FIFO units per resource.
+ *     resource's total work. Provably sound: any schedule respects
+ *     dependencies, and a resource retires at most one second of work
+ *     per second.
+ *   - upper: the resimulation itself, one TaskGraph::execute of the
+ *     graph with the transformed durations (no record). So
+ *     lower <= true <= upper holds with equality on the upper side.
  *
  * The fixed-grant-order replay is deliberately NOT used as the upper
  * bound: resimulation re-orders grants where the transform changes
  * release times, and classic list-scheduling anomalies push the true
  * makespan above the fixed-order replay on a sizable fraction of
  * graphs (measured: up to ~15% on seeded random DAGs). The replay is
- * the instant estimate; the mirror is the bound.
+ * the instant estimate; the executor run is the bound.
  *
- * makespanBounds() provides the same bounds for a *never-executed*
- * graph; its upper bound equals the event simulation's makespan, so
- * sweep pruning decisions match what a full simulation would conclude
- * while skipping the execution-side machinery.
+ * makespanBounds() provides the same bounds for a graph with no
+ * recorded run: it executes the graph once, so its upper bound is the
+ * event simulation's makespan and sweep pruning decisions match what a
+ * full simulation would conclude.
  */
 
 #ifndef LERGAN_CRITPATH_WHATIF_HH
 #define LERGAN_CRITPATH_WHATIF_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -56,17 +51,12 @@
 
 namespace lergan {
 
-/**
- * A transform of the recorded run: per-task durations and/or per-
- * resource copy counts. Empty vectors mean "unchanged".
- */
+/** A transform of the recorded run: new per-task durations. */
 struct WhatIfTransform {
     /** Human-readable description ("wire throughput x2"). */
     std::string description;
     /** New duration per TaskId; empty = the graph's durations. */
     std::vector<PicoSeconds> durations;
-    /** Copies per resource id (>= 1); empty = one of each. */
-    std::vector<std::uint32_t> copies;
 };
 
 /** Analytic estimate of the transformed run's makespan. */
@@ -76,8 +66,8 @@ struct WhatIfEstimate {
     PicoSeconds makespan = 0;
     /** Sound lower bound on the resimulated makespan. */
     PicoSeconds lower = 0;
-    /** Upper bound from the executor-mirror reschedule; equals the
-     *  resimulated makespan when copy counts are unchanged. */
+    /** Upper bound: the executor run on the transformed durations,
+     *  i.e. the resimulated makespan. */
     PicoSeconds upper = 0;
 };
 
@@ -107,19 +97,6 @@ WhatIfTransform scaleResourceCategory(const RecordedRun &run,
                                       const std::string &category,
                                       double throughput_scale);
 
-/**
- * Give every resource of category @p category (as for
- * scaleResourceCategory) @p copies interchangeable copies (e.g.
- * duplicate the tile class a congested crossbar belongs to). Durations
- * are unchanged; the replay lets @p copies reservations overlap per
- * resource.
- *
- * @throws std::invalid_argument when @p category names no category.
- */
-WhatIfTransform duplicateResourceCategory(const RecordedRun &run,
-                                          const std::string &category,
-                                          std::uint32_t copies);
-
 /** Replay the recorded timing graph under @p transform. */
 WhatIfEstimate whatIf(const RecordedRun &run,
                       const WhatIfTransform &transform);
@@ -143,15 +120,12 @@ struct MakespanBounds {
 };
 
 /**
- * Analytic makespan bounds for @p graph without running the full event
- * simulation: the dependency/work lower bound plus an upper bound from
- * a lean mirror of the executor's event loop (identical schedule, none
- * of the pool/stats/trace machinery) — so upper equals the event
- * simulation's makespan exactly.
+ * Makespan bounds for @p graph from one recorded execute: upper is the
+ * run's makespan (so it equals the event
+ * simulation's exactly), lower the dependency/work bound.
  *
- * @param resource_count size of the pool the graph's resource ids
- *                       index into (raised to graph.resourceBound()
- *                       when smaller).
+ * @param resource_count unused; every per-resource column is sized by
+ *                       graph.resourceBound().
  */
 MakespanBounds makespanBounds(const TaskGraph &graph,
                               std::size_t resource_count);

@@ -7,7 +7,9 @@
  * ISAAC-style calibration constants (the paper builds its CArrays from
  * ISAAC crossbars). The evaluation compares configurations that all share
  * these constants, so results are a function of the architecture, not of
- * the absolute calibration.
+ * the absolute calibration. Table IV values that no model reads (bank
+ * write latency and read/write energy, H-tree energy, tile write
+ * latency, I/O frequency) have no field; DESIGN.md §5 lists them.
  */
 
 #ifndef LERGAN_RERAM_PARAMS_HH
@@ -24,9 +26,6 @@ struct ReRamParams {
     /** @name Bank level [Table IV] */
     ///@{
     double bankReadNs = 32.8;
-    double bankWriteNs = 41.4;
-    double bankReadPj = 413.0;
-    double bankWritePj = 665.0;
     std::uint64_t bankBytes = 2ull << 30;  ///< 2 GB per bank
     int tilesPerBank = 16;
     ///@}
@@ -34,13 +33,11 @@ struct ReRamParams {
     /** @name H-tree interconnect [Table IV] */
     ///@{
     double htreeNs = 29.9;
-    double htreePj = 386.0;
     ///@}
 
     /** @name Tile level [Table IV] */
     ///@{
     double tileReadNs = 2.9;
-    double tileWriteNs = 11.5;
     double tileReadPj = 330.0;  ///< Table IV wire-level: 3.3, scaled
     double tileWritePj = 3480.0; ///< Table IV wire-level: 34.8, scaled
     std::uint64_t tileBytes = 128ull << 20;   ///< 128 MB per tile
@@ -48,9 +45,6 @@ struct ReRamParams {
     std::uint64_t barrayBytes = 2ull << 20;   ///< 1/64 of the tile buffers
     std::uint64_t sarrayBytes = 62ull << 20;  ///< the rest stores
     ///@}
-
-    /** I/O frequency in GHz [Table IV]. */
-    double ioFreqGhz = 1.6;
 
     /** Bytes per operand (16-bit precision, as in PipeLayer). */
     int bytesPerElem = 2;

@@ -33,16 +33,10 @@ fields()
                 }};
         };
         add("bank_read_ns", &ReRamParams::bankReadNs);
-        add("bank_write_ns", &ReRamParams::bankWriteNs);
-        add("bank_read_pj", &ReRamParams::bankReadPj);
-        add("bank_write_pj", &ReRamParams::bankWritePj);
         add("htree_ns", &ReRamParams::htreeNs);
-        add("htree_pj", &ReRamParams::htreePj);
         add("tile_read_ns", &ReRamParams::tileReadNs);
-        add("tile_write_ns", &ReRamParams::tileWriteNs);
         add("tile_read_pj", &ReRamParams::tileReadPj);
         add("tile_write_pj", &ReRamParams::tileWritePj);
-        add("io_freq_ghz", &ReRamParams::ioFreqGhz);
         add("adc_pj_per_xbar", &ReRamParams::adcPjPerXbar);
         add("cell_pj_per_xbar", &ReRamParams::cellPjPerXbar);
         add("dac_pj_per_xbar", &ReRamParams::dacPjPerXbar);

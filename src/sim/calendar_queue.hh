@@ -35,8 +35,8 @@
  * firing sequences.
  *
  * The queue is a template over the payload type; the task-graph
- * executor and the what-if mirror store POD task events (no type
- * erasure, no indirect call). Scheduled events always fire: there is no
+ * executor stores POD task events (no type erasure, no indirect
+ * call). Scheduled events always fire: there is no
  * cancellation.
  */
 

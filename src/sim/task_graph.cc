@@ -298,10 +298,16 @@ TaskGraph::freeze() const
 }
 
 PicoSeconds
-TaskGraph::execute(ExecScratch *scratch, ExecRecord *record) const
+TaskGraph::execute(ExecScratch *scratch, ExecRecord *record,
+                   std::span<const PicoSeconds> durations) const
 {
     const Frozen &f = freeze();
     const std::size_t n = size();
+    LERGAN_ASSERT(durations.empty() || durations.size() == n,
+                  "execute: ", durations.size(), " durations for ", n,
+                  " tasks");
+    const PicoSeconds *const duration =
+        durations.empty() ? durations_.data() : durations.data();
     PicoSeconds makespan = 0;
 
     ExecScratch local;
@@ -370,7 +376,7 @@ TaskGraph::execute(ExecScratch *scratch, ExecRecord *record) const
                     bind = k;
                 }
             }
-            const PicoSeconds end = start + durations_[id];
+            const PicoSeconds end = start + duration[id];
             // A task that could not start when it fired queued on
             // every resource it holds.
             const PicoSeconds queued = start - now;

@@ -437,13 +437,24 @@ class TaskGraph
      * every observer is derived from. Recording is pure output: event
      * order and results are identical with it on.
      *
-     * @param scratch optional reusable buffers (see ExecScratch); the
-     *                run's per-resource wait is read from it afterwards.
-     * @param record  optional execution record.
+     * When @p durations is given, the run takes each task's duration
+     * from it instead of the graph's own column: the same graph run as
+     * if it had been built with those durations (what-if bounds run
+     * transformed durations this way). The frozen busy and reservation
+     * totals (resourceBusy(), resourceReservations()) still come from
+     * the graph's own durations.
+     *
+     * @param scratch   optional reusable buffers (see ExecScratch); the
+     *                  run's per-resource wait is read from it
+     *                  afterwards.
+     * @param record    optional execution record.
+     * @param durations optional duration per TaskId (size size());
+     *                  empty = the graph's durations().
      * @return the makespan: completion time of the last task.
      */
     PicoSeconds execute(ExecScratch *scratch = nullptr,
-                        ExecRecord *record = nullptr) const;
+                        ExecRecord *record = nullptr,
+                        std::span<const PicoSeconds> durations = {}) const;
 
     /**
      * The frozen successor CSR: of(id) lists the tasks that depend on

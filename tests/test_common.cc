@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -12,6 +13,7 @@
 #include "common/stats.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
+#include "common/types.hh"
 
 namespace lergan {
 namespace {
@@ -120,6 +122,22 @@ TEST(StringsDeath, ParseIntRejectsGarbage)
 TEST(LoggingDeath, AssertFires)
 {
     EXPECT_DEATH(LERGAN_ASSERT(1 == 2, "boom"), "assertion failed");
+}
+
+TEST(Types, NsToPsRoundsToTheNearestPicosecond)
+{
+    EXPECT_EQ(nsToPs(0.0), 0u);
+    EXPECT_EQ(nsToPs(2.9), 2900u);
+    EXPECT_EQ(nsToPs(0.0004), 0u);
+    EXPECT_EQ(nsToPs(0.0006), 1u);
+}
+
+TEST(TypesDeath, NsToPsRejectsValuesOutsideThePicosecondRange)
+{
+    // Each would be an undefined double-to-integer cast.
+    EXPECT_DEATH(nsToPs(std::nan("")), "outside the picosecond range");
+    EXPECT_DEATH(nsToPs(-50.0), "outside the picosecond range");
+    EXPECT_DEATH(nsToPs(1e30), "outside the picosecond range");
 }
 
 TEST(Rng, Deterministic)

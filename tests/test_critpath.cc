@@ -20,9 +20,9 @@
  *     on seeded graphs with multi-slot reservations.
  *   - What-if soundness against real resimulation: the identity
  *     transform is bit-exact, and under arbitrary duration transforms
- *     the [lower, upper] bounds bracket the truth — upper is the
- *     executor-mirror reschedule, which reproduces the resimulated
- *     makespan exactly when copy counts are unchanged.
+ *     the [lower, upper] bounds bracket the truth — upper is an
+ *     executor run on the transformed durations, so it equals the
+ *     makespan of a graph rebuilt with them.
  *   - Sweep bound pruning: pruned points report the same timing and
  *     energy a full simulation would, carry "critpath.estimated", and
  *     the telemetry counters account for every point.
@@ -225,31 +225,12 @@ TEST(CritPathGolden, IdentityWhatIfIsBitExactOnEveryGridPoint)
             const WhatIfEstimate estimate =
                 whatIf(*run, identityTransform(*run));
             EXPECT_EQ(estimate.makespan, recorded);
-            // The executor-mirror upper bound replays the identical
-            // schedule, so it reproduces the makespan exactly too.
+            // The upper bound runs the executor on the same
+            // durations, so it reproduces the makespan exactly too.
             EXPECT_EQ(estimate.upper, recorded);
             EXPECT_LE(estimate.lower, recorded);
             EXPECT_GT(estimate.lower, 0u);
         }
-    }
-}
-
-TEST(CritPath, DuplicateCopiesKeepBoundsOrdered)
-{
-    const std::shared_ptr<const RecordedRun> run = toRun(
-        recordPoint(makeBenchmark("DCGAN"),
-                    AcceleratorConfig::lerGan(ReplicaDegree::Low)));
-    for (const char *category : {"compute", "wire"}) {
-        const WhatIfEstimate estimate =
-            whatIf(*run, duplicateResourceCategory(*run, category, 2));
-        SCOPED_TRACE(category);
-        EXPECT_GT(estimate.makespan, 0u);
-        EXPECT_LE(estimate.lower, estimate.upper);
-        // A single copy of everything is the identity.
-        const WhatIfEstimate one =
-            whatIf(*run, duplicateResourceCategory(*run, category, 1));
-        EXPECT_EQ(one.makespan, run->record.makespan);
-        EXPECT_EQ(one.upper, run->record.makespan);
     }
 }
 
@@ -356,7 +337,7 @@ TEST(CritPath, MisspelledWhatIfNamesThrowListingTheAcceptedOnes)
             << what;
     }
     // "none" labels barrier entries of the rollup; no resource has it.
-    EXPECT_THROW(duplicateResourceCategory(*run, "none", 2),
+    EXPECT_THROW(scaleResourceCategory(*run, "none", 2.0),
                  std::invalid_argument);
     EXPECT_THROW(scalePhase(*run, "G.fwd ", 2.0), std::invalid_argument);
     // Every accepted name still transforms.
@@ -380,7 +361,7 @@ fnv1a(const std::string &text)
 
 /**
  * The text the critical-path engine renders, pinned: the fig19
- * --critpath report (both DCGAN chains and the five what-if lines, in
+ * --critpath report (both DCGAN chains and the four what-if lines, in
  * one stream, as the bench prints them), the critpath object and
  * columns of one recorded sweep point's JSON and CSV export, and the
  * Chrome export of fig19's --trace point (transfer occupancy, busiest
@@ -414,7 +395,6 @@ TEST(CritPathGolden, Fig19ReportIsPinned)
     demo(identityTransform(*low));
     demo(scaleResourceCategory(*low, "wire", 2.0));
     demo(scaleResourceCategory(*low, "compute", 2.0));
-    demo(duplicateResourceCategory(*low, "compute", 2));
     demo(scalePhase(*low, "transfers", 0.5));
     EXPECT_EQ(report.str(), R"(critpath: DCGAN/prime
   critical path: 3472 links, 124.377 ms, 3472 zero-slack tasks
@@ -444,7 +424,6 @@ what-if (DCGAN/low, recorded 75.847 ms):
   what-if identity: 75.847 ms  (bounds [27.675, 75.847] ms)
   what-if wire throughput x2: 60.116 ms  (bounds [23.184, 60.464] ms)
   what-if compute throughput x2: 61.680 ms  (bounds [27.675, 61.607] ms)
-  what-if compute x2 copies: 63.523 ms  (bounds [27.675, 61.609] ms)
   what-if phase transfers x0.5: 60.114 ms  (bounds [23.184, 60.462] ms)
 )");
 
@@ -768,9 +747,8 @@ TEST(CritPathRandom, BoundsBracketResimulationUnderDurationTransforms)
             // The sound bracket of the satellite property...
             EXPECT_LE(estimate.lower, truth);
             EXPECT_GE(estimate.upper, truth);
-            // ...which the upper bound meets with equality: the mirror
-            // replays the executor's greedy policy decision for
-            // decision when copy counts are unchanged. (The fixed-
+            // ...which the upper bound meets with equality: it is the
+            // executor run on the transformed durations. (The fixed-
             // grant-order replay estimate deliberately has no such
             // guarantee — list-scheduling anomalies put the truth on
             // either side of it.)
@@ -789,7 +767,7 @@ TEST(CritPathRandom, MakespanBoundsBracketTheTrueMakespan)
             *model.graph, model.resourceNames.size());
         SCOPED_TRACE("seed " + std::to_string(seed));
         EXPECT_LE(bounds.lower, truth);
-        // The upper bound is the executor mirror: exact, not merely an
+        // The upper bound is an executor run: exact, not merely an
         // overestimate — this is what makes sweep pruning decisions
         // match a full simulation.
         EXPECT_EQ(bounds.upper, truth);
@@ -863,7 +841,7 @@ TEST(CritPathSweep, BoundPruningMatchesFullSimulationExactly)
     for (std::size_t i = 0; i < results.size(); ++i) {
         SCOPED_TRACE(results[i].benchmark + "/" + results[i].configLabel);
         ASSERT_FALSE(results[i].failed) << results[i].error;
-        // The pruning estimate is the executor mirror, so even pruned
+        // The pruning estimate is an executor run, so even pruned
         // points report the timing and energy a full event simulation
         // would have produced.
         EXPECT_EQ(results[i].report.iterationTime,

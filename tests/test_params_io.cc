@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "reram/params_io.hh"
 
@@ -47,9 +48,16 @@ TEST(ParamsIo, RoundTrips)
 
 TEST(ParamsIoDeath, UnknownKeyIsFatal)
 {
-    std::istringstream in("no_such_knob = 1\n");
-    ReRamParams params;
-    EXPECT_EXIT(loadParams(in, params), testing::ExitedWithCode(1), "");
+    // The Table IV values no model reads have no key (DESIGN.md §5).
+    for (const char *key :
+         {"no_such_knob", "bank_write_ns", "bank_read_pj", "bank_write_pj",
+          "htree_pj", "tile_write_ns", "io_freq_ghz"}) {
+        std::istringstream in(std::string(key) + " = 1\n");
+        ReRamParams params;
+        EXPECT_EXIT(loadParams(in, params), testing::ExitedWithCode(1),
+                    "unknown key")
+            << key;
+    }
 }
 
 TEST(ParamsIoDeath, MalformedNumberIsFatal)

@@ -10,6 +10,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -17,6 +18,7 @@
 
 #include "common/json.hh"
 #include "common/random.hh"
+#include "core/accelerator.hh"
 #include "core/machine.hh"
 #include "core/sweep_io.hh"
 #include "faults/montecarlo.hh"
@@ -471,6 +473,112 @@ TEST(ResourceClasses, ExecuteMatchesThePerResourceExecutor)
         expectColumns();
     }
     EXPECT_EQ(classCounts, (std::set<std::size_t>{1, 3, 4}));
+}
+
+// ---------------------------------------------------------------------
+// A duration override runs the graph as if it had been built with
+// those durations.
+// ---------------------------------------------------------------------
+
+/** @p graph built again with @p durations: the same tasks and resource
+ *  lists, and every edge re-declared dep-major from the successor CSR
+ *  (which keeps each dependency's successor order). */
+TaskGraph
+rebuiltWith(const TaskGraph &graph, std::span<const PicoSeconds> durations)
+{
+    TaskGraph rebuilt;
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        const auto res = graph.resources(id);
+        addNamedTask(rebuilt, graph.label(id), {res.begin(), res.end()},
+                     durations[id], graph.kind(id), graph.phase(id));
+    }
+    for (TaskId dep = 0; dep < graph.size(); ++dep)
+        for (const TaskId task : graph.successorCsr().of(dep))
+            rebuilt.addDep(task, dep);
+    return rebuilt;
+}
+
+void
+expectSameRecord(const ExecRecord &got, const ExecRecord &want)
+{
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.bindingPred, want.bindingPred);
+    EXPECT_EQ(got.bindingKind, want.bindingKind);
+    EXPECT_EQ(got.bindingRes, want.bindingRes);
+    EXPECT_EQ(got.resPrev, want.resPrev);
+    EXPECT_EQ(got.popOrder, want.popOrder);
+    EXPECT_EQ(got.lastTask, want.lastTask);
+    EXPECT_EQ(got.makespan, want.makespan);
+}
+
+TEST(TaskGraph, DurationOverrideMatchesARebuiltGraph)
+{
+    // Seeded multi-slot graphs and one Table V template, on one
+    // scratch: an override run, recorded or not, equals a run of the
+    // graph rebuilt with the override's durations, and a default run
+    // afterwards is the graph's own again.
+    std::vector<TaskGraph> seeded;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed)
+        seeded.push_back(makeOverlappingListGraph(seed));
+    const auto tmpl =
+        LerGanAccelerator(makeBenchmark("DCGAN"),
+                          AcceleratorConfig::lerGan(ReplicaDegree::Low))
+            .makeIterationTemplate();
+    std::vector<const TaskGraph *> graphs{&tmpl->graph};
+    for (const TaskGraph &graph : seeded)
+        graphs.push_back(&graph);
+
+    ExecScratch scratch;
+    Rng rng(2024);
+    std::size_t moved = 0;
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+        SCOPED_TRACE("graph " + std::to_string(g));
+        const TaskGraph &graph = *graphs[g];
+        ExecRecord own;
+        const PicoSeconds makespan = graph.execute(&scratch, &own);
+        const std::vector<PicoSeconds> busy(graph.resourceBusy().begin(),
+                                            graph.resourceBusy().end());
+
+        // Double, halve or keep each duration.
+        std::vector<PicoSeconds> durations(graph.durations().begin(),
+                                           graph.durations().end());
+        for (PicoSeconds &duration : durations) {
+            const std::uint64_t pick = rng.nextBounded(3);
+            duration = pick == 0 ? duration * 2
+                       : pick == 1 ? duration / 2
+                                   : duration;
+        }
+        const TaskGraph rebuilt = rebuiltWith(graph, durations);
+        ExecRecord want;
+        const PicoSeconds wantMakespan = rebuilt.execute(nullptr, &want);
+        moved += wantMakespan != makespan;
+
+        ExecRecord got;
+        EXPECT_EQ(graph.execute(&scratch, &got, durations), wantMakespan);
+        expectSameRecord(got, want);
+        EXPECT_EQ(graph.execute(&scratch, nullptr, durations),
+                  wantMakespan);
+
+        ExecRecord again;
+        EXPECT_EQ(graph.execute(&scratch, &again), makespan);
+        expectSameRecord(again, own);
+        // The frozen totals stay the graph's own.
+        EXPECT_EQ(std::vector(graph.resourceBusy().begin(),
+                              graph.resourceBusy().end()),
+                  busy);
+    }
+    EXPECT_GT(moved, graphs.size() / 2);
+}
+
+TEST(TaskGraphDeath, DurationOverrideOfTheWrongSizeIsABug)
+{
+    TaskGraph graph;
+    addNamedTask(graph, "a", {0}, 5);
+    addNamedTask(graph, "b", {0}, 7);
+    const std::vector<PicoSeconds> one{3};
+    EXPECT_DEATH(graph.execute(nullptr, nullptr, one),
+                 "1 durations for 2 tasks");
 }
 
 // ---------------------------------------------------------------------
